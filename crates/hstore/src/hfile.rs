@@ -11,7 +11,7 @@ use crate::block_cache::{Access, AccessCounter, BlockId, FileId, SharedBlockCach
 use crate::bloom::BloomFilter;
 use crate::error::{CorruptionKind, HStoreError};
 use crate::types::{CellVersion, InternalKey, KeyRange, Qualifier, RowKey, Timestamp};
-use crate::wal::Crc32;
+use crate::wal::Crc32c;
 use bytes::Bytes;
 
 /// One block of sorted cell versions.
@@ -22,8 +22,11 @@ pub struct Block {
     byte_size: u64,
     /// Byte offset of this block within the file (corruption reporting).
     offset: u64,
-    /// CRC-32 over the canonical serialization of `cells`, computed at
-    /// build time and re-verified whenever the block is read from "disk".
+    /// CRC-32C (Castagnoli — HBase's HFile checksum default, one x86-64
+    /// instruction per 8 bytes) over the canonical serialization of
+    /// `cells`, computed at build time and re-verified whenever a point
+    /// read takes the block from "disk" (a cache miss in [`HFile::get`])
+    /// and by the recovery scrub.
     crc: u32,
 }
 
@@ -57,7 +60,7 @@ impl Block {
 /// of streaming the parts; this runs at every flush and on every block
 /// cache miss, so the per-block allocation it replaces was hot.
 fn checksum_cells(cells: &[CellVersion]) -> u32 {
-    let mut crc = Crc32::new();
+    let mut crc = Crc32c::new();
     for c in cells {
         let row = c.key.coord.row.as_bytes();
         let qual = c.key.coord.qualifier.as_bytes();
@@ -91,6 +94,109 @@ pub struct HFile {
     max_ts: u64,
 }
 
+/// Streaming writer of one [`HFile`]: cells are pushed in `InternalKey`
+/// order and sealed into checksummed blocks as each fills, so a producer
+/// that generates its cells one at a time (a compaction's merge) never
+/// holds a second copy of the whole output beside the blocks.
+pub(crate) struct HFileBuilder {
+    id: FileId,
+    block_size: u64,
+    /// Entry count the Bloom filter was sized for; an upper bound.
+    expected_entries: usize,
+    bloom: BloomFilter,
+    blocks: Vec<Block>,
+    cur: Vec<CellVersion>,
+    cur_bytes: u64,
+    total_bytes: u64,
+    entry_count: u64,
+    max_ts: u64,
+}
+
+impl HFileBuilder {
+    /// A builder for file `id` that will receive at most
+    /// `expected_entries` cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_size == 0`.
+    pub(crate) fn new(id: FileId, block_size: u64, expected_entries: usize) -> Self {
+        assert!(block_size > 0, "block_size must be positive");
+        HFileBuilder {
+            id,
+            block_size,
+            expected_entries,
+            bloom: BloomFilter::with_capacity(expected_entries),
+            blocks: Vec::new(),
+            cur: Vec::new(),
+            cur_bytes: 0,
+            total_bytes: 0,
+            entry_count: 0,
+            max_ts: 0,
+        }
+    }
+
+    /// Appends the next cell. Cells must arrive in `InternalKey` order
+    /// (checked by a debug assertion).
+    pub(crate) fn push(&mut self, cell: CellVersion) {
+        debug_assert!(
+            self.last_cell().is_none_or(|prev| prev.key <= cell.key),
+            "HFile input must be sorted"
+        );
+        let sz = cell.heap_size() as u64;
+        if !self.cur.is_empty() && self.cur_bytes + sz > self.block_size {
+            self.seal();
+        }
+        self.bloom.insert(cell.key.coord.row.as_bytes());
+        self.max_ts = self.max_ts.max(cell.key.ts.0);
+        self.cur_bytes += sz;
+        self.total_bytes += sz;
+        self.entry_count += 1;
+        self.cur.push(cell);
+    }
+
+    fn last_cell(&self) -> Option<&CellVersion> {
+        self.cur.last().or_else(|| self.blocks.last().and_then(|b| b.cells.last()))
+    }
+
+    fn seal(&mut self) {
+        self.blocks.push(Block {
+            first_key: self.cur[0].key.clone(),
+            byte_size: self.cur_bytes,
+            offset: self.total_bytes - self.cur_bytes,
+            crc: checksum_cells(&self.cur),
+            cells: std::mem::take(&mut self.cur),
+        });
+        self.cur_bytes = 0;
+    }
+
+    /// Seals the last block and returns the finished file.
+    pub(crate) fn finish(mut self) -> HFile {
+        if !self.cur.is_empty() {
+            self.seal();
+        }
+        if self.entry_count != self.expected_entries as u64 {
+            // The estimate was only an upper bound (a major compaction
+            // dropped versions): re-size the filter to the cells actually
+            // written, so a file's Bloom answers depend on its contents
+            // alone and not on how it was produced.
+            self.bloom = BloomFilter::with_capacity(self.entry_count as usize);
+            for cell in self.blocks.iter().flat_map(|b| &b.cells) {
+                self.bloom.insert(cell.key.coord.row.as_bytes());
+            }
+        }
+        HFile {
+            id: self.id,
+            first_row: self.blocks.first().map(|b| b.first_key.coord.row.clone()),
+            last_row: self.last_cell().map(|c| c.key.coord.row.clone()),
+            blocks: self.blocks,
+            bloom: self.bloom,
+            total_bytes: self.total_bytes,
+            entry_count: self.entry_count,
+            max_ts: self.max_ts,
+        }
+    }
+}
+
 impl HFile {
     /// Builds a file from cells that are already in `InternalKey` order.
     ///
@@ -99,40 +205,11 @@ impl HFile {
     /// Panics (debug assertions) if the input is not sorted, and always if
     /// `block_size == 0`.
     pub fn build(id: FileId, cells: Vec<CellVersion>, block_size: u64) -> Self {
-        assert!(block_size > 0, "block_size must be positive");
-        debug_assert!(cells.windows(2).all(|w| w[0].key <= w[1].key), "HFile input must be sorted");
-        let mut bloom = BloomFilter::with_capacity(cells.len());
-        let mut blocks: Vec<Block> = Vec::new();
-        let mut cur: Vec<CellVersion> = Vec::new();
-        let mut cur_bytes: u64 = 0;
-        let mut total: u64 = 0;
-        let first_row = cells.first().map(|c| c.key.coord.row.clone());
-        let last_row = cells.last().map(|c| c.key.coord.row.clone());
-        let entry_count = cells.len() as u64;
-        let mut max_ts = 0u64;
-        let seal = |cur: &mut Vec<CellVersion>, cur_bytes: u64, offset: u64| Block {
-            first_key: cur[0].key.clone(),
-            byte_size: cur_bytes,
-            offset,
-            crc: checksum_cells(cur),
-            cells: std::mem::take(cur),
-        };
+        let mut builder = HFileBuilder::new(id, block_size, cells.len());
         for cell in cells {
-            bloom.insert(cell.key.coord.row.as_bytes());
-            max_ts = max_ts.max(cell.key.ts.0);
-            let sz = cell.heap_size() as u64;
-            if !cur.is_empty() && cur_bytes + sz > block_size {
-                blocks.push(seal(&mut cur, cur_bytes, total - cur_bytes));
-                cur_bytes = 0;
-            }
-            cur_bytes += sz;
-            total += sz;
-            cur.push(cell);
+            builder.push(cell);
         }
-        if !cur.is_empty() {
-            blocks.push(seal(&mut cur, cur_bytes, total - cur_bytes));
-        }
-        HFile { id, blocks, bloom, total_bytes: total, entry_count, first_row, last_row, max_ts }
+        builder.finish()
     }
 
     /// File identifier.
@@ -320,6 +397,11 @@ impl HFile {
 }
 
 /// Streaming iterator over an [`HFile`] range.
+///
+/// Unlike [`HFile::get`], entering a block here never verifies its
+/// checksum, hit or miss: range scans — and compaction, which reads its
+/// inputs through this iterator — trust the blocks they walk. Damage is
+/// caught by a cold point read or by recovery's scrub, not by a scan.
 pub struct HFileScanIter<'a> {
     file: &'a HFile,
     cache: &'a SharedBlockCache,
@@ -562,6 +644,101 @@ mod tests {
         // Undamaged blocks of the same file still read fine.
         let (got, _, _) = f.get(&"row40".into(), &"c".into(), &c).unwrap();
         assert!(got.is_some());
+    }
+
+    #[test]
+    fn any_damaged_byte_of_a_stored_checksum_is_detected() {
+        let cells: Vec<CellVersion> =
+            (0..50).map(|i| cell(&format!("row{i:02}"), "c", 1, Some("0123456789"))).collect();
+        let clean = build_file(cells, 150);
+        for byte in 0..4 {
+            for flip in [0x01u32, 0x80, 0xFF] {
+                let mut f = clean.clone();
+                f.blocks[1].crc ^= flip << (8 * byte);
+                assert!(!f.blocks[1].verify(), "crc byte {byte} ^ {flip:#x} went undetected");
+                assert!(f.verify_checksums().is_err());
+            }
+        }
+    }
+
+    /// Everything observable about two files is equal.
+    fn assert_same_file(got: &HFile, want: &HFile) {
+        assert_eq!(got.block_count(), want.block_count());
+        for (g, w) in got.blocks.iter().zip(&want.blocks) {
+            assert_eq!(g.first_key, w.first_key);
+            assert_eq!((g.byte_size, g.offset, g.crc), (w.byte_size, w.offset, w.crc));
+            assert_eq!(g.cells, w.cells);
+        }
+        got.verify_checksums().expect("streamed output scrubs clean");
+        assert_eq!(got.first_row(), want.first_row());
+        assert_eq!(got.last_row(), want.last_row());
+        assert_eq!(got.max_ts(), want.max_ts());
+        assert_eq!(got.entry_count(), want.entry_count());
+        assert_eq!(got.total_bytes(), want.total_bytes());
+        assert_eq!(got.bloom.byte_size(), want.bloom.byte_size());
+        assert_eq!(got.bloom.entries(), want.bloom.entries());
+        for i in 0..2_000 {
+            // Present rows (row000..row299) and absent ones alike: false
+            // positives included, both filters answer the same.
+            let probe = format!("row{i:03}");
+            assert_eq!(
+                got.bloom.may_contain(probe.as_bytes()),
+                want.bloom.may_contain(probe.as_bytes()),
+                "bloom answers differ for {probe}"
+            );
+        }
+    }
+
+    #[test]
+    fn streamed_compaction_output_equals_a_built_file() {
+        use crate::store::merge_file_set;
+        use std::sync::Arc;
+        // Three overlapping inputs, oldest first: a base load, a newer
+        // pass that overwrites every third row and deletes every seventh,
+        // and a third that deletes everything.
+        let base: Vec<CellVersion> =
+            (0..300).map(|i| cell(&format!("row{i:03}"), "c", 1, Some("0123456789"))).collect();
+        let newer: Vec<CellVersion> = (0..300)
+            .filter(|i| i % 3 == 0 || i % 7 == 0)
+            .map(|i| cell(&format!("row{i:03}"), "c", 2, (i % 7 != 0).then_some("newer")))
+            .collect();
+        let wipe: Vec<CellVersion> =
+            (0..300).map(|i| cell(&format!("row{i:03}"), "c", 3, None)).collect();
+        let file =
+            |id, cells: &[CellVersion]| Arc::new(HFile::build(FileId(id), cells.to_vec(), 256));
+        let (f1, f2, f3) = (file(1, &base), file(2, &newer), file(3, &wipe));
+
+        // What a merge must write, computed the slow way.
+        let expected = |inputs: &[&[CellVersion]], major: bool| {
+            let mut all: Vec<CellVersion> = inputs.concat();
+            all.sort_by(|a, b| a.key.cmp(&b.key));
+            if major {
+                all.dedup_by(|later, first| later.key.coord == first.key.coord);
+                all.retain(|c| c.value.is_some());
+            }
+            all
+        };
+
+        // Minor: every version and tombstone kept, the count is exact.
+        let streamed = merge_file_set(&[f1.clone(), f2.clone()], FileId(9), 256, false);
+        let want = expected(&[&base, &newer], false);
+        assert_eq!(streamed.entry_count(), f1.entry_count() + f2.entry_count());
+        assert!(streamed.block_count() > 1);
+        assert_same_file(&streamed, &HFile::build(FileId(9), want, 256));
+
+        // Major: shadowed versions and tombstones dropped, so the inputs'
+        // entry count was only an upper bound on what got written.
+        let streamed = merge_file_set(&[f1.clone(), f2.clone()], FileId(9), 256, true);
+        let want = expected(&[&base, &newer], true);
+        assert!(streamed.entry_count() < f1.entry_count() + f2.entry_count());
+        assert!(streamed.block_count() > 1);
+        assert_same_file(&streamed, &HFile::build(FileId(9), want, 256));
+
+        // Major over a full wipe: nothing survives.
+        let streamed = merge_file_set(&[f1, f2, f3], FileId(9), 256, true);
+        assert_eq!((streamed.block_count(), streamed.entry_count()), (0, 0));
+        assert_eq!(streamed.first_row(), None);
+        assert_same_file(&streamed, &HFile::build(FileId(9), vec![], 256));
     }
 
     #[test]

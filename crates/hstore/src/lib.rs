@@ -25,7 +25,7 @@
 //!   cache+memstore ≤ 65 % heap rule.
 //!
 //! * [`wal`] — the per-store write-ahead log: length-prefixed,
-//!   CRC-checksummed records, group commit with a modeled fsync cost,
+//!   CRC-32C-checksummed records, group commit with a modeled fsync cost,
 //!   rotation on flush and truncation once the flush is durable. Paired
 //!   with [`store::CfStore::recover`], which replays surviving records
 //!   into a fresh memstore (truncating a torn tail, never panicking) and

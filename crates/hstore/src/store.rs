@@ -25,7 +25,7 @@
 
 use crate::block_cache::{AccessCounter, FileId, SharedBlockCache};
 use crate::error::{CorruptionKind, HStoreError, Result};
-use crate::hfile::{HFile, HFileScanIter};
+use crate::hfile::{HFile, HFileBuilder, HFileScanIter};
 use crate::maintenance::{MaintenanceConfig, MaintenanceHandle, MaintenanceSnapshot};
 use crate::types::{CellCoord, CellVersion, InternalKey, KeyRange, Qualifier, RowKey, Timestamp};
 use crate::wal::{ReplayStop, Wal, WalConfig};
@@ -1062,7 +1062,11 @@ pub(crate) fn merge_file_set(
     let cursors: Vec<Cursor<'_>> =
         inputs.iter().map(|f| Cursor::file(f.range_scan(&KeyRange::all(), &scratch))).collect();
 
-    let mut merged: Vec<CellVersion> = Vec::new();
+    // Merged cells stream straight into the output's blocks. Every input
+    // entry survives a minor merge, so their sum sizes the Bloom filter
+    // exactly; for a major merge it is an upper bound.
+    let expected: u64 = inputs.iter().map(|f| f.entry_count()).sum();
+    let mut out = HFileBuilder::new(out_id, block_size, expected as usize);
     let mut last_coord: Option<&CellCoord> = None;
     for (key, value) in LoserTree::new(cursors) {
         if major {
@@ -1074,9 +1078,9 @@ pub(crate) fn merge_file_set(
                 continue; // tombstone dropped once it has shadowed
             }
         }
-        merged.push(CellVersion { key: key.clone(), value: value.clone() });
+        out.push(CellVersion { key: key.clone(), value: value.clone() });
     }
-    HFile::build(out_id, merged, block_size)
+    out.finish()
 }
 
 /// A cloneable, `Send + Sync` read handle onto a live [`CfStore`].

@@ -1,4 +1,4 @@
-//! Per-store write-ahead log: length-prefixed, CRC-checksummed records,
+//! Per-store write-ahead log: length-prefixed, CRC-32C-checksummed records,
 //! group commit with a modeled fsync cost, rotation on memstore flush and
 //! truncation once the flush is durable.
 //!
@@ -21,20 +21,34 @@
 //!          | [val_len u32LE | val]            (present only when tag = 1)
 //! ```
 //!
-//! `crc` is CRC-32 (IEEE) over the payload. Replay walks segments in
-//! order and stops at the first frame that is incomplete or fails its
-//! checksum: in the last segment that is the expected torn tail of a
-//! crash (truncated silently, never a panic); in an earlier segment it is
-//! mid-log damage, surfaced to the caller as a typed corruption.
+//! `crc` is CRC-32C (Castagnoli) over the payload — HBase's own WAL and
+//! HFile checksum default, because x86-64 computes it in one instruction
+//! per 8 bytes (see [`Crc32c`]). Replay walks segments in order and stops
+//! at the first frame that is incomplete or fails its checksum: in the
+//! last segment that is the expected torn tail of a crash (truncated
+//! silently, never a panic); in an earlier segment it is mid-log damage,
+//! surfaced to the caller as a typed corruption.
+//!
+//! ## The one `unsafe`
+//!
+//! The checksum kernel is this crate's only `unsafe` block: the call from
+//! `update` into `update_sse42`, a `#[target_feature(enable = "sse4.2")]`
+//! function of otherwise safe code. Its single invariant — the CPU
+//! executes SSE4.2 — is established by `is_x86_feature_detected!` on the
+//! line before the call, at run time, on every call. Everywhere else (and
+//! in the tests, as the reference) the portable slicing-by-8 kernel runs.
 
 use crate::error::{HStoreError, Result};
 use crate::types::{InternalKey, Qualifier, RowKey, Timestamp};
 use bytes::Bytes;
 use simcore::SimDuration;
 
+/// Reflected CRC-32C (Castagnoli) polynomial.
+const CASTAGNOLI: u32 = 0x82F6_3B78;
+
 // Slicing-by-8 lookup tables: `TABLES[0]` is the classic byte-at-a-time
 // table; `TABLES[k][b]` advances byte `b` through `k` additional zero
-// bytes, letting the hot loop fold 8 input bytes per iteration.
+// bytes, letting the portable loop fold 8 input bytes per iteration.
 const CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -42,7 +56,7 @@ const CRC_TABLES: [[u32; 256]; 8] = {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 { CASTAGNOLI ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
         tables[0][i] = c;
@@ -61,42 +75,96 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// Incremental CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), slicing-by-8.
-/// Hand rolled: the workspace vendors no checksum crate, and a page of
-/// const-eval beats a dependency. The streaming API exists so block and
-/// WAL checksums can fold multi-field records directly, without first
+/// The portable kernel: slicing-by-8 over [`CRC_TABLES`]. The only path
+/// off x86-64 (or without SSE4.2), and the reference the tests hold the
+/// hardware kernel to.
+fn update_portable(mut crc: u32, data: &[u8]) -> u32 {
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = CRC_TABLES[7][(lo & 0xFF) as usize]
+            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[4][(lo >> 24) as usize]
+            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
+            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    crc
+}
+
+/// The hardware kernel: the SSE4.2 `crc32` instruction computes exactly
+/// this polynomial, folding 8, 4, 2 or 1 bytes per instruction.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn update_sse42(crc: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u16, _mm_crc32_u32, _mm_crc32_u64, _mm_crc32_u8};
+    let mut chunks = data.chunks_exact(8);
+    let mut wide = u64::from(crc);
+    for chunk in &mut chunks {
+        wide = _mm_crc32_u64(wide, u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+    }
+    let mut crc = wide as u32;
+    let mut rest = chunks.remainder();
+    if let Some((head, tail)) = rest.split_first_chunk::<4>() {
+        crc = _mm_crc32_u32(crc, u32::from_le_bytes(*head));
+        rest = tail;
+    }
+    if let Some((head, tail)) = rest.split_first_chunk::<2>() {
+        crc = _mm_crc32_u16(crc, u16::from_le_bytes(*head));
+        rest = tail;
+    }
+    if let [b] = rest {
+        crc = _mm_crc32_u8(crc, *b);
+    }
+    crc
+}
+
+/// Folds `data` into the raw (pre-inversion) state `crc` with the fastest
+/// kernel this CPU has. Both kernels compute the same function, so which
+/// one ran is unobservable in the result.
+#[inline]
+fn update(crc: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: `update_sse42` is safe code whose only requirement is
+        // that the CPU executes SSE4.2 instructions, which the run-time
+        // detection on the line above has just established.
+        return unsafe { update_sse42(crc, data) };
+    }
+    update_portable(crc, data)
+}
+
+/// Incremental CRC-32C (Castagnoli, reflected polynomial `0x82F63B78`).
+///
+/// The polynomial is HBase's own HFile and WAL checksum default, chosen
+/// there for the same reason as here: x86-64 computes it in hardware, one
+/// `crc32` instruction per 8 bytes, so a checksummed disk read costs a
+/// fraction of what a table-driven CRC-32/IEEE does. Hand rolled: the
+/// workspace vendors no checksum crate, and a page of const-eval plus one
+/// intrinsic loop beats a dependency. The streaming API exists so block
+/// and WAL checksums can fold multi-field records directly, without first
 /// serializing them into a scratch buffer — CRC over a concatenation
 /// equals the CRC of streaming the parts.
 #[derive(Debug, Clone, Copy)]
-pub struct Crc32(u32);
+pub struct Crc32c(u32);
 
-impl Crc32 {
+impl Crc32c {
     /// A fresh checksum state.
     #[allow(clippy::new_without_default)]
     pub fn new() -> Self {
-        Crc32(!0u32)
+        Crc32c(!0u32)
     }
 
     /// Folds `data` into the checksum.
+    #[inline]
     pub fn update(&mut self, data: &[u8]) {
-        let mut crc = self.0;
-        let mut chunks = data.chunks_exact(8);
-        for chunk in &mut chunks {
-            let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
-            let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-            crc = CRC_TABLES[7][(lo & 0xFF) as usize]
-                ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[4][(lo >> 24) as usize]
-                ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-                ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[0][(hi >> 24) as usize];
-        }
-        for &b in chunks.remainder() {
-            crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        self.0 = crc;
+        self.0 = update(self.0, data);
     }
 
     /// The finished checksum.
@@ -105,9 +173,10 @@ impl Crc32 {
     }
 }
 
-/// One-shot CRC-32 of `data`.
+/// One-shot CRC-32C of `data` (the name predates the polynomial: it is
+/// the crate's one checksum, whichever polynomial that is).
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = Crc32::new();
+    let mut crc = Crc32c::new();
     crc.update(data);
     crc.finish()
 }
@@ -489,29 +558,36 @@ impl Wal {
     }
 }
 
+/// Appends one frame to `buf`, written in place: the header is reserved
+/// first, the payload fields follow, and `len` and `crc` are back-patched
+/// once the payload is there to be measured and checksummed.
 fn encode_record(buf: &mut Vec<u8>, seq: u64, key: &InternalKey, value: Option<&[u8]>) {
     let row = key.coord.row.as_bytes();
     let qual = key.coord.qualifier.as_bytes();
-    let mut payload = Vec::with_capacity(
-        8 + 8 + 4 + row.len() + 4 + qual.len() + 1 + 4 + value.map_or(0, <[u8]>::len),
+    let header = FRAME_HEADER_BYTES as usize;
+    let start = buf.len();
+    buf.reserve(
+        header + 8 + 8 + 4 + row.len() + 4 + qual.len() + 1 + 4 + value.map_or(0, <[u8]>::len),
     );
-    payload.extend_from_slice(&seq.to_le_bytes());
-    payload.extend_from_slice(&key.ts.0.to_le_bytes());
-    payload.extend_from_slice(&(row.len() as u32).to_le_bytes());
-    payload.extend_from_slice(row);
-    payload.extend_from_slice(&(qual.len() as u32).to_le_bytes());
-    payload.extend_from_slice(qual);
+    buf.extend_from_slice(&[0u8; FRAME_HEADER_BYTES as usize]);
+    buf.extend_from_slice(&seq.to_le_bytes());
+    buf.extend_from_slice(&key.ts.0.to_le_bytes());
+    buf.extend_from_slice(&(row.len() as u32).to_le_bytes());
+    buf.extend_from_slice(row);
+    buf.extend_from_slice(&(qual.len() as u32).to_le_bytes());
+    buf.extend_from_slice(qual);
     match value {
-        None => payload.push(0),
+        None => buf.push(0),
         Some(v) => {
-            payload.push(1);
-            payload.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            payload.extend_from_slice(v);
+            buf.push(1);
+            buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
+            buf.extend_from_slice(v);
         }
     }
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-    buf.extend_from_slice(&payload);
+    let payload = &buf[start + header..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    buf[start + 4..start + header].copy_from_slice(&crc.to_le_bytes());
 }
 
 struct BadFrame;
@@ -573,27 +649,120 @@ mod tests {
         )
     }
 
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    /// The portable kernel as a one-shot checksum — the reference.
+    fn portable(data: &[u8]) -> u32 {
+        !update_portable(!0, data)
+    }
+
+    /// Deterministic pseudo-random bytes (xorshift64).
+    fn noise(len: usize, mut x: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
     }
 
     #[test]
-    fn streaming_crc_equals_one_shot_over_concatenation() {
-        // Block checksums stream field-by-field; they must match a CRC of
-        // the concatenated serialization regardless of how the input is
-        // split (including splits that straddle the 8-byte fold width).
-        let data: Vec<u8> = (0u16..300).map(|i| (i % 251) as u8).collect();
-        for split in [0, 1, 3, 7, 8, 9, 64, 255, 300] {
-            let (a, b) = data.split_at(split);
-            let mut crc = Crc32::new();
-            crc.update(a);
-            crc.update(b);
-            assert_eq!(crc.finish(), crc32(&data), "split at {split}");
+    fn crc32c_matches_known_vectors() {
+        // The CRC-32C check values and the four 32-byte test patterns of
+        // RFC 3720 appendix B.4, through the dispatching entry point and
+        // through the portable kernel (the same thing off x86-64).
+        let ascending: Vec<u8> = (0u8..32).collect();
+        let descending: Vec<u8> = (0u8..32).rev().collect();
+        let vectors: [(&[u8], u32); 6] = [
+            (b"", 0),
+            (b"123456789", 0xE306_9283),
+            (&[0x00; 32], 0x8A91_36AA),
+            (&[0xFF; 32], 0x62A8_AB43),
+            (&ascending, 0x46DD_794E),
+            (&descending, 0x113F_DB5C),
+        ];
+        for (data, want) in vectors {
+            assert_eq!(crc32(data), want, "dispatched kernel over {data:02x?}");
+            assert_eq!(portable(data), want, "portable kernel over {data:02x?}");
         }
+    }
+
+    #[test]
+    fn hardware_and_portable_kernels_agree() {
+        // Every length that exercises each tail width (8/4/2/1) at every
+        // alignment of the first byte, from a non-trivial running state.
+        let data = noise(8 + 300, 0x9E37_79B9_7F4A_7C15);
+        for offset in 0..8 {
+            for len in 0..=300 {
+                let slice = &data[offset..offset + len];
+                for state in [!0u32, 0, 0xDEAD_BEEF] {
+                    assert_eq!(
+                        update(state, slice),
+                        update_portable(state, slice),
+                        "offset {offset}, len {len}, state {state:#x}"
+                    );
+                }
+            }
+        }
+        // And over block-sized random buffers.
+        for seed in 1..=8u64 {
+            let data = noise(16 * 1024 + seed as usize, seed);
+            assert_eq!(crc32(&data), portable(&data), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn streaming_crc_equals_one_shot_over_any_split() {
+        // Block checksums stream field-by-field; they must match a CRC of
+        // the concatenated serialization however the input is split —
+        // every two- and three-way split, so every combination of fold
+        // widths on either side of a boundary.
+        let data = noise(100, 42);
+        let whole = crc32(&data);
+        assert_eq!(whole, portable(&data));
+        for i in 0..=data.len() {
+            for j in i..=data.len() {
+                let mut crc = Crc32c::new();
+                crc.update(&data[..i]);
+                crc.update(&data[i..j]);
+                crc.update(&data[j..]);
+                assert_eq!(crc.finish(), whole, "split at {i} and {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn any_single_damaged_frame_byte_is_detected() {
+        let mut frame = Vec::new();
+        encode_record(&mut frame, 7, &key("row-0001", "field0", 99), Some(&noise(100, 7)));
+        assert!(decode_record(&frame).is_ok());
+        for i in 0..frame.len() {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                let mut damaged = frame.clone();
+                damaged[i] ^= flip;
+                assert!(decode_record(&damaged).is_err(), "byte {i} ^ {flip:#x} went undetected");
+            }
+        }
+    }
+
+    #[test]
+    fn frames_are_encoded_in_place_behind_earlier_frames() {
+        // The in-place writer back-patches its own header, not the
+        // buffer's first eight bytes: two frames staged into one buffer
+        // decode back to back, and each equals its stand-alone encoding.
+        let (k1, k2) = (key("a", "q", 1), key("b", "q", 2));
+        let mut both = Vec::new();
+        encode_record(&mut both, 1, &k1, Some(b"v1"));
+        let first_len = both.len();
+        encode_record(&mut both, 2, &k2, None);
+        let mut second = Vec::new();
+        encode_record(&mut second, 2, &k2, None);
+        assert_eq!(&both[first_len..], &second[..]);
+        let (r1, used1) = decode_record(&both).ok().expect("first frame");
+        let (r2, used2) = decode_record(&both[used1..]).ok().expect("second frame");
+        assert_eq!((r1.seq, r1.key, r1.value.as_deref()), (1, k1, Some(b"v1".as_slice())));
+        assert_eq!((r2.seq, r2.key, r2.value), (2, k2, None));
+        assert_eq!(used1 + used2, both.len());
     }
 
     #[test]
@@ -760,16 +929,8 @@ mod tests {
     fn decoder_never_panics_on_arbitrary_bytes() {
         // Deterministic pseudo-random garbage, plus adversarial headers
         // claiming absurd lengths.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
         for len in 0..64usize {
-            let mut data = Vec::with_capacity(len);
-            for _ in 0..len {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                data.push(x as u8);
-            }
-            let _ = decode_record(&data);
+            let _ = decode_record(&noise(len, 0x9E37_79B9_7F4A_7C15 + len as u64));
         }
         let mut huge = Vec::new();
         huge.extend_from_slice(&u32::MAX.to_le_bytes());

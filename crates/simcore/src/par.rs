@@ -513,15 +513,29 @@ where
 mod tests {
     use super::*;
 
+    /// Serialises the tests that touch the global pool. `run_sharded`
+    /// takes the dispatch lock with `try_lock` and runs inline when it
+    /// loses, so pool tests running side by side (the harness default)
+    /// turn each other's dispatches into inline runs — which the
+    /// thread-crossing test cannot tell from a broken dispatcher.
+    fn pool_test() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        // A failed pool test must not fail the rest through poisoning.
+        SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// Forces cross-thread dispatch for the duration of a test (the suite
     /// may run on a single-CPU host, where dispatch is otherwise skipped).
-    fn force_dispatch() {
+    /// Hold the returned guard to the end of the test: see [`pool_test`].
+    fn force_dispatch() -> std::sync::MutexGuard<'static, ()> {
+        let serial = pool_test();
         set_physical_override(Some(8));
+        serial
     }
 
     #[test]
     fn map_matches_sequential_at_any_thread_count() {
-        force_dispatch();
+        let _serial = force_dispatch();
         let items: Vec<u64> = (0..2_000).collect();
         let seq = map(1, &items, |x| x * 3 + 1);
         for threads in [2, 4, 8] {
@@ -532,7 +546,7 @@ mod tests {
 
     #[test]
     fn for_each_mut_matches_sequential() {
-        force_dispatch();
+        let _serial = force_dispatch();
         let mut seq: Vec<u64> = (0..1_000).collect();
         let mut par: Vec<u64> = (0..1_000).collect();
         for_each_mut(1, &mut seq, |x| *x = x.wrapping_mul(7) ^ 13);
@@ -557,6 +571,7 @@ mod tests {
         // The re-entrancy contract: a later, larger request actually grows
         // the pool (the old build_global-style call silently kept the
         // first size), and the returned capacity reflects it.
+        let _serial = pool_test();
         let first = ensure_pool(2).expect("grow to 2");
         assert!(first >= 2, "pool should serve at least 2 threads, got {first}");
         let second = ensure_pool(6).expect("grow to 6");
@@ -569,7 +584,7 @@ mod tests {
 
     #[test]
     fn run_sharded_runs_every_shard_exactly_once() {
-        force_dispatch();
+        let _serial = force_dispatch();
         use std::sync::atomic::AtomicU32;
         let counts: Vec<AtomicU32> = (0..7).map(|_| AtomicU32::new(0)).collect();
         run_sharded(7, |s| {
@@ -582,28 +597,29 @@ mod tests {
 
     #[test]
     fn run_sharded_crosses_threads_when_forced() {
-        force_dispatch();
+        let _serial = force_dispatch();
         ensure_pool(4).expect("pool of 4");
-        // Concurrent tests can steal the dispatch lock (which degrades a
-        // single call to inline execution), so accept the first attempt
-        // that actually dispatched.
-        for _ in 0..100 {
-            let ids: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
-            run_sharded(4, |_| {
-                ids.lock().unwrap().push(std::thread::current().id());
-            });
-            let ids = ids.into_inner().unwrap();
-            assert_eq!(ids.len(), 4);
-            if ids.iter().any(|id| *id != ids[0]) {
-                return;
-            }
-        }
-        panic!("100 dispatches in a row fell back to inline execution");
+        // A worker registers under the dispatch lock, and `ensure_pool`
+        // can return a moment before the last one lets go of it. Wait
+        // that out; with the pool otherwise to itself (`_serial`) nothing
+        // can hold the lock afterwards, so the very first call must
+        // dispatch.
+        drop(pool().shared.dispatch.lock().expect("dispatch lock poisoned"));
+        let ids: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
+        run_sharded(4, |_| {
+            ids.lock().unwrap().push(std::thread::current().id());
+        });
+        let ids = ids.into_inner().unwrap();
+        assert_eq!(ids.len(), 4);
+        assert!(
+            ids.iter().any(|id| *id != ids[0]),
+            "an uncontended dispatch fell back to inline execution"
+        );
     }
 
     #[test]
     fn nested_calls_run_inline_without_deadlock() {
-        force_dispatch();
+        let _serial = force_dispatch();
         let items: Vec<u64> = (0..64).collect();
         let out = map(4, &items, |x| {
             let inner: Vec<u64> = (0..8).collect();
@@ -615,7 +631,7 @@ mod tests {
 
     #[test]
     fn shard_panics_propagate_to_the_caller() {
-        force_dispatch();
+        let _serial = force_dispatch();
         let items: Vec<u32> = (0..100).collect();
         let result = catch_unwind(AssertUnwindSafe(|| {
             map(4, &items, |x| {
@@ -633,7 +649,7 @@ mod tests {
 
     #[test]
     fn for_each_shard_hands_out_disjoint_scratch() {
-        force_dispatch();
+        let _serial = force_dispatch();
         let mut scratch: Vec<Vec<usize>> = vec![Vec::new(); 5];
         for round in 0..3 {
             for_each_shard(&mut scratch, |s, sc| sc.push(s * 10 + round));
