@@ -35,17 +35,18 @@ pub enum Access {
     Miss,
 }
 
-/// A shared per-operation cache-access accumulator.
+/// A per-operation cache-access accumulator.
 ///
 /// The block cache is shared by every region on a server, so its global
 /// [`CacheStats`] cannot attribute work to individual operations: two
 /// interleaved scans each see the *other's* blocks in a before/after
-/// delta. Read paths thread one of these through instead, recording only
-/// the accesses the operation itself performed.
-#[derive(Debug, Clone, Default)]
+/// delta. A read path makes one of these on its stack and lends it to the
+/// file cursors it opens, recording only the accesses the operation itself
+/// performed.
+#[derive(Debug, Default)]
 pub struct AccessCounter {
-    hits: Arc<std::sync::atomic::AtomicU64>,
-    misses: Arc<std::sync::atomic::AtomicU64>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl AccessCounter {
@@ -56,7 +57,6 @@ impl AccessCounter {
 
     /// Records one cache access.
     pub fn record(&self, access: Access) {
-        use std::sync::atomic::Ordering;
         match access {
             Access::Hit => self.hits.fetch_add(1, Ordering::Relaxed),
             Access::Miss => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -65,12 +65,12 @@ impl AccessCounter {
 
     /// Accesses that found the block resident.
     pub fn hits(&self) -> u64 {
-        self.hits.load(std::sync::atomic::Ordering::Relaxed)
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Accesses that read the block from disk.
     pub fn misses(&self) -> u64 {
-        self.misses.load(std::sync::atomic::Ordering::Relaxed)
+        self.misses.load(Ordering::Relaxed)
     }
 }
 

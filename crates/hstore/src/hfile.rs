@@ -6,39 +6,197 @@
 //! the shared [`BlockCache`](crate::block_cache::BlockCache), so the block
 //! size chosen by a node profile (32 KiB for random reads, 128 KiB for
 //! scans — Table 1) directly shapes hit ratios and modelled IO.
+//!
+//! # Block layout
+//!
+//! A block owns four flat arrays and no per-cell heap object: the **key
+//! arena** (`row‖qualifier` of every cell back to back), a fixed-stride
+//! **meta** record per cell (arena offset, row and qualifier length,
+//! timestamp), the **value handles** (shared `Bytes`, never copied into
+//! the block) and a **search index** ([`SearchIndex`]): the row prefix all
+//! cells share plus, per cell, the next 8 row bytes as a big-endian `u64`.
+//! A seek is a binary search over that `u64` array — about 1 KiB for a
+//! 16 KiB block — and touches a full key only where two windows tie; a
+//! walk reads meta and arena front to back. The file keeps the same index
+//! over its blocks' first keys. DESIGN.md "HFile block layout" has the
+//! reasoning and the cache-line arithmetic.
 
 use crate::block_cache::{Access, AccessCounter, BlockId, FileId, SharedBlockCache};
 use crate::bloom::BloomFilter;
 use crate::error::{CorruptionKind, HStoreError};
-use crate::types::{CellVersion, InternalKey, KeyRange, Qualifier, RowKey, Timestamp};
+use crate::types::{cell_heap_size, CellVersion, KeyRange, KeyRef, Qualifier, RowKey, Timestamp};
 use crate::wal::Crc32c;
 use bytes::Bytes;
 
-/// One block of sorted cell versions.
+/// Row bytes the search index keeps per key, after the shared prefix.
+const WINDOW_BYTES: usize = 8;
+
+/// The [`WINDOW_BYTES`] bytes of `row` after its first `skip`, big-endian,
+/// zero-padded where the row ends early. For rows sharing their first
+/// `skip` bytes, integer order of the windows agrees with byte order of
+/// the rows wherever the windows differ; equal windows decide nothing
+/// (rows that differ later, or `"a"` against `"a\0"`).
+fn window(row: &[u8], skip: usize) -> u64 {
+    let tail = row.get(skip..).unwrap_or(&[]);
+    let mut buf = [0u8; WINDOW_BYTES];
+    let n = tail.len().min(WINDOW_BYTES);
+    buf[..n].copy_from_slice(&tail[..n]);
+    u64::from_be_bytes(buf)
+}
+
+/// Fixed-stride search index over a sorted run of keys: a binary search
+/// reads one dense `u64` array instead of chasing a pointer per probe.
+#[derive(Debug, Clone, Default)]
+struct SearchIndex {
+    /// The row prefix every indexed key shares.
+    prefix: Box<[u8]>,
+    /// Per key, the [`window`] of its row past the shared prefix.
+    windows: Box<[u64]>,
+}
+
+impl SearchIndex {
+    /// Indexes `n` keys whose rows, ascending, are `row(0) .. row(n - 1)`.
+    fn build<'a>(n: usize, row: impl Fn(usize) -> &'a [u8]) -> Self {
+        if n == 0 {
+            return SearchIndex::default();
+        }
+        // Sorted input: what the first and last row share, all rows share.
+        let (first, last) = (row(0), row(n - 1));
+        let prefix_len = first.iter().zip(last).take_while(|(a, b)| a == b).count();
+        SearchIndex {
+            prefix: first[..prefix_len].into(),
+            windows: (0..n).map(|i| window(row(i), prefix_len)).collect(),
+        }
+    }
+
+    /// How many leading keys sort before a probe whose row is `probe_row`.
+    /// `before(i)` says whether key `i` sorts before the probe and is asked
+    /// only about keys whose window ties with the probe's, so it may be as
+    /// strict (`<`) or lax (`<=`) as the caller's bound needs.
+    fn partition_point(&self, probe_row: &[u8], before: impl Fn(usize) -> bool) -> usize {
+        let n = self.windows.len();
+        // A probe without the shared prefix sorts before or after every
+        // key; slice order puts a probe that is a proper prefix of the
+        // prefix first, which is where it belongs.
+        let head = &probe_row[..probe_row.len().min(self.prefix.len())];
+        match head.cmp(&self.prefix) {
+            std::cmp::Ordering::Less => return 0,
+            std::cmp::Ordering::Greater => return n,
+            std::cmp::Ordering::Equal => {}
+        }
+        let probe = window(probe_row, self.prefix.len());
+        let (mut lo, mut hi) = (0, n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let mid_before = match self.windows[mid].cmp(&probe) {
+                std::cmp::Ordering::Less => true,
+                std::cmp::Ordering::Greater => false,
+                std::cmp::Ordering::Equal => before(mid),
+            };
+            if mid_before {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+}
+
+/// Where one cell's key sits in its block's arena.
+#[derive(Debug, Clone, Copy)]
+struct CellMeta {
+    /// Arena offset of the row; the qualifier follows it directly.
+    off: u32,
+    row_len: u32,
+    qual_len: u32,
+    ts: u64,
+}
+
+impl CellMeta {
+    /// The key this record locates in `arena`.
+    fn key(self, arena: &[u8]) -> KeyRef<'_> {
+        let (off, row_end) = (self.off as usize, (self.off + self.row_len) as usize);
+        KeyRef {
+            row: &arena[off..row_end],
+            qualifier: &arena[row_end..row_end + self.qual_len as usize],
+            ts: Timestamp(self.ts),
+        }
+    }
+}
+
+/// One block of sorted cell versions (layout: see the module docs).
 #[derive(Debug, Clone)]
 pub struct Block {
-    first_key: InternalKey,
-    cells: Vec<CellVersion>,
+    /// `row‖qualifier` of every cell, back to back.
+    keys: Box<[u8]>,
+    meta: Box<[CellMeta]>,
+    /// Value handles; `None` is a tombstone. Shared with whoever wrote the
+    /// cell, so a block costs 16 bytes per value however large it is.
+    values: Box<[Option<Bytes>]>,
+    index: SearchIndex,
     byte_size: u64,
     /// Byte offset of this block within the file (corruption reporting).
     offset: u64,
     /// CRC-32C (Castagnoli — HBase's HFile checksum default, one x86-64
-    /// instruction per 8 bytes) over the canonical serialization of
-    /// `cells`, computed at build time and re-verified whenever a point
-    /// read takes the block from "disk" (a cache miss in [`HFile::get`])
-    /// and by the recovery scrub.
+    /// instruction per 8 bytes) over the canonical serialization of the
+    /// cells, computed at build time and re-verified whenever a point read
+    /// takes the block from "disk" (a cache miss in [`HFile::get`]) and by
+    /// the recovery scrub.
     crc: u32,
 }
 
 impl Block {
-    /// The sort key of the first cell.
-    pub fn first_key(&self) -> &InternalKey {
-        &self.first_key
+    /// Seals `meta.len()` cells (at least one) into a block.
+    fn new(
+        keys: &[u8],
+        meta: &[CellMeta],
+        values: Box<[Option<Bytes>]>,
+        byte_size: u64,
+        offset: u64,
+    ) -> Self {
+        let mut block = Block {
+            keys: keys.into(),
+            meta: meta.into(),
+            values,
+            index: SearchIndex::default(),
+            byte_size,
+            offset,
+            crc: 0,
+        };
+        block.index = SearchIndex::build(block.len(), |i| block.row(i));
+        block.crc = block.checksum();
+        block
     }
 
-    /// Cells in order.
-    pub fn cells(&self) -> &[CellVersion] {
-        &self.cells
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.meta.len()
+    }
+
+    /// Blocks are sealed with at least one cell, so never.
+    pub fn is_empty(&self) -> bool {
+        self.meta.is_empty()
+    }
+
+    /// The sort key of the first cell.
+    pub fn first_key(&self) -> KeyRef<'_> {
+        self.key(0)
+    }
+
+    /// The sort key of cell `i`, borrowed from the arena.
+    pub fn key(&self, i: usize) -> KeyRef<'_> {
+        self.meta[i].key(&self.keys)
+    }
+
+    fn row(&self, i: usize) -> &[u8] {
+        self.key(i).row
+    }
+
+    /// Index of the first cell whose key is at or after `probe`
+    /// (`self.len()` when every cell sorts before it).
+    fn lower_bound(&self, probe: KeyRef<'_>) -> usize {
+        self.index.partition_point(probe.row, |i| self.key(i) < probe)
     }
 
     /// Serialized size this block models.
@@ -48,37 +206,36 @@ impl Block {
 
     /// Recomputes the block's checksum and compares with the stored one.
     pub fn verify(&self) -> bool {
-        checksum_cells(&self.cells) == self.crc
+        self.checksum() == self.crc
     }
-}
 
-/// Canonical checksum of a block's cells: each cell framed as
-/// `row_len | row | qual_len | qual | ts | tag [| val_len | val]`, the
-/// same framing idiom the WAL uses, so the two durability checks cannot
-/// drift apart. The frames stream straight through the CRC state — no
-/// serialization buffer — because CRC over a concatenation equals the CRC
-/// of streaming the parts; this runs at every flush and on every block
-/// cache miss, so the per-block allocation it replaces was hot.
-fn checksum_cells(cells: &[CellVersion]) -> u32 {
-    let mut crc = Crc32c::new();
-    for c in cells {
-        let row = c.key.coord.row.as_bytes();
-        let qual = c.key.coord.qualifier.as_bytes();
-        crc.update(&(row.len() as u32).to_le_bytes());
-        crc.update(row);
-        crc.update(&(qual.len() as u32).to_le_bytes());
-        crc.update(qual);
-        crc.update(&c.key.ts.0.to_le_bytes());
-        match &c.value {
-            None => crc.update(&[0]),
-            Some(v) => {
-                crc.update(&[1]);
-                crc.update(&(v.len() as u32).to_le_bytes());
-                crc.update(v);
+    /// Canonical checksum of the block's cells: each cell framed as
+    /// `row_len | row | qual_len | qual | ts | tag [| val_len | val]`, the
+    /// same framing idiom the WAL uses, so the two durability checks cannot
+    /// drift apart. The frames stream straight through the CRC state from
+    /// the arena and the value handles — no serialization buffer — because
+    /// CRC over a concatenation equals the CRC of streaming the parts; this
+    /// runs at every flush and on every block cache miss.
+    fn checksum(&self) -> u32 {
+        let mut crc = Crc32c::new();
+        for (i, value) in self.values.iter().enumerate() {
+            let key = self.key(i);
+            crc.update(&(key.row.len() as u32).to_le_bytes());
+            crc.update(key.row);
+            crc.update(&(key.qualifier.len() as u32).to_le_bytes());
+            crc.update(key.qualifier);
+            crc.update(&key.ts.0.to_le_bytes());
+            match value {
+                None => crc.update(&[0]),
+                Some(v) => {
+                    crc.update(&[1]);
+                    crc.update(&(v.len() as u32).to_le_bytes());
+                    crc.update(v);
+                }
             }
         }
+        crc.finish()
     }
-    crc.finish()
 }
 
 /// An immutable sorted run of cell versions.
@@ -86,6 +243,8 @@ fn checksum_cells(cells: &[CellVersion]) -> u32 {
 pub struct HFile {
     id: FileId,
     blocks: Vec<Block>,
+    /// [`SearchIndex`] over the blocks' first keys.
+    index: SearchIndex,
     bloom: BloomFilter,
     total_bytes: u64,
     entry_count: u64,
@@ -94,10 +253,12 @@ pub struct HFile {
     max_ts: u64,
 }
 
-/// Streaming writer of one [`HFile`]: cells are pushed in `InternalKey`
-/// order and sealed into checksummed blocks as each fills, so a producer
-/// that generates its cells one at a time (a compaction's merge) never
-/// holds a second copy of the whole output beside the blocks.
+/// Streaming writer of one [`HFile`]: keys are pushed by reference in
+/// `InternalKey` order, copied once into the open block's arena, and
+/// sealed into checksummed blocks as each fills — so a producer that
+/// generates its cells one at a time (a flush walking its memstores, a
+/// compaction's merge) never builds an owned key or holds a second copy
+/// of the output beside the blocks.
 pub(crate) struct HFileBuilder {
     id: FileId,
     block_size: u64,
@@ -105,7 +266,11 @@ pub(crate) struct HFileBuilder {
     expected_entries: usize,
     bloom: BloomFilter,
     blocks: Vec<Block>,
-    cur: Vec<CellVersion>,
+    /// The open block. `keys` and `meta` are copied out at their exact
+    /// size on seal and reused, so they grow once per file.
+    keys: Vec<u8>,
+    meta: Vec<CellMeta>,
+    values: Vec<Option<Bytes>>,
     cur_bytes: u64,
     total_bytes: u64,
     entry_count: u64,
@@ -127,7 +292,9 @@ impl HFileBuilder {
             expected_entries,
             bloom: BloomFilter::with_capacity(expected_entries),
             blocks: Vec::new(),
-            cur: Vec::new(),
+            keys: Vec::new(),
+            meta: Vec::new(),
+            values: Vec::new(),
             cur_bytes: 0,
             total_bytes: 0,
             entry_count: 0,
@@ -137,41 +304,57 @@ impl HFileBuilder {
 
     /// Appends the next cell. Cells must arrive in `InternalKey` order
     /// (checked by a debug assertion).
-    pub(crate) fn push(&mut self, cell: CellVersion) {
-        debug_assert!(
-            self.last_cell().is_none_or(|prev| prev.key <= cell.key),
-            "HFile input must be sorted"
-        );
-        let sz = cell.heap_size() as u64;
-        if !self.cur.is_empty() && self.cur_bytes + sz > self.block_size {
+    ///
+    /// # Panics
+    ///
+    /// Panics if one block's keys exceed 4 GiB (arena offsets are 32-bit).
+    pub(crate) fn push(&mut self, key: KeyRef<'_>, value: Option<Bytes>) {
+        debug_assert!(self.last_key().is_none_or(|prev| prev <= key), "HFile input must be sorted");
+        let value_len = value.as_ref().map_or(0, |v| v.len());
+        let sz = cell_heap_size(key.row.len(), key.qualifier.len(), value_len) as u64;
+        if !self.meta.is_empty() && self.cur_bytes + sz > self.block_size {
             self.seal();
         }
-        self.bloom.insert(cell.key.coord.row.as_bytes());
-        self.max_ts = self.max_ts.max(cell.key.ts.0);
+        let arena_end = self.keys.len() + key.row.len() + key.qualifier.len();
+        assert!(u32::try_from(arena_end).is_ok(), "block key arena exceeds 32-bit offsets");
+        self.bloom.insert(key.row);
+        self.max_ts = self.max_ts.max(key.ts.0);
         self.cur_bytes += sz;
         self.total_bytes += sz;
         self.entry_count += 1;
-        self.cur.push(cell);
+        self.meta.push(CellMeta {
+            off: self.keys.len() as u32,
+            row_len: key.row.len() as u32,
+            qual_len: key.qualifier.len() as u32,
+            ts: key.ts.0,
+        });
+        self.keys.extend_from_slice(key.row);
+        self.keys.extend_from_slice(key.qualifier);
+        self.values.push(value);
     }
 
-    fn last_cell(&self) -> Option<&CellVersion> {
-        self.cur.last().or_else(|| self.blocks.last().and_then(|b| b.cells.last()))
+    /// The last key pushed, wherever it sits by now.
+    fn last_key(&self) -> Option<KeyRef<'_>> {
+        let open = self.meta.last().map(|m| m.key(&self.keys));
+        open.or_else(|| self.blocks.last().map(|b| b.key(b.len() - 1)))
     }
 
     fn seal(&mut self) {
-        self.blocks.push(Block {
-            first_key: self.cur[0].key.clone(),
-            byte_size: self.cur_bytes,
-            offset: self.total_bytes - self.cur_bytes,
-            crc: checksum_cells(&self.cur),
-            cells: std::mem::take(&mut self.cur),
-        });
+        self.blocks.push(Block::new(
+            &self.keys,
+            &self.meta,
+            self.values.drain(..).collect(),
+            self.cur_bytes,
+            self.total_bytes - self.cur_bytes,
+        ));
+        self.keys.clear();
+        self.meta.clear();
         self.cur_bytes = 0;
     }
 
     /// Seals the last block and returns the finished file.
     pub(crate) fn finish(mut self) -> HFile {
-        if !self.cur.is_empty() {
+        if !self.meta.is_empty() {
             self.seal();
         }
         if self.entry_count != self.expected_entries as u64 {
@@ -180,14 +363,17 @@ impl HFileBuilder {
             // written, so a file's Bloom answers depend on its contents
             // alone and not on how it was produced.
             self.bloom = BloomFilter::with_capacity(self.entry_count as usize);
-            for cell in self.blocks.iter().flat_map(|b| &b.cells) {
-                self.bloom.insert(cell.key.coord.row.as_bytes());
+            for block in &self.blocks {
+                for i in 0..block.len() {
+                    self.bloom.insert(block.row(i));
+                }
             }
         }
         HFile {
             id: self.id,
-            first_row: self.blocks.first().map(|b| b.first_key.coord.row.clone()),
-            last_row: self.last_cell().map(|c| c.key.coord.row.clone()),
+            first_row: self.blocks.first().map(|b| b.row(0).into()),
+            last_row: self.blocks.last().map(|b| b.row(b.len() - 1).into()),
+            index: SearchIndex::build(self.blocks.len(), |b| self.blocks[b].row(0)),
             blocks: self.blocks,
             bloom: self.bloom,
             total_bytes: self.total_bytes,
@@ -207,7 +393,7 @@ impl HFile {
     pub fn build(id: FileId, cells: Vec<CellVersion>, block_size: u64) -> Self {
         let mut builder = HFileBuilder::new(id, block_size, cells.len());
         for cell in cells {
-            builder.push(cell);
+            builder.push(cell.key.as_key_ref(), cell.value);
         }
         builder.finish()
     }
@@ -242,6 +428,13 @@ impl HFile {
         self.last_row.as_ref()
     }
 
+    /// Row of the first cell of block `index`, straight from the block
+    /// index (no cache traffic) — the split-point heuristic reads the
+    /// middle block's.
+    pub fn block_first_row(&self, index: usize) -> Option<&[u8]> {
+        self.blocks.get(index).map(|b| b.row(0))
+    }
+
     /// Largest cell timestamp stored (`0` for an empty file) — recovery
     /// uses this to restore the store's timestamp clock.
     pub fn max_ts(&self) -> u64 {
@@ -266,7 +459,7 @@ impl HFile {
 
     /// Simulates bit-rot in block `index` by damaging its stored checksum
     /// (indistinguishable, to a verifier, from flipped data bytes — and
-    /// the only honest option while cells are shared immutably). Returns
+    /// the only honest option while values are shared immutably). Returns
     /// whether the block exists.
     pub fn corrupt_block(&mut self, index: usize) -> bool {
         match self.blocks.get_mut(index) {
@@ -279,16 +472,9 @@ impl HFile {
     }
 
     /// Index of the block that could contain `key`: the last block whose
-    /// first key is ≤ `key`.
-    fn block_for(&self, key: &InternalKey) -> Option<usize> {
-        if self.blocks.is_empty() {
-            return None;
-        }
-        match self.blocks.binary_search_by(|b| b.first_key.cmp(key)) {
-            Ok(i) => Some(i),
-            Err(0) => None, // key precedes the whole file
-            Err(i) => Some(i - 1),
-        }
+    /// first key is ≤ `key`; `None` when `key` precedes the whole file.
+    fn block_for(&self, key: KeyRef<'_>) -> Option<usize> {
+        self.index.partition_point(key.row, |b| self.blocks[b].first_key() <= key).checked_sub(1)
     }
 
     /// Point lookup of the newest version at `(row, qualifier)`.
@@ -315,15 +501,19 @@ impl HFile {
             return Ok((None, true, None));
         }
         // Newest version of the coordinate has the smallest InternalKey.
-        let probe = InternalKey::new(row.clone(), qualifier.clone(), Timestamp(u64::MAX));
+        let probe = KeyRef {
+            row: row.as_bytes(),
+            qualifier: qualifier.as_bytes(),
+            ts: Timestamp(u64::MAX),
+        };
         // A probe preceding the whole file still seeks into block 0: the
         // coordinate's versions all sort at or after the probe.
-        let bi = self.block_for(&probe).unwrap_or(0);
+        let bi = self.block_for(probe).unwrap_or(0);
         // The coordinate's versions may begin in block `bi` or spill into
         // `bi + 1` if the probe lands exactly between blocks.
         for idx in [bi, bi + 1] {
             let Some(block) = self.blocks.get(idx) else { continue };
-            if idx > bi && block.first_key.coord > probe.coord {
+            if idx > bi && block.first_key().coord() > probe.coord() {
                 break;
             }
             let access = cache.touch(BlockId { file: self.id, index: idx as u32 }, block.byte_size);
@@ -335,16 +525,12 @@ impl HFile {
                     cause: CorruptionKind::BlockChecksum,
                 });
             }
-            let pos = block.cells.partition_point(|c| c.key < probe);
-            if let Some(cell) = block.cells.get(pos) {
-                if cell.key.coord.row == *row && cell.key.coord.qualifier == *qualifier {
-                    return Ok((Some(cell.value.clone()), false, Some(access)));
-                }
-            }
-            // Probe not in this block; only continue if versions could start
-            // at the next block boundary.
-            if pos < block.cells.len() {
-                return Ok((None, false, Some(access)));
+            let pos = block.lower_bound(probe);
+            if pos < block.len() {
+                // Versions could start at the next block boundary only if
+                // the probe ran off the end of this one.
+                let found = block.key(pos).coord() == probe.coord();
+                return Ok((found.then(|| block.values[pos].clone()), false, Some(access)));
             }
         }
         Ok((None, false, None))
@@ -354,7 +540,7 @@ impl HFile {
     /// block cache as blocks are entered.
     pub fn range_scan<'a>(
         &'a self,
-        range: &KeyRange,
+        range: &'a KeyRange,
         cache: &'a SharedBlockCache,
     ) -> HFileScanIter<'a> {
         self.range_scan_counted(range, cache, None)
@@ -365,38 +551,39 @@ impl HFile {
     /// specific scan rather than diffing the shared cache's global stats.
     pub fn range_scan_counted<'a>(
         &'a self,
-        range: &KeyRange,
+        range: &'a KeyRange,
         cache: &'a SharedBlockCache,
-        counter: Option<AccessCounter>,
+        counter: Option<&'a AccessCounter>,
     ) -> HFileScanIter<'a> {
-        let start_key = range.start.as_ref().map(|r| InternalKey::row_start(r.clone()));
-        let (block_idx, cell_idx) = match &start_key {
+        let seek = range.start.as_ref().map(|r| KeyRef::row_start(r.as_bytes()));
+        let landing =
+            seek.and_then(|k| self.block_for(k).map(|bi| (bi, self.blocks[bi].lower_bound(k))));
+        let (block_idx, cell_idx) = match landing {
+            // The seek key sorts past the block's last cell.
+            Some((bi, pos)) if pos == self.blocks[bi].len() => (bi + 1, 0),
+            Some(at) => at,
             None => (0, 0),
-            Some(k) => match self.block_for(k) {
-                None => (0, 0),
-                Some(bi) => {
-                    let pos = self.blocks[bi].cells.partition_point(|c| c.key < *k);
-                    if pos == self.blocks[bi].cells.len() {
-                        (bi + 1, 0)
-                    } else {
-                        (bi, pos)
-                    }
-                }
-            },
         };
+        let end = range.end.as_ref().map(|r| KeyRef::row_start(r.as_bytes()));
         HFileScanIter {
             file: self,
             cache,
-            end: range.end.clone(),
+            end,
+            // Every block before the one the end bound falls in lies wholly
+            // inside the range.
+            end_block: end.map_or(usize::MAX, |k| self.block_for(k).unwrap_or(0)),
             block_idx,
             cell_idx,
-            entered_block: None,
+            limit: None,
             counter,
         }
     }
 }
 
-/// Streaming iterator over an [`HFile`] range.
+/// Streaming iterator over an [`HFile`] range, yielding each cell as a
+/// borrowed key (a view into its block's arena) and its value handle. The
+/// end bound is resolved once per block entered — a block index lookup up
+/// front says which blocks lie wholly inside the range — never per cell.
 ///
 /// Unlike [`HFile::get`], entering a block here never verifies its
 /// checksum, hit or miss: range scans — and compaction, which reads its
@@ -405,42 +592,51 @@ impl HFile {
 pub struct HFileScanIter<'a> {
     file: &'a HFile,
     cache: &'a SharedBlockCache,
-    end: Option<RowKey>,
+    /// Seek key of the exclusive end row, if the range has one.
+    end: Option<KeyRef<'a>>,
+    /// First block that may hold a row at or past `end`.
+    end_block: usize,
     block_idx: usize,
     cell_idx: usize,
-    entered_block: Option<usize>,
-    counter: Option<AccessCounter>,
+    /// Cells of block `block_idx` that lie inside the range; `None` until
+    /// the block is entered (touched in the cache).
+    limit: Option<usize>,
+    counter: Option<&'a AccessCounter>,
 }
 
 impl<'a> Iterator for HFileScanIter<'a> {
-    type Item = &'a CellVersion;
+    type Item = (KeyRef<'a>, &'a Option<Bytes>);
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             let block = self.file.blocks.get(self.block_idx)?;
-            if self.cell_idx >= block.cells.len() {
-                self.block_idx += 1;
-                self.cell_idx = 0;
-                continue;
-            }
-            if self.entered_block != Some(self.block_idx) {
-                let access = self.cache.touch(
-                    BlockId { file: self.file.id, index: self.block_idx as u32 },
-                    block.byte_size,
-                );
-                if let Some(counter) = &self.counter {
-                    counter.record(access);
+            let limit = match self.limit {
+                Some(limit) => limit,
+                None => {
+                    let access = self.cache.touch(
+                        BlockId { file: self.file.id, index: self.block_idx as u32 },
+                        block.byte_size,
+                    );
+                    if let Some(counter) = self.counter {
+                        counter.record(access);
+                    }
+                    *self.limit.insert(match self.end {
+                        Some(end) if self.block_idx >= self.end_block => block.lower_bound(end),
+                        _ => block.len(),
+                    })
                 }
-                self.entered_block = Some(self.block_idx);
+            };
+            if self.cell_idx < limit {
+                let item = (block.key(self.cell_idx), &block.values[self.cell_idx]);
+                self.cell_idx += 1;
+                return Some(item);
             }
-            let cell = &block.cells[self.cell_idx];
-            if let Some(end) = &self.end {
-                if &cell.key.coord.row >= end {
-                    return None;
-                }
+            if limit < block.len() {
+                return None; // the range ends inside this block
             }
-            self.cell_idx += 1;
-            return Some(cell);
+            self.block_idx += 1;
+            self.cell_idx = 0;
+            self.limit = None;
         }
     }
 }
@@ -448,6 +644,179 @@ impl<'a> Iterator for HFileScanIter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::InternalKey;
+    use proptest::prelude::*;
+
+    /// The representation blocks had before the arena layout — one owned
+    /// `CellVersion` per cell, searched with `partition_point` over the
+    /// structs — kept as the reference the layout must be indistinguishable
+    /// from: same block boundaries, sizes, offsets and CRC values, same
+    /// Bloom filter, same answer and same cache traffic for every read.
+    mod oracle {
+        use super::*;
+
+        pub struct RefBlock {
+            pub cells: Vec<CellVersion>,
+            pub byte_size: u64,
+            pub offset: u64,
+            pub crc: u32,
+        }
+
+        pub struct RefFile {
+            pub id: FileId,
+            pub blocks: Vec<RefBlock>,
+            pub bloom: BloomFilter,
+            pub total_bytes: u64,
+        }
+
+        fn checksum_cells(cells: &[CellVersion]) -> u32 {
+            let mut crc = Crc32c::new();
+            for c in cells {
+                let row = c.key.coord.row.as_bytes();
+                let qual = c.key.coord.qualifier.as_bytes();
+                crc.update(&(row.len() as u32).to_le_bytes());
+                crc.update(row);
+                crc.update(&(qual.len() as u32).to_le_bytes());
+                crc.update(qual);
+                crc.update(&c.key.ts.0.to_le_bytes());
+                match &c.value {
+                    None => crc.update(&[0]),
+                    Some(v) => {
+                        crc.update(&[1]);
+                        crc.update(&(v.len() as u32).to_le_bytes());
+                        crc.update(v);
+                    }
+                }
+            }
+            crc.finish()
+        }
+
+        impl RefFile {
+            pub fn build(id: FileId, cells: &[CellVersion], block_size: u64) -> Self {
+                let mut bloom = BloomFilter::with_capacity(cells.len());
+                let mut blocks: Vec<RefBlock> = Vec::new();
+                let mut cur: Vec<CellVersion> = Vec::new();
+                let (mut cur_bytes, mut total_bytes) = (0u64, 0u64);
+                let mut seal = |cur: &mut Vec<CellVersion>, cur_bytes: &mut u64, total: u64| {
+                    blocks.push(RefBlock {
+                        byte_size: *cur_bytes,
+                        offset: total - *cur_bytes,
+                        crc: checksum_cells(cur),
+                        cells: std::mem::take(cur),
+                    });
+                    *cur_bytes = 0;
+                };
+                for cell in cells {
+                    // Spelled out, not `heap_size()`: the accounting is part
+                    // of what the oracle pins.
+                    let (coord, value) = (&cell.key.coord, cell.value.as_ref());
+                    let sz = (coord.row.len() + coord.qualifier.len() + 8) as u64
+                        + value.map_or(0, |v| v.len()) as u64
+                        + 16;
+                    if !cur.is_empty() && cur_bytes + sz > block_size {
+                        seal(&mut cur, &mut cur_bytes, total_bytes);
+                    }
+                    bloom.insert(cell.key.coord.row.as_bytes());
+                    cur_bytes += sz;
+                    total_bytes += sz;
+                    cur.push(cell.clone());
+                }
+                if !cur.is_empty() {
+                    seal(&mut cur, &mut cur_bytes, total_bytes);
+                }
+                RefFile { id, blocks, bloom, total_bytes }
+            }
+
+            pub fn block_for(&self, key: &InternalKey) -> Option<usize> {
+                match self.blocks.binary_search_by(|b| b.cells[0].key.cmp(key)) {
+                    Ok(i) => Some(i),
+                    Err(0) => None,
+                    Err(i) => Some(i - 1),
+                }
+            }
+
+            pub fn get(
+                &self,
+                row: &RowKey,
+                qualifier: &Qualifier,
+                cache: &SharedBlockCache,
+            ) -> (Option<Option<Bytes>>, bool, Option<Access>) {
+                if !self.bloom.may_contain(row.as_bytes()) {
+                    return (None, true, None);
+                }
+                let probe = InternalKey::new(row.clone(), qualifier.clone(), Timestamp(u64::MAX));
+                let bi = self.block_for(&probe).unwrap_or(0);
+                for idx in [bi, bi + 1] {
+                    let Some(block) = self.blocks.get(idx) else { continue };
+                    if idx > bi && block.cells[0].key.coord > probe.coord {
+                        break;
+                    }
+                    let access =
+                        cache.touch(BlockId { file: self.id, index: idx as u32 }, block.byte_size);
+                    let pos = block.cells.partition_point(|c| c.key < probe);
+                    if let Some(cell) = block.cells.get(pos) {
+                        if cell.key.coord == probe.coord {
+                            return (Some(cell.value.clone()), false, Some(access));
+                        }
+                    }
+                    if pos < block.cells.len() {
+                        return (None, false, Some(access));
+                    }
+                }
+                (None, false, None)
+            }
+
+            /// Cells whose row lies in `range`, touching `cache` once per
+            /// block entered.
+            pub fn range_scan(
+                &self,
+                range: &KeyRange,
+                cache: &SharedBlockCache,
+            ) -> Vec<CellVersion> {
+                let start_key = range.start.as_ref().map(|r| InternalKey::row_start(r.clone()));
+                let (mut block_idx, mut cell_idx) = match &start_key {
+                    None => (0, 0),
+                    Some(k) => match self.block_for(k) {
+                        None => (0, 0),
+                        Some(bi) => {
+                            let pos = self.blocks[bi].cells.partition_point(|c| c.key < *k);
+                            if pos == self.blocks[bi].cells.len() {
+                                (bi + 1, 0)
+                            } else {
+                                (bi, pos)
+                            }
+                        }
+                    },
+                };
+                let mut out = Vec::new();
+                while let Some(block) = self.blocks.get(block_idx) {
+                    cache
+                        .touch(BlockId { file: self.id, index: block_idx as u32 }, block.byte_size);
+                    for cell in &block.cells[cell_idx..] {
+                        if range.end.as_ref().is_some_and(|end| &cell.key.coord.row >= end) {
+                            return out;
+                        }
+                        out.push(cell.clone());
+                    }
+                    block_idx += 1;
+                    cell_idx = 0;
+                }
+                out
+            }
+        }
+    }
+
+    fn owned_cell(key: KeyRef<'_>, value: &Option<Bytes>) -> CellVersion {
+        CellVersion {
+            key: InternalKey::new(key.row.into(), key.qualifier.into(), key.ts),
+            value: value.clone(),
+        }
+    }
+
+    /// A block's cells as owned values.
+    fn cells_of(block: &Block) -> Vec<CellVersion> {
+        (0..block.len()).map(|i| owned_cell(block.key(i), &block.values[i])).collect()
+    }
 
     fn cell(row: &str, q: &str, ts: u64, v: Option<&str>) -> CellVersion {
         CellVersion {
@@ -498,7 +867,7 @@ mod tests {
         assert!(f.block_count() > 1, "expected multiple blocks");
         // First keys strictly increase across blocks.
         for w in f.blocks.windows(2) {
-            assert!(w[0].first_key < w[1].first_key);
+            assert!(w[0].first_key() < w[1].first_key());
         }
         // Every cell remains findable.
         let c = cache();
@@ -528,7 +897,7 @@ mod tests {
         let c = cache();
         let range = KeyRange::new(Some("row10".into()), Some("row20".into()));
         let rows: Vec<String> =
-            f.range_scan(&range, &c).map(|cv| cv.key.coord.row.to_string()).collect();
+            f.range_scan(&range, &c).map(|(k, _)| String::from_utf8_lossy(k.row).into()).collect();
         assert_eq!(rows.len(), 10);
         assert_eq!(rows.first().unwrap(), "row10");
         assert_eq!(rows.last().unwrap(), "row19");
@@ -543,7 +912,8 @@ mod tests {
             (0..40).map(|i| cell(&format!("row{i:02}"), "c", 1, Some("0123456789"))).collect();
         let f = build_file(cells, 150);
         let c = cache();
-        let _ = f.range_scan(&KeyRange::all(), &c).count();
+        let all = KeyRange::all();
+        let _ = f.range_scan(&all, &c).count();
         let stats = c.stats();
         assert_eq!(stats.hits + stats.misses, f.block_count() as u64);
     }
@@ -665,9 +1035,9 @@ mod tests {
     fn assert_same_file(got: &HFile, want: &HFile) {
         assert_eq!(got.block_count(), want.block_count());
         for (g, w) in got.blocks.iter().zip(&want.blocks) {
-            assert_eq!(g.first_key, w.first_key);
+            assert_eq!(g.first_key(), w.first_key());
             assert_eq!((g.byte_size, g.offset, g.crc), (w.byte_size, w.offset, w.crc));
-            assert_eq!(g.cells, w.cells);
+            assert_eq!(cells_of(g), cells_of(w));
         }
         got.verify_checksums().expect("streamed output scrubs clean");
         assert_eq!(got.first_row(), want.first_row());
@@ -739,6 +1109,158 @@ mod tests {
         assert_eq!((streamed.block_count(), streamed.entry_count()), (0, 0));
         assert_eq!(streamed.first_row(), None);
         assert_same_file(&streamed, &HFile::build(FileId(9), vec![], 256));
+    }
+
+    /// Rows built to stress the search index: stems that are prefixes of
+    /// one another, that reach past the 8-byte window (so rows differing
+    /// only in their tails tie on it), the empty row, and tails over an
+    /// alphabet holding the two bytes zero-padding could confuse.
+    fn tricky_row() -> impl Strategy<Value = Vec<u8>> {
+        const STEMS: [&[u8]; 8] = [
+            b"",
+            b"\x00",
+            b"a",
+            b"a\x00",
+            b"aaaaaaaa",
+            b"aaaaaaaaa",
+            b"aaaaaaaa\xff",
+            b"\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff",
+        ];
+        (0usize..STEMS.len(), prop::collection::vec(0usize..3, 0..3)).prop_map(|(stem, tail)| {
+            let mut row = STEMS[stem].to_vec();
+            row.extend(tail.into_iter().map(|i| [0x00, b'a', 0xFF][i]));
+            row
+        })
+    }
+
+    fn tricky_qualifier() -> impl Strategy<Value = Vec<u8>> {
+        (0usize..4).prop_map(|i| [&b""[..], b"q", b"q\x00", b"\xff"][i].to_vec())
+    }
+
+    /// Sorted cells over the tricky key space with distinct timestamps:
+    /// a tombstone every fifth cell, values of varying length.
+    fn tricky_cells() -> impl Strategy<Value = Vec<CellVersion>> {
+        prop::collection::vec((tricky_row(), tricky_qualifier(), 0usize..24), 0..120).prop_map(
+            |raw| {
+                let mut cells: Vec<CellVersion> = raw
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (row, q, value_len))| CellVersion {
+                        key: InternalKey::new(
+                            RowKey::new(row),
+                            Qualifier::new(q),
+                            Timestamp(i as u64 + 1),
+                        ),
+                        value: (i % 5 != 4).then(|| Bytes::from(vec![i as u8; value_len])),
+                    })
+                    .collect();
+                cells.sort_by(|a, b| a.key.cmp(&b.key));
+                cells
+            },
+        )
+    }
+
+    /// Every coordinate the tricky strategies can produce a probe near.
+    fn probes_for(cells: &[CellVersion]) -> Vec<(RowKey, Qualifier)> {
+        let mut probes = Vec::new();
+        for c in cells {
+            let row = c.key.coord.row.as_bytes();
+            // The row itself, the row cut short, and the row extended by
+            // each byte the zero-padded window could mistake for padding.
+            let mut rows = vec![row.to_vec(), row[..row.len() / 2].to_vec()];
+            for b in [0x00, b'a', 0xFF] {
+                rows.push([row, &[b]].concat());
+            }
+            for r in rows {
+                for q in [&b""[..], b"q", b"q\x00", b"\xff", b"zz"] {
+                    probes.push((RowKey::new(r.clone()), Qualifier::new(q.to_vec())));
+                }
+            }
+        }
+        probes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The windowed binary searches land where a linear walk over full
+        /// keys does, in a block and over the file's block index.
+        #[test]
+        fn indexed_search_matches_a_linear_reference(
+            cells in tricky_cells(),
+            block_size in 40u64..400,
+        ) {
+            let f = HFile::build(FileId(1), cells.clone(), block_size);
+            for (row, q) in probes_for(&cells) {
+                for ts in [u64::MAX, 60, 0] {
+                    let probe = KeyRef {
+                        row: row.as_bytes(),
+                        qualifier: q.as_bytes(),
+                        ts: Timestamp(ts),
+                    };
+                    for block in &f.blocks {
+                        let linear = (0..block.len())
+                            .position(|i| block.key(i) >= probe)
+                            .unwrap_or(block.len());
+                        prop_assert_eq!(block.lower_bound(probe), linear, "probe {:?}", probe);
+                    }
+                    let linear = f.blocks.iter().rposition(|b| b.first_key() <= probe);
+                    prop_assert_eq!(f.block_for(probe), linear, "probe {:?}", probe);
+                }
+            }
+        }
+
+        /// A built file is, block for block and read for read, the file
+        /// the `Vec<CellVersion>` representation produced.
+        #[test]
+        fn built_file_equals_the_cell_vector_oracle(
+            cells in tricky_cells(),
+            block_size in 40u64..400,
+        ) {
+            let f = HFile::build(FileId(1), cells.clone(), block_size);
+            let want = oracle::RefFile::build(FileId(1), &cells, block_size);
+
+            prop_assert_eq!(f.block_count(), want.blocks.len());
+            prop_assert_eq!(f.total_bytes(), want.total_bytes);
+            prop_assert_eq!(f.entry_count(), cells.len() as u64);
+            for (g, w) in f.blocks.iter().zip(&want.blocks) {
+                prop_assert_eq!((g.byte_size, g.offset, g.crc), (w.byte_size, w.offset, w.crc));
+                prop_assert_eq!(&cells_of(g), &w.cells);
+            }
+            f.verify_checksums().expect("a fresh file scrubs clean");
+
+            // Point reads: same Bloom answer, same result, same block
+            // traffic (both sides start from a cold cache of their own).
+            let (new_cache, ref_cache) = (cache(), cache());
+            for (row, q) in probes_for(&cells) {
+                prop_assert_eq!(
+                    f.bloom.may_contain(row.as_bytes()),
+                    want.bloom.may_contain(row.as_bytes())
+                );
+                let got = f.get(&row, &q, &new_cache).expect("undamaged file");
+                prop_assert_eq!(got, want.get(&row, &q, &ref_cache), "get({:?}, {:?})", row, q);
+            }
+            prop_assert_eq!(new_cache.stats(), ref_cache.stats());
+
+            // Range scans between every pair of stored rows, and open ones.
+            let mut bounds: Vec<Option<RowKey>> = vec![None];
+            bounds.extend(cells.iter().step_by(7).map(|c| Some(c.key.coord.row.clone())));
+            for start in &bounds {
+                for end in &bounds {
+                    if matches!((start, end), (Some(s), Some(e)) if s >= e) {
+                        continue;
+                    }
+                    let range = KeyRange::new(start.clone(), end.clone());
+                    let (new_cache, ref_cache) = (cache(), cache());
+                    let got: Vec<CellVersion> = f
+                        .range_scan(&range, &new_cache)
+                        .map(|(k, v)| owned_cell(k, v))
+                        .collect();
+                    prop_assert_eq!(&got, &want.range_scan(&range, &ref_cache), "{}", range);
+                    prop_assert_eq!(new_cache.stats(), ref_cache.stats(), "blocks, {}", range);
+                }
+            }
+        }
     }
 
     #[test]

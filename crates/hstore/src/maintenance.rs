@@ -37,7 +37,7 @@
 use crate::block_cache::FileId;
 use crate::hfile::HFile;
 use crate::memstore::MemStore;
-use crate::store::{merge_file_set, FileIdAllocator, StoreShared};
+use crate::store::{flush_memstores, merge_file_set, FileIdAllocator, StoreShared};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -306,28 +306,18 @@ impl Inner {
             }
             // Batch: a flusher that fell behind wakes to a backlog. Build
             // ONE file from every queued frozen memstore instead of one
-            // per job — a single sort+build, one view swap emptying the
+            // per job — a single merge+build, one view swap emptying the
             // whole frozen list (which every get probes until then), and
-            // fewer, larger files downstream. With no backlog this is the
-            // single-job path unchanged.
+            // fewer, larger files downstream. With no backlog the merge
+            // has one input.
             let mut jobs = vec![job];
             while let Ok(next) = rx.try_recv() {
                 jobs.push(next);
             }
             let _span = telemetry::span::span("hstore.flush");
-            let mut cells = Vec::new();
-            for j in &jobs {
-                cells.extend(j.frozen.snapshot_sorted());
-            }
-            if jobs.len() > 1 {
-                // Memstores may overlap in key space; rebuild the global
-                // HFile input order. Timestamps are writer-unique, so
-                // sorting by `InternalKey` is a total order.
-                cells.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-            }
-            let file = Arc::new(HFile::build(self.ids.next(), cells, self.block_size));
-            let bytes = file.total_bytes();
             let frozen: Vec<&Arc<MemStore>> = jobs.iter().map(|j| &j.frozen).collect();
+            let file = Arc::new(flush_memstores(&frozen, self.ids.next(), self.block_size));
+            let bytes = file.total_bytes();
             self.shared.publish_flush_batch(&frozen, file);
             // Truncation covers the newest sealed segment of the batch:
             // every job's edits are in the published file, so the max over

@@ -6,7 +6,7 @@
 //! accounting so the flush policy and MeT's memstore-fraction knob have
 //! real effect.
 
-use crate::types::{CellVersion, InternalKey, KeyRange, RowKey};
+use crate::types::{cell_heap_size, CellVersion, InternalKey, KeyRange, RowKey};
 use bytes::Bytes;
 use std::collections::BTreeMap;
 
@@ -26,12 +26,14 @@ impl MemStore {
     /// Inserts a cell version (a put, or a tombstone when `value` is
     /// `None`). Returns the net change in heap bytes.
     pub fn insert(&mut self, key: InternalKey, value: Option<Bytes>) -> isize {
-        let added = CellVersion { key: key.clone(), value: value.clone() }.heap_size();
-        let removed = self
-            .cells
-            .insert(key.clone(), value)
-            .map(|old| CellVersion { key, value: old }.heap_size())
-            .unwrap_or(0);
+        let (row_len, qual_len) = (key.coord.row.len(), key.coord.qualifier.len());
+        let size = |value: &Option<Bytes>| {
+            cell_heap_size(row_len, qual_len, value.as_ref().map_or(0, |v| v.len()))
+        };
+        let added = size(&value);
+        // An equal key (same coordinate and timestamp) is replaced, so only
+        // the value's share of the old cell can differ.
+        let removed = self.cells.insert(key, value).map_or(0, |old| size(&old));
         self.heap_bytes = self.heap_bytes + added - removed;
         added as isize - removed as isize
     }
@@ -61,15 +63,18 @@ impl MemStore {
     ///
     /// Returns a concrete cursor streaming straight off the underlying
     /// `BTreeMap` — the read-path merge consumes it without materializing a
-    /// snapshot. The end bound is cloned (a refcount bump) so the iterator
-    /// does not borrow the caller's `KeyRange`.
-    pub fn range_iter<'a>(&'a self, range: &KeyRange) -> MemRangeIter<'a> {
-        let start = range.start.as_ref().map(|r| InternalKey::row_start(r.clone()));
-        let iter = match start {
-            Some(s) => self.cells.range(s..),
+    /// snapshot. The end bound is borrowed from `range`.
+    pub fn range_iter<'a>(&'a self, range: &'a KeyRange) -> MemRangeIter<'a> {
+        let iter = match &range.start {
+            Some(r) => self.cells.range(InternalKey::row_start(r.clone())..),
             None => self.cells.range(..),
         };
-        MemRangeIter { iter, end: range.end.clone(), done: false }
+        MemRangeIter { iter, end: range.end.as_ref(), done: false }
+    }
+
+    /// The row of the middle cell version, if any (a split-point fallback).
+    pub fn median_row(&self) -> Option<&RowKey> {
+        self.cells.keys().nth(self.cells.len() / 2).map(|k| &k.coord.row)
     }
 
     /// Current heap footprint in bytes.
@@ -87,15 +92,8 @@ impl MemStore {
         self.cells.is_empty()
     }
 
-    /// Freezes the contents into a sorted vector (flush input) and clears
-    /// the memstore.
-    pub fn drain_sorted(&mut self) -> Vec<CellVersion> {
-        let cells = std::mem::take(&mut self.cells);
-        self.heap_bytes = 0;
-        cells.into_iter().map(|(key, value)| CellVersion { key, value }).collect()
-    }
-
-    /// Immutable snapshot of contents in key order without clearing.
+    /// Owned copy of the contents in key order (tests and tooling; flushes
+    /// stream the memstore by reference through [`MemStore::range_iter`]).
     pub fn snapshot_sorted(&self) -> Vec<CellVersion> {
         self.cells
             .iter()
@@ -107,11 +105,11 @@ impl MemStore {
 /// Streaming iterator over a memstore row range, in `InternalKey` order.
 ///
 /// Named (rather than `impl Iterator`) so the store's merge cursor can hold
-/// one directly in its `enum Cursor` without boxing.
+/// one directly in its `enum Source` without boxing.
 #[derive(Debug)]
 pub struct MemRangeIter<'a> {
     iter: std::collections::btree_map::Range<'a, InternalKey, Option<Bytes>>,
-    end: Option<RowKey>,
+    end: Option<&'a RowKey>,
     done: bool,
 }
 
@@ -123,7 +121,7 @@ impl<'a> Iterator for MemRangeIter<'a> {
             return None;
         }
         match self.iter.next() {
-            Some((k, v)) if self.end.as_ref().is_none_or(|e| &k.coord.row < e) => Some((k, v)),
+            Some((k, v)) if self.end.is_none_or(|e| &k.coord.row < e) => Some((k, v)),
             _ => {
                 self.done = true;
                 None
@@ -178,29 +176,17 @@ mod tests {
         m.insert(key("row1", "col", 1), val("0123456789"));
         let sz1 = m.heap_bytes();
         assert!(sz1 > 10);
-        // Same exact version key replaces, not accumulates.
-        m.insert(key("row1", "col", 1), val("0123456789"));
+        // Same exact version key replaces, not accumulates — and the
+        // returned delta is the difference in value bytes alone.
+        assert_eq!(m.insert(key("row1", "col", 1), val("0123456789")), 0);
+        assert_eq!(m.heap_bytes(), sz1);
+        assert_eq!(m.insert(key("row1", "col", 1), val("0123456789abc")), 3);
+        assert_eq!(m.insert(key("row1", "col", 1), None), -13);
+        assert_eq!(m.insert(key("row1", "col", 1), val("0123456789")), 10);
         assert_eq!(m.heap_bytes(), sz1);
         // Different timestamp is a new version.
         m.insert(key("row1", "col", 2), val("0123456789"));
         assert!(m.heap_bytes() > sz1);
-    }
-
-    #[test]
-    fn drain_returns_sorted_and_clears() {
-        let mut m = MemStore::new();
-        m.insert(key("b", "c", 1), val("1"));
-        m.insert(key("a", "c", 1), val("2"));
-        m.insert(key("a", "c", 5), val("3"));
-        let cells = m.drain_sorted();
-        assert!(m.is_empty());
-        assert_eq!(m.heap_bytes(), 0);
-        let keys: Vec<_> = cells.iter().map(|c| c.key.clone()).collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted);
-        // Newest version of "a"/"c" first.
-        assert_eq!(cells[0].key.ts, Timestamp(5));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::block_cache::{AccessCounter, FileId, SharedBlockCache};
 use crate::error::{CorruptionKind, HStoreError, Result};
 use crate::hfile::{HFile, HFileBuilder, HFileScanIter};
 use crate::maintenance::{MaintenanceConfig, MaintenanceHandle, MaintenanceSnapshot};
-use crate::types::{CellCoord, CellVersion, InternalKey, KeyRange, Qualifier, RowKey, Timestamp};
+use crate::types::{CellVersion, InternalKey, KeyRange, KeyRef, Qualifier, RowKey, Timestamp};
 use crate::wal::{ReplayStop, Wal, WalConfig};
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -283,7 +283,7 @@ impl StoreShared {
         &self,
         range: &KeyRange,
         row_limit: usize,
-        counter: Option<AccessCounter>,
+        counter: Option<&AccessCounter>,
     ) -> (ScanRows, bool) {
         let _span = telemetry::span::span("hstore.scan");
         let active = self.active.read();
@@ -301,7 +301,7 @@ impl StoreShared {
 
     fn scan_range_with_stats(&self, range: &KeyRange, row_limit: usize) -> (ScanRows, OpStats) {
         let counter = AccessCounter::new();
-        let (rows, memstore) = self.scan_with(range, row_limit, Some(counter.clone()));
+        let (rows, memstore) = self.scan_with(range, row_limit, Some(&counter));
         let stats = OpStats { cache_hits: counter.hits(), blocks_read: counter.misses(), memstore };
         (rows, stats)
     }
@@ -317,7 +317,7 @@ impl StoreShared {
             range,
             None,
         );
-        tree.map(|(k, v)| CellVersion { key: k.clone(), value: v.clone() }).collect()
+        export_cells(tree)
     }
 
     /// A stable [`StoreSnapshot`]: clones the active memstore (O(its size);
@@ -803,8 +803,7 @@ impl CfStore {
         self.active_bytes = 0;
         // Build the file off the frozen copy — no locks held, readers
         // proceed against the published view.
-        let cells = frozen.snapshot_sorted();
-        let file = Arc::new(HFile::build(self.ids.next(), cells, self.block_size));
+        let file = Arc::new(flush_memstores(&[&frozen], self.ids.next(), self.block_size));
         let outcome = FlushOutcome { file: file.id(), bytes: file.total_bytes() };
         // Swap: the frozen memstore leaves the view as the file enters it.
         self.shared.publish_flush(&frozen, file);
@@ -985,23 +984,12 @@ impl CfStore {
         let largest = view.files.iter().max_by_key(|f| f.total_bytes());
         if let Some(f) = largest {
             if f.block_count() > 1 {
-                // First key of the middle block.
-                let mid = f.block_count() / 2;
-                let row = f
-                    .range_scan(&KeyRange::all(), &SharedBlockCache::new(0))
-                    .nth(nth_cell_of_block(f, mid))
-                    .map(|c| c.key.coord.row.clone());
-                if row.is_some() {
-                    return row;
-                }
+                // First row of the middle block, off the block index.
+                return f.block_first_row(f.block_count() / 2).map(RowKey::from);
             }
         }
         // Fall back to the median memstore row.
-        let snapshot = self.shared.active.read().snapshot_sorted();
-        if snapshot.is_empty() {
-            return None;
-        }
-        Some(snapshot[snapshot.len() / 2].key.coord.row.clone())
+        self.shared.active.read().median_row().cloned()
     }
 
     /// Every cell version in `range`, newest-first per coordinate — used to
@@ -1057,28 +1045,45 @@ pub(crate) fn merge_file_set(
     // Compaction reads bypass the block cache (HBase does not pollute
     // the cache with compaction IO): scan through a zero-capacity
     // scratch cache that admits nothing, merging by reference so only
-    // surviving cells are cloned into the output file.
+    // surviving keys are copied, once, into the output's arenas.
     let scratch = SharedBlockCache::new(0);
+    let all = KeyRange::all();
     let cursors: Vec<Cursor<'_>> =
-        inputs.iter().map(|f| Cursor::file(f.range_scan(&KeyRange::all(), &scratch))).collect();
+        inputs.iter().map(|f| Cursor::file(f.range_scan(&all, &scratch))).collect();
 
     // Merged cells stream straight into the output's blocks. Every input
     // entry survives a minor merge, so their sum sizes the Bloom filter
     // exactly; for a major merge it is an upper bound.
     let expected: u64 = inputs.iter().map(|f| f.entry_count()).sum();
     let mut out = HFileBuilder::new(out_id, block_size, expected as usize);
-    let mut last_coord: Option<&CellCoord> = None;
+    let mut last_coord = None;
     for (key, value) in LoserTree::new(cursors) {
         if major {
-            if last_coord == Some(&key.coord) {
+            if last_coord == Some(key.coord()) {
                 continue; // shadowed older version
             }
-            last_coord = Some(&key.coord);
+            last_coord = Some(key.coord());
             if value.is_none() {
                 continue; // tombstone dropped once it has shadowed
             }
         }
-        out.push(CellVersion { key: key.clone(), value: value.clone() });
+        out.push(key, value.clone());
+    }
+    out.finish()
+}
+
+/// The heavy half of a flush, shared by the inline path and the background
+/// flusher: streams `mems` — one frozen memstore, or a backlog batch whose
+/// key ranges may overlap — through the read path's merge into one file,
+/// by reference and with **no store locks held**. Timestamps are
+/// writer-unique, so no two memstores hold an equal key and the cell count
+/// is exact.
+pub(crate) fn flush_memstores(mems: &[&Arc<MemStore>], out_id: FileId, block_size: u64) -> HFile {
+    let all = KeyRange::all();
+    let cursors = mems.iter().map(|m| Cursor::mem(m.range_iter(&all))).collect();
+    let mut out = HFileBuilder::new(out_id, block_size, mems.iter().map(|m| m.len()).sum());
+    for (key, value) in LoserTree::new(cursors) {
+        out.push(key, value.clone());
     }
     out.finish()
 }
@@ -1192,7 +1197,7 @@ impl StoreSnapshot {
     /// [`StoreSnapshot::scan_range`] reporting this scan's block traffic.
     pub fn scan_range_with_stats(&self, range: &KeyRange, row_limit: usize) -> (ScanRows, OpStats) {
         let counter = AccessCounter::new();
-        let rows = self.scan_impl(range, row_limit, Some(counter.clone()));
+        let rows = self.scan_impl(range, row_limit, Some(&counter));
         let stats = OpStats {
             cache_hits: counter.hits(),
             blocks_read: counter.misses(),
@@ -1205,7 +1210,7 @@ impl StoreSnapshot {
         &self,
         range: &KeyRange,
         row_limit: usize,
-        counter: Option<AccessCounter>,
+        counter: Option<&AccessCounter>,
     ) -> ScanRows {
         let tree =
             build_cursors(self.mems.iter().map(|m| &**m), &self.files, &self.cache, range, counter);
@@ -1216,7 +1221,7 @@ impl StoreSnapshot {
     pub fn export_range(&self, range: &KeyRange) -> Vec<CellVersion> {
         let tree =
             build_cursors(self.mems.iter().map(|m| &**m), &self.files, &self.cache, range, None);
-        tree.map(|(k, v)| CellVersion { key: k.clone(), value: v.clone() }).collect()
+        export_cells(tree)
     }
 
     /// Number of immutable files in the captured view.
@@ -1233,8 +1238,8 @@ fn build_cursors<'a, M>(
     mems: M,
     files: &'a [Arc<HFile>],
     cache: &'a SharedBlockCache,
-    range: &KeyRange,
-    counter: Option<AccessCounter>,
+    range: &'a KeyRange,
+    counter: Option<&'a AccessCounter>,
 ) -> LoserTree<'a>
 where
     M: Iterator<Item = &'a MemStore>,
@@ -1244,108 +1249,139 @@ where
         cursors.push(Cursor::mem(mem.range_iter(range)));
     }
     for file in files {
-        cursors.push(Cursor::file(file.range_scan_counted(range, cache, counter.clone())));
+        cursors.push(Cursor::file(file.range_scan_counted(range, cache, counter)));
     }
     LoserTree::new(cursors)
 }
 
+/// Most result rows a scan reserves room for before it knows how many it
+/// will return (YCSB scans ask for at most 100).
+const SCAN_ROWS_PRESIZE: usize = 128;
+
 /// Folds a merged cell stream into live rows: the first version seen for a
 /// coordinate is the newest (merge order), later versions are shadowed, and
-/// tombstoned cells vanish.
+/// tombstoned cells vanish. The merge runs on borrowed keys; an owned row
+/// or qualifier is built only for what lands in the result.
 fn collect_rows(merge: LoserTree<'_>, row_limit: usize) -> ScanRows {
-    let mut out: ScanRows = Vec::new();
-    let mut current_row: Option<&RowKey> = None;
+    let mut out: ScanRows = Vec::with_capacity(row_limit.min(SCAN_ROWS_PRESIZE));
     let mut current_cells: Vec<(Qualifier, Bytes)> = Vec::new();
-    let mut last_coord: Option<&CellCoord> = None;
+    // Coordinate of the previous cell, whatever became of it.
+    let mut last_coord: Option<(&[u8], &[u8])> = None;
+    // Rows of a table mostly repeat one qualifier set: re-share the previous
+    // handle when the bytes match instead of allocating one per cell, and
+    // size each row's cell list like the row before it.
+    let mut last_qualifier: Option<Qualifier> = None;
 
     for (key, value) in merge {
-        if last_coord == Some(&key.coord) {
-            continue;
-        }
-        last_coord = Some(&key.coord);
-
-        if current_row != Some(&key.coord.row) {
-            if let Some(row) = current_row.take() {
+        if let Some((row, qualifier)) = last_coord {
+            if row != key.row {
+                // The previous row is complete.
                 if !current_cells.is_empty() {
-                    out.push((row.clone(), std::mem::take(&mut current_cells)));
+                    let next_cells = Vec::with_capacity(current_cells.len());
+                    out.push((
+                        RowKey::from(row),
+                        std::mem::replace(&mut current_cells, next_cells),
+                    ));
                     if out.len() >= row_limit {
                         return out;
                     }
                 }
+            } else if qualifier == key.qualifier {
+                continue; // shadowed older version
             }
-            current_row = Some(&key.coord.row);
         }
-        // Only what escapes into the result is cloned — and those
-        // clones are refcount bumps on the stored `Bytes`.
+        last_coord = Some(key.coord());
         if let Some(v) = value {
-            current_cells.push((key.coord.qualifier.clone(), v.clone()));
+            let qualifier = match &last_qualifier {
+                Some(q) if q.as_bytes() == key.qualifier => q.clone(),
+                _ => last_qualifier.insert(Qualifier::from(key.qualifier)).clone(),
+            };
+            current_cells.push((qualifier, v.clone()));
         }
     }
-    if let Some(row) = current_row {
+    if let Some((row, _)) = last_coord {
         if !current_cells.is_empty() && out.len() < row_limit {
-            out.push((row.clone(), current_cells));
+            out.push((RowKey::from(row), current_cells));
         }
     }
     out
 }
 
-/// Approximate index of the first cell of `block`: blocks before it hold
-/// `entry_count / block_count` cells each on average.
-fn nth_cell_of_block(file: &HFile, block: usize) -> usize {
-    if file.block_count() == 0 {
-        return 0;
+/// Every merged cell version as an owned [`CellVersion`] (region splits and
+/// rebuilds). Consecutive cells of one row, or with one qualifier, share
+/// the handle built for the first.
+fn export_cells(merge: LoserTree<'_>) -> Vec<CellVersion> {
+    let mut out: Vec<CellVersion> = Vec::new();
+    for (key, value) in merge {
+        let prev = out.last().map(|c| &c.key.coord);
+        let row = match prev {
+            Some(p) if p.row.as_bytes() == key.row => p.row.clone(),
+            _ => RowKey::from(key.row),
+        };
+        let qualifier = match prev {
+            Some(p) if p.qualifier.as_bytes() == key.qualifier => p.qualifier.clone(),
+            _ => Qualifier::from(key.qualifier),
+        };
+        out.push(CellVersion {
+            key: InternalKey::new(row, qualifier, key.ts),
+            value: value.clone(),
+        });
     }
-    (file.entry_count() as usize / file.block_count()) * block
+    out
 }
 
-/// One sorted input to the read-path merge: a memstore range or a file
-/// scan. Concrete (no `Box<dyn Iterator>`) so the loser tree advances it
-/// with a direct match instead of a vtable call, and yields *references*
-/// into the underlying storage — nothing is cloned per advance.
-enum Cursor<'a> {
-    Mem { iter: MemRangeIter<'a>, head: Option<(&'a InternalKey, &'a Option<Bytes>)> },
-    File { iter: HFileScanIter<'a>, head: Option<&'a CellVersion> },
+/// One merged entry: a borrowed key and the stored value handle.
+type Entry<'a> = (KeyRef<'a>, &'a Option<Bytes>);
+
+/// Where a [`Cursor`] reads from.
+enum Source<'a> {
+    Mem(MemRangeIter<'a>),
+    File(HFileScanIter<'a>),
+}
+
+/// One sorted input to the merge: a memstore range or a file scan, both
+/// presenting their keys as [`KeyRef`]s — a view of the map key or of the
+/// block's key arena — so nothing is cloned or allocated per advance.
+/// Concrete (no `Box<dyn Iterator>`): the loser tree advances it with a
+/// direct match instead of a vtable call.
+struct Cursor<'a> {
+    source: Source<'a>,
+    head: Option<Entry<'a>>,
 }
 
 impl<'a> Cursor<'a> {
-    fn mem(mut iter: MemRangeIter<'a>) -> Self {
-        let head = iter.next();
-        Cursor::Mem { iter, head }
+    fn mem(iter: MemRangeIter<'a>) -> Self {
+        Cursor::primed(Source::Mem(iter))
     }
 
-    fn file(mut iter: HFileScanIter<'a>) -> Self {
-        let head = iter.next();
-        Cursor::File { iter, head }
+    fn file(iter: HFileScanIter<'a>) -> Self {
+        Cursor::primed(Source::File(iter))
     }
 
-    fn head_key(&self) -> Option<&'a InternalKey> {
-        match self {
-            Cursor::Mem { head, .. } => head.map(|(k, _)| k),
-            Cursor::File { head, .. } => head.map(|c| &c.key),
+    fn primed(source: Source<'a>) -> Self {
+        let mut cursor = Cursor { source, head: None };
+        cursor.advance();
+        cursor
+    }
+
+    fn advance(&mut self) {
+        self.head = match &mut self.source {
+            Source::Mem(iter) => iter.next().map(|(k, v)| (k.as_key_ref(), v)),
+            Source::File(iter) => iter.next(),
+        };
+    }
+
+    fn pop(&mut self) -> Option<Entry<'a>> {
+        let head = self.head.take();
+        if head.is_some() {
+            self.advance();
         }
-    }
-
-    fn pop(&mut self) -> Option<(&'a InternalKey, &'a Option<Bytes>)> {
-        match self {
-            Cursor::Mem { iter, head } => {
-                let h = head.take();
-                if h.is_some() {
-                    *head = iter.next();
-                }
-                h
-            }
-            Cursor::File { iter, head } => {
-                let h = head.take();
-                if h.is_some() {
-                    *head = iter.next();
-                }
-                h.map(|c| (&c.key, &c.value))
-            }
-        }
+        head
     }
 }
 
-/// Loser-tree (tournament) k-way merge over [`Cursor`]s.
+/// Loser-tree (tournament) k-way merge over [`Cursor`]s, yielding borrowed
+/// keys. Reads, compactions and flushes all merge through it.
 ///
 /// `tree[0]` holds the overall winner; `tree[1..k]` hold the loser at each
 /// internal node of a complete binary tree whose leaves are the cursors.
@@ -1383,8 +1419,8 @@ impl<'a> LoserTree<'a> {
     /// True when cursor `a`'s head should be emitted before cursor `b`'s:
     /// smaller key first, exhausted cursors last, index breaks ties.
     fn beats(cursors: &[Cursor<'a>], a: usize, b: usize) -> bool {
-        match (cursors[a].head_key(), cursors[b].head_key()) {
-            (Some(ka), Some(kb)) => match ka.cmp(kb) {
+        match (&cursors[a].head, &cursors[b].head) {
+            (Some((ka, _)), Some((kb, _))) => match ka.cmp(kb) {
                 CmpOrdering::Less => true,
                 CmpOrdering::Greater => false,
                 CmpOrdering::Equal => a < b,
@@ -1397,7 +1433,7 @@ impl<'a> LoserTree<'a> {
 }
 
 impl<'a> Iterator for LoserTree<'a> {
-    type Item = (&'a InternalKey, &'a Option<Bytes>);
+    type Item = Entry<'a>;
 
     fn next(&mut self) -> Option<Self::Item> {
         let k = self.cursors.len();
@@ -1902,6 +1938,13 @@ mod tests {
         s.flush().unwrap();
         let mid = s.midpoint_row().unwrap();
         assert!(mid > "row010".into() && mid < "row090".into(), "mid = {mid}");
+        // The split point *is* the middle block's first row: a cell accounts
+        // 6 + 1 + 8 + 16 + 16 = 47 bytes, so a 512-byte block holds ten and
+        // block 5 of the ten starts at row050.
+        let file = s.shared.files_snapshot().pop().unwrap();
+        assert_eq!(file.block_count(), 10);
+        assert_eq!(file.block_first_row(5), Some(mid.as_bytes()));
+        assert_eq!(mid, "row050".into());
     }
 
     #[test]

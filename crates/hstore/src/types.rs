@@ -36,9 +36,15 @@ impl RowKey {
     }
 }
 
+impl From<&[u8]> for RowKey {
+    fn from(bytes: &[u8]) -> Self {
+        RowKey(Bytes::copy_from_slice(bytes))
+    }
+}
+
 impl From<&str> for RowKey {
     fn from(s: &str) -> Self {
-        RowKey(Bytes::copy_from_slice(s.as_bytes()))
+        s.as_bytes().into()
     }
 }
 
@@ -136,9 +142,15 @@ impl Qualifier {
     }
 }
 
+impl From<&[u8]> for Qualifier {
+    fn from(bytes: &[u8]) -> Self {
+        Qualifier(Bytes::copy_from_slice(bytes))
+    }
+}
+
 impl From<&str> for Qualifier {
     fn from(s: &str) -> Self {
-        Qualifier(Bytes::copy_from_slice(s.as_bytes()))
+        s.as_bytes().into()
     }
 }
 
@@ -194,6 +206,15 @@ impl InternalKey {
     pub fn heap_size(&self) -> usize {
         self.coord.row.len() + self.coord.qualifier.len() + 8
     }
+
+    /// The borrowed view of this key.
+    pub fn as_key_ref(&self) -> KeyRef<'_> {
+        KeyRef {
+            row: self.coord.row.as_bytes(),
+            qualifier: self.coord.qualifier.as_bytes(),
+            ts: self.ts,
+        }
+    }
 }
 
 impl Ord for InternalKey {
@@ -213,6 +234,57 @@ impl PartialOrd for InternalKey {
     }
 }
 
+/// A borrowed [`InternalKey`]: what the read path hands around instead of
+/// owned keys. An HFile block yields views into its key arena, a memstore
+/// views of its map keys; an owned `RowKey`/`Qualifier` is built only for
+/// what escapes into a result. Orders exactly like [`InternalKey`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyRef<'a> {
+    /// Row key bytes.
+    pub row: &'a [u8],
+    /// Column qualifier bytes.
+    pub qualifier: &'a [u8],
+    /// Version timestamp.
+    pub ts: Timestamp,
+}
+
+impl<'a> KeyRef<'a> {
+    /// The smallest key at or after every version of `row` (the borrowed
+    /// [`InternalKey::row_start`]).
+    pub fn row_start(row: &'a [u8]) -> Self {
+        KeyRef { row, qualifier: &[], ts: Timestamp(u64::MAX) }
+    }
+
+    /// The `(row, qualifier)` coordinate, ordered like [`CellCoord`].
+    pub fn coord(&self) -> (&'a [u8], &'a [u8]) {
+        (self.row, self.qualifier)
+    }
+}
+
+impl Ord for KeyRef<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.row
+            .cmp(other.row)
+            .then_with(|| self.qualifier.cmp(other.qualifier))
+            // Newest (largest timestamp) first.
+            .then_with(|| other.ts.cmp(&self.ts))
+    }
+}
+
+impl PartialOrd for KeyRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Bytes one stored cell version accounts for — key bytes, the 8-byte
+/// timestamp, the value and 16 bytes of per-cell overhead. Memstore heap
+/// accounting and HFile block boundaries both count cells with this, so a
+/// flush writes the bytes the memstore reported.
+pub const fn cell_heap_size(row_len: usize, qualifier_len: usize, value_len: usize) -> usize {
+    row_len + qualifier_len + 8 + value_len + 16
+}
+
 /// A stored cell version: `None` value means a delete tombstone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellVersion {
@@ -225,7 +297,11 @@ pub struct CellVersion {
 impl CellVersion {
     /// Approximate heap footprint in bytes.
     pub fn heap_size(&self) -> usize {
-        self.key.heap_size() + self.value.as_ref().map_or(0, |v| v.len()) + 16
+        cell_heap_size(
+            self.key.coord.row.len(),
+            self.key.coord.qualifier.len(),
+            self.value.as_ref().map_or(0, |v| v.len()),
+        )
     }
 }
 
@@ -319,6 +395,27 @@ mod tests {
         assert!(start <= ik("m", "", 5));
         assert!(start <= ik("m", "col", 0));
         assert!(start > ik("l", "zzz", 0));
+    }
+
+    #[test]
+    fn key_ref_orders_like_the_owned_key() {
+        let keys = [
+            ik("", "", 0),
+            ik("a", "", 7),
+            ik("a", "x", 9),
+            ik("a", "x", 1),
+            ik("a\0", "", 3),
+            ik("ab", "a", 3),
+            ik("b", "a", 9),
+        ];
+        for a in &keys {
+            for b in &keys {
+                assert_eq!(a.as_key_ref().cmp(&b.as_key_ref()), a.cmp(b), "{a:?} vs {b:?}");
+            }
+            assert_eq!(KeyRef::row_start(a.coord.row.as_bytes()).cmp(&a.as_key_ref()), {
+                InternalKey::row_start(a.coord.row.clone()).cmp(a)
+            });
+        }
     }
 
     #[test]
