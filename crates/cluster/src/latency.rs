@@ -73,31 +73,36 @@ impl LatencyMixture {
         self.components.iter().map(|(wi, mi)| wi * mi).sum::<f64>() / w
     }
 
-    /// `P(T ≤ t)` for the mixture.
-    fn cdf(&self, t_ms: f64) -> f64 {
-        let w = self.total_weight();
-        if w <= 0.0 {
-            return 1.0;
-        }
+    /// Empties the mixture, keeping its allocation for the next tick.
+    pub fn clear(&mut self) {
+        self.components.clear();
+    }
+
+    /// `P(T ≤ t)` for a mixture of total weight `w > 0`.
+    fn cdf(&self, w: f64, t_ms: f64) -> f64 {
         self.components.iter().map(|(wi, mi)| wi * (1.0 - (-t_ms / mi).exp())).sum::<f64>() / w
     }
 
     /// The `q`-quantile (e.g. `0.99`) by bisection on the CDF.
     ///
     /// Deterministic: pure float math over the components in insertion
-    /// order, a doubling search for an upper bracket, then a fixed number
-    /// of bisection steps.
+    /// order, a doubling search for an upper bracket, then bisection until
+    /// the bracket collapses to adjacent doubles (at most 64 halvings).
     pub fn quantile_ms(&self, q: f64) -> f64 {
         if self.components.is_empty() {
             return 0.0;
         }
+        // Components have positive weights, so the total is positive.
+        let w = self.total_weight();
         let q = q.clamp(0.0, 0.999_999);
         // Bracket: the slowest component bounds how far the tail can reach;
         // double until the CDF crosses q (terminates: cdf → 1).
         let max_mean = self.components.iter().map(|(_, m)| *m).fold(0.0, f64::max);
         let mut hi = (max_mean * -(1.0 - q).ln()).max(1e-9);
+        let mut bracketed = false;
         for _ in 0..64 {
-            if self.cdf(hi) >= q {
+            if self.cdf(w, hi) >= q {
+                bracketed = true;
                 break;
             }
             hi *= 2.0;
@@ -105,7 +110,14 @@ impl LatencyMixture {
         let mut lo = 0.0;
         for _ in 0..64 {
             let mid = 0.5 * (lo + hi);
-            if self.cdf(mid) < q {
+            // Once the midpoint rounds onto an end of a bracket with
+            // cdf(lo) < q <= cdf(hi), every further halving re-takes the
+            // same branch and moves nothing: the remaining steps are a
+            // fixed point, so stopping here returns the same bits.
+            if bracketed && (mid == lo || mid == hi) {
+                break;
+            }
+            if self.cdf(w, mid) < q {
                 lo = mid;
             } else {
                 hi = mid;
@@ -180,6 +192,73 @@ mod tests {
         let mut m = LatencyMixture::new();
         m.push(100.0, mean);
         m
+    }
+
+    /// The quantile search as it was before the weight was hoisted and the
+    /// bisection learned to stop: `total_weight()` re-summed on every CDF
+    /// evaluation, all 64 halvings run. Kept as the reference the
+    /// production search is held to bit for bit.
+    fn quantile_ms_oracle(m: &LatencyMixture, q: f64) -> f64 {
+        let cdf = |t_ms: f64| {
+            let w = m.total_weight();
+            if w <= 0.0 {
+                return 1.0;
+            }
+            m.components.iter().map(|(wi, mi)| wi * (1.0 - (-t_ms / mi).exp())).sum::<f64>() / w
+        };
+        if m.components.is_empty() {
+            return 0.0;
+        }
+        let q = q.clamp(0.0, 0.999_999);
+        let max_mean = m.components.iter().map(|(_, m)| *m).fold(0.0, f64::max);
+        let mut hi = (max_mean * -(1.0 - q).ln()).max(1e-9);
+        for _ in 0..64 {
+            if cdf(hi) >= q {
+                break;
+            }
+            hi *= 2.0;
+        }
+        let mut lo = 0.0;
+        for _ in 0..64 {
+            let mid = 0.5 * (lo + hi);
+            if cdf(mid) < q {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+
+        /// Random mixtures, weights and means each spread over nine
+        /// decades: the early-exit search returns the oracle's bits at
+        /// every quantile anybody asks for (and at the clamp).
+        #[test]
+        fn quantile_search_matches_the_64_step_oracle(
+            comps in proptest::collection::vec((-3.0f64..6.0, -3.0f64..6.0), 1..41),
+        ) {
+            let mut m = LatencyMixture::new();
+            for (w_exp, m_exp) in comps {
+                m.push(10f64.powf(w_exp), 10f64.powf(m_exp));
+            }
+            for q in [0.0, 0.5, 0.95, 0.99, 0.999_999, 1.0] {
+                proptest::prop_assert_eq!(
+                    m.quantile_ms(q).to_bits(),
+                    quantile_ms_oracle(&m, q).to_bits(),
+                    "q = {}", q
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cleared_mixture_is_empty_again() {
+        let mut m = single(10.0);
+        m.clear();
+        assert_eq!(m.summary(), LatencySummary::default());
     }
 
     #[test]

@@ -181,7 +181,7 @@ pub struct PartitionTimes {
 }
 
 /// Evaluation of one server under a given demand.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServerEval {
     /// Per-partition times, in input order.
     pub per_partition: Vec<PartitionTimes>,
@@ -195,7 +195,21 @@ pub struct ServerEval {
     pub total_rps: f64,
 }
 
-/// Per-partition cache hit ratios: `(read_hit, scan_hit)`.
+/// Working memory of [`evaluate_server`], owned by the caller so the 49
+/// evaluations a server gets per tick reuse one set of allocations. Holds
+/// nothing between calls: every buffer is cleared before it is filled.
+#[derive(Debug, Default)]
+pub struct EvalScratch {
+    // Cache-fill segments: (partition index, bytes, rank, read rate).
+    segments: Vec<(usize, f64, f64, f64)>,
+    // Read rate the cache covers, per partition.
+    covered: Vec<f64>,
+    // `(read_hit, scan_hit)` per partition, in input order.
+    hits: Vec<(f64, f64)>,
+}
+
+/// Per-partition cache hit ratios `(read_hit, scan_hit)`, written to
+/// `work.hits` in input order.
 ///
 /// Point-read working sets fill the cache first, greedily by access
 /// density (the LRU steady state). Scan data is kept only in what is left:
@@ -204,12 +218,13 @@ pub struct ServerEval {
 /// space churns through it faster than blocks are re-touched — so scan
 /// hits fall off sharply with coverage. On a dedicated scan node with no
 /// competing point reads, the whole cache is leftover and scans hit.
-pub fn cache_hit_ratios(cache_bytes: f64, parts: &[PartitionDemand]) -> Vec<(f64, f64)> {
+fn cache_hit_ratios(cache_bytes: f64, parts: &[PartitionDemand], work: &mut EvalScratch) {
     // Phase 1: point-read segments, densest first. Writes count toward a
     // segment's residency rank too: a freshly written row is readable from
     // the memstore and its block re-enters the cache on flush, so
     // read-after-write working sets (e.g. TPC-C stock) stay resident.
-    let mut segments: Vec<(usize, f64, f64, f64)> = Vec::with_capacity(parts.len() * 2);
+    let EvalScratch { segments, covered, hits } = work;
+    segments.clear();
     for (i, p) in parts.iter().enumerate() {
         if p.read_rps <= 0.0 || p.data_bytes <= 0.0 {
             continue;
@@ -228,14 +243,15 @@ pub fn cache_hit_ratios(cache_bytes: f64, parts: &[PartitionDemand]) -> Vec<(f64
         let db = b.2 / b.1;
         db.partial_cmp(&da).expect("non-finite density")
     });
-    let mut covered_rate = vec![0.0f64; parts.len()];
+    covered.clear();
+    covered.resize(parts.len(), 0.0);
     let mut remaining = cache_bytes.max(0.0);
-    for (idx, bytes, _rank, read_rate) in segments {
+    for &(idx, bytes, _rank, read_rate) in segments.iter() {
         if remaining <= 0.0 {
             break;
         }
         let frac = (remaining / bytes).min(1.0);
-        covered_rate[idx] += read_rate * frac;
+        covered[idx] += read_rate * frac;
         remaining -= bytes * frac;
     }
 
@@ -251,16 +267,12 @@ pub fn cache_hit_ratios(cache_bytes: f64, parts: &[PartitionDemand]) -> Vec<(f64
     // cycle out before they are re-touched.
     let scan_hit = coverage * coverage;
 
-    parts
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let read_hit =
-                if p.read_rps <= 0.0 { 1.0 } else { (covered_rate[i] / p.read_rps).min(1.0) };
-            let s = if p.scan_rps > 0.0 { scan_hit } else { 1.0 };
-            (read_hit, s)
-        })
-        .collect()
+    hits.clear();
+    hits.extend(parts.iter().zip(covered.iter()).map(|(p, covered)| {
+        let read_hit = if p.read_rps <= 0.0 { 1.0 } else { (covered / p.read_rps).min(1.0) };
+        let s = if p.scan_rps > 0.0 { scan_hit } else { 1.0 };
+        (read_hit, s)
+    }));
 }
 
 /// Write amplification given partition data size and the effective flush
@@ -281,14 +293,17 @@ pub fn queue_inflation(params: &CostParams, rho: f64) -> f64 {
 ///
 /// `warmth ∈ [0, 1]` scales the cache capacity that is actually populated
 /// (cold after restarts / invalidated by compactions); `background_mb_s` is
-/// compaction / re-replication IO sharing the disk.
+/// compaction / re-replication IO sharing the disk. The result overwrites
+/// `eval` (its `per_partition` keeps its allocation); `work` is scratch.
 pub fn evaluate_server(
     params: &CostParams,
     config: &StoreConfig,
     warmth: f64,
     background_mb_s: f64,
     parts: &[PartitionDemand],
-) -> ServerEval {
+    work: &mut EvalScratch,
+    eval: &mut ServerEval,
+) {
     // Only ~85 % of the configured cache holds data blocks (eviction
     // watermark, index/bloom blocks).
     const USABLE_CACHE_FRACTION: f64 = 0.85;
@@ -304,15 +319,11 @@ pub fn evaluate_server(
     let total_data: f64 =
         parts.iter().filter(|p| p.read_rps > 0.0 || p.scan_rps > 0.0).map(|p| p.data_bytes).sum();
     let uniform_coverage = if total_data > 0.0 { (cache_bytes / total_data).min(1.0) } else { 1.0 };
-    let hits: Vec<(f64, f64)> = cache_hit_ratios(cache_bytes, parts)
-        .into_iter()
-        .map(|(r, sc)| {
-            (
-                calm * r + (1.0 - calm) * uniform_coverage,
-                sc * (calm + (1.0 - calm) * uniform_coverage),
-            )
-        })
-        .collect();
+    cache_hit_ratios(cache_bytes, parts, work);
+    for (r, sc) in work.hits.iter_mut() {
+        *r = calm * *r + (1.0 - calm) * uniform_coverage;
+        *sc *= calm + (1.0 - calm) * uniform_coverage;
+    }
 
     let block_mb = config.block_size as f64 / 1e6;
     let block_io_ms = params.disk_seek_ms + block_mb / params.disk_bw_mb_s * 1_000.0;
@@ -335,13 +346,14 @@ pub fn evaluate_server(
     let stall_ms = params.write_stall_ms
         * (config.memstore_flush_bytes as f64 / effective_flush - 1.0).max(0.0);
 
-    let mut per_partition = Vec::with_capacity(parts.len());
+    let per_partition = &mut eval.per_partition;
+    per_partition.clear();
     let mut cpu_ms_per_s = 0.0;
     let mut disk_ms_per_s = 0.0;
     let mut total_rps = 0.0;
     let mut write_byte_rate = 0.0;
 
-    for (p, &(hit, scan_hit)) in parts.iter().zip(&hits) {
+    for (p, &(hit, scan_hit)) in parts.iter().zip(&work.hits) {
         let miss = 1.0 - hit;
         let scan_miss = 1.0 - scan_hit;
         let remote_frac = 1.0 - p.locality.clamp(0.0, 1.0);
@@ -391,7 +403,195 @@ pub fn evaluate_server(
     let memstore_fill = (write_byte_rate * 30.0).min(config.memstore_bytes() as f64);
     let mem_util = ((cache_bytes + memstore_fill) / config.heap_bytes as f64).min(1.0);
 
-    ServerEval { per_partition, rho_cpu, rho_disk, mem_util, total_rps }
+    eval.rho_cpu = rho_cpu;
+    eval.rho_disk = rho_disk;
+    eval.mem_util = mem_util;
+    eval.total_rps = total_rps;
+}
+
+/// The allocating model as it stood before [`evaluate_server`] wrote into
+/// caller-owned buffers: a fresh `Vec` for segments, coverage, hit ratios
+/// and per-partition times on every call. Test-only reference that the
+/// buffer-reusing code (here) and the dense solver (`sim.rs`) are held to
+/// bit for bit.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    pub(crate) fn cache_hit_ratios(cache_bytes: f64, parts: &[PartitionDemand]) -> Vec<(f64, f64)> {
+        // Phase 1: point-read segments, densest first. Writes count toward a
+        // segment's residency rank too: a freshly written row is readable from
+        // the memstore and its block re-enters the cache on flush, so
+        // read-after-write working sets (e.g. TPC-C stock) stay resident.
+        let mut segments: Vec<(usize, f64, f64, f64)> = Vec::with_capacity(parts.len() * 2);
+        for (i, p) in parts.iter().enumerate() {
+            if p.read_rps <= 0.0 || p.data_bytes <= 0.0 {
+                continue;
+            }
+            let hot_bytes = (p.data_bytes * p.hot_set_fraction).max(1.0);
+            let cold_bytes = (p.data_bytes - hot_bytes).max(0.0);
+            let rank_hot = (p.read_rps + p.write_rps) * p.hot_ops_fraction;
+            let rank_cold = (p.read_rps + p.write_rps) * (1.0 - p.hot_ops_fraction);
+            segments.push((i, hot_bytes, rank_hot, p.read_rps * p.hot_ops_fraction));
+            if cold_bytes > 0.0 {
+                segments.push((i, cold_bytes, rank_cold, p.read_rps * (1.0 - p.hot_ops_fraction)));
+            }
+        }
+        segments.sort_by(|a, b| {
+            let da = a.2 / a.1;
+            let db = b.2 / b.1;
+            db.partial_cmp(&da).expect("non-finite density")
+        });
+        let mut covered_rate = vec![0.0f64; parts.len()];
+        let mut remaining = cache_bytes.max(0.0);
+        for (idx, bytes, _rank, read_rate) in segments {
+            if remaining <= 0.0 {
+                break;
+            }
+            let frac = (remaining / bytes).min(1.0);
+            covered_rate[idx] += read_rate * frac;
+            remaining -= bytes * frac;
+        }
+
+        // Phase 2: scans share the leftover. A scan's reusable working set is
+        // its hot bytes (scan start keys follow the partition's skew).
+        let scan_ws: f64 = parts
+            .iter()
+            .filter(|p| p.scan_rps > 0.0)
+            .map(|p| (p.data_bytes * p.hot_set_fraction.max(0.05)).max(1.0))
+            .sum();
+        let coverage = if scan_ws > 0.0 { (remaining / scan_ws).min(1.0) } else { 1.0 };
+        // Churn makes partial coverage much worse than proportional: blocks
+        // cycle out before they are re-touched.
+        let scan_hit = coverage * coverage;
+
+        parts
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let read_hit =
+                    if p.read_rps <= 0.0 { 1.0 } else { (covered_rate[i] / p.read_rps).min(1.0) };
+                let s = if p.scan_rps > 0.0 { scan_hit } else { 1.0 };
+                (read_hit, s)
+            })
+            .collect()
+    }
+
+    pub(crate) fn evaluate_server(
+        params: &CostParams,
+        config: &StoreConfig,
+        warmth: f64,
+        background_mb_s: f64,
+        parts: &[PartitionDemand],
+    ) -> ServerEval {
+        // Only ~85 % of the configured cache holds data blocks (eviction
+        // watermark, index/bloom blocks).
+        const USABLE_CACHE_FRACTION: f64 = 0.85;
+        let cache_bytes =
+            config.block_cache_bytes() as f64 * USABLE_CACHE_FRACTION * warmth.clamp(0.0, 1.0);
+        // Write churn: flushes and compactions continuously invalidate cached
+        // blocks and put the heap under pressure, degrading the cache from its
+        // ideal (density-ordered) residency toward an indiscriminate one.
+        let churn_write_rate: f64 = parts.iter().map(|p| p.write_rps * p.record_bytes).sum();
+        let calm = 1.0 / (1.0 + churn_write_rate / (params.cache_churn_write_mb_s * 1e6));
+        // Residency under churn spreads over the data that read traffic
+        // actually touches (write-only partitions pass through the cache).
+        let total_data: f64 = parts
+            .iter()
+            .filter(|p| p.read_rps > 0.0 || p.scan_rps > 0.0)
+            .map(|p| p.data_bytes)
+            .sum();
+        let uniform_coverage =
+            if total_data > 0.0 { (cache_bytes / total_data).min(1.0) } else { 1.0 };
+        let hits: Vec<(f64, f64)> = cache_hit_ratios(cache_bytes, parts)
+            .into_iter()
+            .map(|(r, sc)| {
+                (
+                    calm * r + (1.0 - calm) * uniform_coverage,
+                    sc * (calm + (1.0 - calm) * uniform_coverage),
+                )
+            })
+            .collect();
+
+        let block_mb = config.block_size as f64 / 1e6;
+        let block_io_ms = params.disk_seek_ms + block_mb / params.disk_bw_mb_s * 1_000.0;
+        let remote_ms = params.net_lat_ms + block_mb / params.net_bw_mb_s * 1_000.0;
+
+        // Effective flush size: under sustained write pressure the global
+        // memstore watermark forces flushes long before the per-region
+        // threshold; the budget is shared by every write-active region (we
+        // estimate the region count from data volume).
+        let write_regions: f64 = parts
+            .iter()
+            .filter(|p| p.write_rps > 1.0)
+            .map(|p| (p.data_bytes / params.region_equiv_bytes).ceil().max(1.0))
+            .sum::<f64>()
+            .max(1.0);
+        let effective_flush = (config.memstore_bytes() as f64 * 0.5 / write_regions)
+            .min(config.memstore_flush_bytes as f64);
+        // Flush-storm stall: latency per write grows with the shortfall
+        // between the configured flush size and what pressure allows.
+        let stall_ms = params.write_stall_ms
+            * (config.memstore_flush_bytes as f64 / effective_flush - 1.0).max(0.0);
+
+        let mut per_partition = Vec::with_capacity(parts.len());
+        let mut cpu_ms_per_s = 0.0;
+        let mut disk_ms_per_s = 0.0;
+        let mut total_rps = 0.0;
+        let mut write_byte_rate = 0.0;
+
+        for (p, &(hit, scan_hit)) in parts.iter().zip(&hits) {
+            let miss = 1.0 - hit;
+            let scan_miss = 1.0 - scan_hit;
+            let remote_frac = 1.0 - p.locality.clamp(0.0, 1.0);
+
+            // Point read: one block IO on miss, plus network when non-local.
+            let read_disk = miss * (block_io_ms + remote_frac * remote_ms);
+            let read = (params.cpu_read_ms, read_disk);
+
+            // Write: memstore insert (CPU, amortized by client batching) +
+            // amortized flush/compaction IO.
+            let wa = write_amplification(params, p.data_bytes, effective_flush);
+            let write_disk = wa * (p.record_bytes / 1e6) / params.disk_bw_mb_s * 1_000.0;
+            let write = (params.cpu_write_ms * p.write_cpu_factor.clamp(0.05, 1.0), write_disk);
+
+            // Scan: per-row CPU; on miss, one discounted seek per block spanned
+            // plus the sequential transfer (remote adds network transfer).
+            let scan_bytes = p.scan_rows.max(1.0) * p.record_bytes;
+            let blocks = (scan_bytes / config.block_size as f64).max(1.0);
+            let scan_disk = scan_miss
+                * (blocks * params.disk_seek_ms * params.scan_seek_discount
+                    + scan_bytes / 1e6 / params.disk_bw_mb_s * 1_000.0
+                    + remote_frac
+                        * (params.net_lat_ms + scan_bytes / 1e6 / params.net_bw_mb_s * 1_000.0));
+            let scan = (p.scan_rows.max(1.0) * params.cpu_scan_row_ms, scan_disk);
+
+            cpu_ms_per_s += p.read_rps * read.0 + p.write_rps * write.0 + p.scan_rps * scan.0;
+            disk_ms_per_s += p.read_rps * read.1 + p.write_rps * write.1 + p.scan_rps * scan.1;
+            total_rps += p.read_rps + p.write_rps + p.scan_rps;
+            write_byte_rate += p.write_rps * p.record_bytes;
+
+            per_partition.push(PartitionTimes {
+                read,
+                write,
+                scan,
+                write_stall_ms: stall_ms,
+                hit_ratio: hit,
+                scan_hit_ratio: scan_hit,
+            });
+        }
+
+        let rho_cpu = cpu_ms_per_s / 1_000.0 / params.cpu_cores;
+        let rho_disk = disk_ms_per_s / 1_000.0 / params.disk_parallelism
+            + background_mb_s / params.disk_bw_mb_s / params.disk_parallelism;
+
+        // Memory: populated cache plus memstore fill pressure (30 s of writes,
+        // capped at the memstore budget), over the heap.
+        let memstore_fill = (write_byte_rate * 30.0).min(config.memstore_bytes() as f64);
+        let mem_util = ((cache_bytes + memstore_fill) / config.heap_bytes as f64).min(1.0);
+
+        ServerEval { per_partition, rho_cpu, rho_disk, mem_util, total_rps }
+    }
 }
 
 #[cfg(test)]
@@ -419,11 +619,96 @@ mod tests {
         StoreConfig::default_homogeneous()
     }
 
+    fn hit_ratios(cache_bytes: f64, parts: &[PartitionDemand]) -> Vec<(f64, f64)> {
+        let mut work = EvalScratch::default();
+        cache_hit_ratios(cache_bytes, parts, &mut work);
+        work.hits
+    }
+
+    fn evaluate(
+        params: &CostParams,
+        config: &StoreConfig,
+        warmth: f64,
+        background_mb_s: f64,
+        parts: &[PartitionDemand],
+    ) -> ServerEval {
+        let mut eval = ServerEval::default();
+        evaluate_server(
+            params,
+            config,
+            warmth,
+            background_mb_s,
+            parts,
+            &mut EvalScratch::default(),
+            &mut eval,
+        );
+        eval
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// One `EvalScratch` and one `ServerEval` carried dirty through a
+        /// sequence of demand lists of different lengths give, call for
+        /// call, the bits the allocating oracle gives from fresh `Vec`s.
+        #[test]
+        fn reused_buffers_match_the_allocating_oracle(
+            calls in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0.0f64..3_000.0, 0.0f64..2_000.0, 0.0f64..200.0, 0.05f64..3.0, 0.0f64..1.0),
+                    0..9,
+                ),
+                1..6,
+            ),
+            warmth in 0.0f64..1.0,
+        ) {
+            let params = CostParams::default();
+            let (mut work, mut eval) = (EvalScratch::default(), ServerEval::default());
+            for call in calls {
+                let parts: Vec<PartitionDemand> = call
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (reads, writes, scans, gb, locality))| {
+                        let mut d = demand(reads, writes, scans);
+                        // A third of the partitions idle in some op class.
+                        if i % 3 == 0 {
+                            d.read_rps = 0.0;
+                        }
+                        if i % 3 == 1 {
+                            d.scan_rps = 0.0;
+                        }
+                        d.partition = PartitionId(i as u64);
+                        d.data_bytes = gb * 1e9;
+                        d.locality = locality;
+                        d
+                    })
+                    .collect();
+                evaluate_server(&params, &cfg(), warmth, 0.0, &parts, &mut work, &mut eval);
+                let want = oracle::evaluate_server(&params, &cfg(), warmth, 0.0, &parts);
+                let flat = |e: &ServerEval| -> Vec<u64> {
+                    let mut v = vec![e.rho_cpu, e.rho_disk, e.mem_util, e.total_rps];
+                    for t in &e.per_partition {
+                        v.extend([t.read.0, t.read.1, t.write.0, t.write.1, t.scan.0, t.scan.1]);
+                        v.extend([t.write_stall_ms, t.hit_ratio, t.scan_hit_ratio]);
+                    }
+                    v.into_iter().map(f64::to_bits).collect()
+                };
+                proptest::prop_assert_eq!(flat(&eval), flat(&want));
+                let cache_bytes = warmth * 2e9;
+                cache_hit_ratios(cache_bytes, &parts, &mut work);
+                proptest::prop_assert_eq!(
+                    format!("{:?}", work.hits),
+                    format!("{:?}", oracle::cache_hit_ratios(cache_bytes, &parts))
+                );
+            }
+        }
+    }
+
     #[test]
     fn bigger_cache_means_higher_hit_ratio() {
         let parts = vec![demand(1_000.0, 0.0, 0.0)];
-        let (small, _) = cache_hit_ratios(0.2e9, &parts)[0];
-        let (large, _) = cache_hit_ratios(1.2e9, &parts)[0];
+        let (small, _) = hit_ratios(0.2e9, &parts)[0];
+        let (large, _) = hit_ratios(1.2e9, &parts)[0];
         assert!(large > small, "large {large} ≤ small {small}");
         assert!(large <= 1.0 && small >= 0.0);
     }
@@ -431,7 +716,7 @@ mod tests {
     #[test]
     fn cache_fully_covering_data_hits_everything() {
         let parts = vec![demand(100.0, 0.0, 0.0)];
-        let (hit, _) = cache_hit_ratios(2e9, &parts)[0];
+        let (hit, _) = hit_ratios(2e9, &parts)[0];
         assert!((hit - 1.0).abs() < 1e-9);
     }
 
@@ -442,13 +727,13 @@ mod tests {
         let mut cold = demand(10.0, 0.0, 0.0);
         cold.partition = PartitionId(2);
         // Cache fits roughly one hot set.
-        let hits = cache_hit_ratios(0.6e9, &[hot, cold]);
+        let hits = hit_ratios(0.6e9, &[hot, cold]);
         assert!(hits[0].0 > hits[1].0, "hot {} should out-hit cold {}", hits[0].0, hits[1].0);
     }
 
     #[test]
     fn idle_partition_reports_full_hit() {
-        let hits = cache_hit_ratios(1e9, &[demand(0.0, 100.0, 0.0)]);
+        let hits = hit_ratios(1e9, &[demand(0.0, 100.0, 0.0)]);
         assert_eq!(hits[0].0, 1.0);
     }
 
@@ -456,13 +741,13 @@ mod tests {
     fn scans_hit_only_when_their_working_set_fits_the_leftover() {
         // A scan partition alone on the node keeps the cache.
         let alone = vec![demand(0.0, 0.0, 100.0)];
-        let (_, scan_alone) = cache_hit_ratios(1.5e9, &alone)[0];
+        let (_, scan_alone) = hit_ratios(1.5e9, &alone)[0];
         assert!(scan_alone > 0.9, "dedicated scan node should hit: {scan_alone}");
         // The same partition sharing with a hot point-read tenant loses it.
         let mut reader = demand(10_000.0, 0.0, 0.0);
         reader.partition = PartitionId(2);
         let shared = vec![demand(0.0, 0.0, 100.0), reader];
-        let (_, scan_shared) = cache_hit_ratios(1.0e9, &shared)[0];
+        let (_, scan_shared) = hit_ratios(1.0e9, &shared)[0];
         assert!(
             scan_shared < scan_alone,
             "scans must lose the cache to point reads: {scan_shared} vs {scan_alone}"
@@ -478,7 +763,7 @@ mod tests {
         rw.partition = PartitionId(1);
         let mut ro = demand(500.0, 0.0, 0.0);
         ro.partition = PartitionId(2);
-        let hits = cache_hit_ratios(0.6e9, &[rw, ro]);
+        let hits = hit_ratios(0.6e9, &[rw, ro]);
         assert!(hits[0].0 > hits[1].0, "write-pinned should win: {hits:?}");
     }
 
@@ -498,8 +783,8 @@ mod tests {
         let mut large = cfg();
         large.block_cache_fraction = 0.10;
         large.memstore_fraction = 0.55;
-        let es = evaluate_server(&p, &small, 1.0, 0.0, &parts);
-        let el = evaluate_server(&p, &large, 1.0, 0.0, &parts);
+        let es = evaluate(&p, &small, 1.0, 0.0, &parts);
+        let el = evaluate(&p, &large, 1.0, 0.0, &parts);
         assert!(
             es.per_partition[0].write_stall_ms > el.per_partition[0].write_stall_ms,
             "small memstore must stall more: {} vs {}",
@@ -536,8 +821,8 @@ mod tests {
         let mut write_cfg = cfg();
         write_cfg.block_cache_fraction = 0.10;
         write_cfg.memstore_fraction = 0.55;
-        let er = evaluate_server(&p, &read_cfg, 1.0, 0.0, &parts);
-        let ew = evaluate_server(&p, &write_cfg, 1.0, 0.0, &parts);
+        let er = evaluate(&p, &read_cfg, 1.0, 0.0, &parts);
+        let ew = evaluate(&p, &write_cfg, 1.0, 0.0, &parts);
         let disk_r = er.per_partition[0].read.1;
         let disk_w = ew.per_partition[0].read.1;
         assert!(disk_r < disk_w, "read profile disk {disk_r} ≥ write profile {disk_w}");
@@ -564,8 +849,8 @@ mod tests {
         let mut write_cfg = cfg();
         write_cfg.block_cache_fraction = 0.10;
         write_cfg.memstore_fraction = 0.55;
-        let er = evaluate_server(&p, &read_cfg, 1.0, 0.0, &parts);
-        let ew = evaluate_server(&p, &write_cfg, 1.0, 0.0, &parts);
+        let er = evaluate(&p, &read_cfg, 1.0, 0.0, &parts);
+        let ew = evaluate(&p, &write_cfg, 1.0, 0.0, &parts);
         assert!(
             ew.per_partition[0].write.1 < er.per_partition[0].write.1,
             "write profile should flush less often"
@@ -582,11 +867,11 @@ mod tests {
         let mut large = cfg();
         large.block_size = 128 * 1024;
         // Warmth 0 → all misses, isolating the IO path.
-        let scan_small = evaluate_server(&p, &small, 0.0, 0.0, &scan_parts).per_partition[0].scan.1;
-        let scan_large = evaluate_server(&p, &large, 0.0, 0.0, &scan_parts).per_partition[0].scan.1;
+        let scan_small = evaluate(&p, &small, 0.0, 0.0, &scan_parts).per_partition[0].scan.1;
+        let scan_large = evaluate(&p, &large, 0.0, 0.0, &scan_parts).per_partition[0].scan.1;
         assert!(scan_large < scan_small, "scans: large {scan_large} ≥ small {scan_small}");
-        let rd_small = evaluate_server(&p, &small, 0.0, 0.0, &read_parts).per_partition[0].read.1;
-        let rd_large = evaluate_server(&p, &large, 0.0, 0.0, &read_parts).per_partition[0].read.1;
+        let rd_small = evaluate(&p, &small, 0.0, 0.0, &read_parts).per_partition[0].read.1;
+        let rd_large = evaluate(&p, &large, 0.0, 0.0, &read_parts).per_partition[0].read.1;
         assert!(rd_small < rd_large, "reads: small {rd_small} ≥ large {rd_large}");
     }
 
@@ -597,8 +882,8 @@ mod tests {
         local.locality = 1.0;
         let mut remote = local.clone();
         remote.locality = 0.0;
-        let el = evaluate_server(&p, &cfg(), 0.0, 0.0, &[local]);
-        let er = evaluate_server(&p, &cfg(), 0.0, 0.0, &[remote]);
+        let el = evaluate(&p, &cfg(), 0.0, 0.0, &[local]);
+        let er = evaluate(&p, &cfg(), 0.0, 0.0, &[remote]);
         assert!(er.per_partition[0].read.1 > el.per_partition[0].read.1);
     }
 
@@ -606,8 +891,8 @@ mod tests {
     fn background_io_raises_disk_utilization() {
         let p = CostParams::default();
         let parts = vec![demand(100.0, 0.0, 0.0)];
-        let quiet = evaluate_server(&p, &cfg(), 1.0, 0.0, &parts);
-        let busy = evaluate_server(&p, &cfg(), 1.0, 50.0, &parts);
+        let quiet = evaluate(&p, &cfg(), 1.0, 0.0, &parts);
+        let busy = evaluate(&p, &cfg(), 1.0, 50.0, &parts);
         assert!(busy.rho_disk > quiet.rho_disk + 0.3);
     }
 
@@ -615,8 +900,8 @@ mod tests {
     fn cold_cache_degrades_reads() {
         let p = CostParams::default();
         let parts = vec![demand(1_000.0, 0.0, 0.0)];
-        let warm = evaluate_server(&p, &cfg(), 1.0, 0.0, &parts);
-        let cold = evaluate_server(&p, &cfg(), 0.0, 0.0, &parts);
+        let warm = evaluate(&p, &cfg(), 1.0, 0.0, &parts);
+        let cold = evaluate(&p, &cfg(), 0.0, 0.0, &parts);
         assert!(cold.per_partition[0].read.1 > warm.per_partition[0].read.1);
         assert!(cold.per_partition[0].hit_ratio < warm.per_partition[0].hit_ratio);
     }
@@ -624,8 +909,8 @@ mod tests {
     #[test]
     fn mem_util_tracks_write_pressure() {
         let p = CostParams::default();
-        let idle = evaluate_server(&p, &cfg(), 1.0, 0.0, &[demand(10.0, 0.0, 0.0)]);
-        let writing = evaluate_server(&p, &cfg(), 1.0, 0.0, &[demand(0.0, 5_000.0, 0.0)]);
+        let idle = evaluate(&p, &cfg(), 1.0, 0.0, &[demand(10.0, 0.0, 0.0)]);
+        let writing = evaluate(&p, &cfg(), 1.0, 0.0, &[demand(0.0, 5_000.0, 0.0)]);
         assert!(writing.mem_util > idle.mem_util);
         assert!(writing.mem_util <= 1.0);
     }

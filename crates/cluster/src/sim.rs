@@ -20,8 +20,8 @@
 //! `MET_THREADS` contiguous chunks of the ID-sorted fleet (the
 //! [`ShardLayout`], rebuilt deterministically whenever the fleet or the
 //! thread count changes), and each shard owns persistent scratch
-//! ([`ShardScratch`] — solver outputs, latency digests, compaction plans,
-//! a metrics staging buffer) that stays resident on its pinned worker
+//! ([`ShardScratch`] — one solver slot per server, compaction plans, a
+//! metrics staging buffer) that stays resident on its pinned worker
 //! thread across ticks ([`simcore::par::for_each_shard`]). A parallel
 //! phase is then "broadcast inputs → shards run their servers → thin
 //! sequential combine in shard (= server-ID) order", so every reduction
@@ -34,8 +34,10 @@
 use crate::admin::{
     AdminError, ClusterSnapshot, ElasticCluster, PartitionMetrics, ServerHealth, ServerMetrics,
 };
-use crate::latency::{profile_label, LatencyMixture, LatencySummary};
-use crate::model::{evaluate_server, queue_inflation, CostParams, PartitionDemand, ServerEval};
+use crate::latency::{profile_label, LatencyMixture};
+use crate::model::{
+    evaluate_server, queue_inflation, CostParams, EvalScratch, PartitionDemand, ServerEval,
+};
 use crate::types::{OpMix, PartitionCounters, PartitionId, ServerId};
 use dfs::{DataNodeId, DfsFileId, Namenode};
 use hstore::StoreConfig;
@@ -203,6 +205,8 @@ enum ServerState {
 
 #[derive(Debug)]
 struct SimServer {
+    // The id as a metric label value (`server="3"`), formatted once.
+    label: String,
     config: StoreConfig,
     state: ServerState,
     warmth: f64,
@@ -216,14 +220,38 @@ struct SimServer {
     last_io: f64,
     last_mem: f64,
     last_rps: f64,
-    // Response-time distribution digest from the last completed tick.
-    last_latency: LatencySummary,
+    // p99 of the response-time distribution of the last completed tick.
+    last_p99_ms: f64,
     // Cumulative modelled block-cache accesses (hit fraction ≈ warmth).
     cache_hits: u64,
     cache_misses: u64,
 }
 
 impl SimServer {
+    fn new(
+        id: ServerId,
+        config: StoreConfig,
+        state: ServerState,
+        warmth: f64,
+        rng: SimRng,
+    ) -> Self {
+        SimServer {
+            label: id.0.to_string(),
+            config,
+            state,
+            warmth,
+            rng,
+            compaction_backlog: VecDeque::new(),
+            last_cpu: 0.0,
+            last_io: 0.0,
+            last_mem: 0.0,
+            last_rps: 0.0,
+            last_p99_ms: 0.0,
+            cache_hits: 0,
+            cache_misses: 0,
+        }
+    }
+
     fn health(&self) -> ServerHealth {
         match self.state {
             ServerState::Online => ServerHealth::Online,
@@ -270,33 +298,100 @@ impl ShardLayout {
         ShardLayout { version, shards, ids, bounds }
     }
 
-    /// The shard owning `sid`. Callers only ask about servers that exist.
-    fn shard_of(&self, sid: ServerId) -> usize {
-        debug_assert!(self.ids.binary_search(&sid).is_ok(), "shard_of on unknown {sid:?}");
-        // The owner is the last shard whose first member is <= sid.
-        (1..self.shards).take_while(|s| self.ids[self.bounds[*s]] <= sid).last().unwrap_or(0)
+    /// Shard `s`'s slice of an ID-ascending, whole-fleet list (one item per
+    /// server, whatever its lifecycle state): the rows its resident
+    /// [`ServerSlot`]s line up with.
+    fn members_of<'a, T>(&self, shard: usize, fleet: &'a [T]) -> &'a [T] {
+        match (self.bounds.get(shard), self.bounds.get(shard + 1)) {
+            (Some(&start), Some(&end)) => fleet.get(start..end).unwrap_or(&[]),
+            _ => &[],
+        }
     }
 
-    /// Splits an ID-ascending item list (one item per server, a subset of
-    /// the fleet) into per-shard contiguous ranges, in shard order.
-    fn item_ranges(&self, item_ids: impl Iterator<Item = ServerId>) -> Vec<std::ops::Range<usize>> {
-        let mut counts = vec![0usize; self.shards];
-        for id in item_ids {
-            counts[self.shard_of(id)] += 1;
-        }
-        let mut out = Vec::with_capacity(self.shards);
-        let mut start = 0;
-        for c in counts {
-            out.push(start..start + c);
-            start += c;
-        }
-        out
+    /// `(shard, position within the shard)` of a server of the fleet.
+    fn locate(&self, sid: ServerId) -> Option<(usize, usize)> {
+        let k = self.ids.binary_search(&sid).ok()?;
+        // The owner is the last shard starting at or before `k`.
+        let shard = self.bounds.partition_point(|start| *start <= k).checked_sub(1)?;
+        Some((shard, k - self.bounds.get(shard)?))
     }
 
     /// Shard membership, for the rebalancing tests.
     fn members(&self) -> Vec<Vec<ServerId>> {
         (0..self.shards).map(|s| self.ids[self.bounds[s]..self.bounds[s + 1]].to_vec()).collect()
     }
+}
+
+/// One server's solver state, resident in its shard's [`ShardScratch`].
+/// Shard `s` keeps one slot per member server, in ID order; a slot whose
+/// `demands` is empty belongs to a server no active group reaches this
+/// tick and is skipped everywhere. [`SimCluster::plan_solve`] rewrites the
+/// topology half once per tick; the 48 solver iterations and the reporting
+/// pass then only overwrite rates and results in place.
+#[derive(Default)]
+struct ServerSlot {
+    /// Hosted partitions with demand, ascending `PartitionId`: the static
+    /// fields are written by the plan, the five rate fields per pass.
+    demands: Vec<PartitionDemand>,
+    /// [`SolvePlan`] index of each demand's partition.
+    index: Vec<usize>,
+    /// Scratch evaluation, overwritten by every pass.
+    eval: ServerEval,
+    work: EvalScratch,
+    /// Per-demand `(read, write, scan)` response times of the last
+    /// solver iteration, ms.
+    responses: Vec<(f64, f64, f64)>,
+    /// The last solver iteration's evaluation — the utilisation `step()`
+    /// publishes. Swapped out of `eval` before the reporting pass reuses it.
+    settled: ServerEval,
+    /// Response-time mixture from the reporting pass. Like `settled`, only
+    /// current for an online server with demand — the only kind `step()`
+    /// publishes anything for.
+    mixture: LatencyMixture,
+}
+
+impl ServerSlot {
+    /// Loads this pass's per-partition rates into the resident demands and
+    /// evaluates the (online) server under them; returns the
+    /// `(icpu, idisk, ihandler)` inflation factors.
+    fn evaluate(
+        &mut self,
+        params: &CostParams,
+        server: &SimServer,
+        rates: &[PartitionLoad],
+    ) -> (f64, f64, f64) {
+        for (d, pi) in self.demands.iter_mut().zip(&self.index) {
+            let Some(&(r, w, s, rows, write_cpu_factor)) = rates.get(*pi) else { continue };
+            d.read_rps = r;
+            d.write_rps = w;
+            d.scan_rps = s;
+            d.scan_rows = rows.max(1.0);
+            d.write_cpu_factor = write_cpu_factor;
+        }
+        let background =
+            if server.compaction_backlog.is_empty() { 0.0 } else { params.compact_mb_s };
+        evaluate_server(
+            params,
+            &server.config,
+            server.warmth,
+            background,
+            &self.demands,
+            &mut self.work,
+            &mut self.eval,
+        );
+        inflation_factors(params, &server.config, &self.demands, &self.eval)
+    }
+}
+
+/// What one tick leaves on an online server with demand.
+struct ServerTick {
+    cpu: f64,
+    io: f64,
+    mem: f64,
+    rps: f64,
+    p99_ms: f64,
+    cache_hits: u64,
+    cache_misses: u64,
 }
 
 /// Per-shard scratch that lives in the cluster across ticks — the "hot
@@ -306,16 +401,12 @@ impl ShardLayout {
 /// them instead of allocating per server per tick.
 #[derive(Default)]
 struct ShardScratch {
-    /// Solver fan-out: per-server evaluations, in ID order within shard.
-    evals: Vec<(ServerId, ServerEval)>,
-    /// Solver fan-out: flattened per-partition response times.
-    responses: Vec<(PartitionId, (f64, f64, f64))>,
-    /// Latency reporting pass: per-server digests.
-    latencies: Vec<(ServerId, LatencySummary)>,
+    /// Solver and reporting pass: one slot per member server, ID order.
+    slots: Vec<ServerSlot>,
     /// Compaction drain plans: `(server, completed, leftover)`.
     plans: Vec<(ServerId, Vec<PartitionId>, Option<f64>)>,
-    /// Cache-metrics pass: per-server utilization/cache updates.
-    cache: Vec<(ServerId, f64, f64, f64, f64, u64, u64)>,
+    /// Cache-metrics pass: per-server updates.
+    cache: Vec<(ServerId, ServerTick)>,
     /// Metrics staged by this shard, flushed in shard order.
     metrics: MetricsBuffer,
 }
@@ -363,9 +454,31 @@ pub struct SimCluster {
     wal_replay_mb_s: f64,
 }
 
-/// One group's `(partition, (read, write, scan))` rate rows, hoisted out of
-/// the throughput solve (see [`SimCluster::group_rate_tables`]).
-type GroupRateTable = Vec<(PartitionId, (f64, f64, f64))>;
+/// One partition's offered load under a throughput estimate: `(read rps,
+/// write rps, scan rps, mean scan rows, write CPU factor)`.
+type PartitionLoad = (f64, f64, f64, f64, f64);
+
+/// The solve's dense view of the tick's topology, built once by
+/// [`SimCluster::plan_solve`]: every partition an active group touches gets
+/// an index, and everything the iterations look up by `PartitionId` is
+/// resolved to that index up front, so the hot loop searches no tree and
+/// has nothing to fail on.
+///
+/// Fold-order rule — the arithmetic is bit-for-bit the map-based solver's
+/// because every sum runs in the order its maps iterated: groups by index;
+/// a group's rate rows by ascending `PartitionId`; a server's demands by
+/// ascending `PartitionId`; servers by ascending `ServerId` (shard order is
+/// ID order).
+struct SolvePlan {
+    /// Partitions some active group touches, ascending.
+    pids: Vec<PartitionId>,
+    /// Per group (empty while inactive): `(index, read, write, scan)` op
+    /// rates for one request per second, what `per_partition_rates` yields.
+    rates: Vec<Vec<(usize, f64, f64, f64)>>,
+    /// Per group (empty while inactive): the read, write and scan weight
+    /// lists as `(index, weight)`.
+    weights: Vec<[Vec<(usize, f64)>; 3]>,
+}
 
 impl SimCluster {
     /// Creates an empty cluster with 1-second ticks, no provisioning delay
@@ -526,7 +639,7 @@ impl SimCluster {
         s.last_io = 0.0;
         s.last_mem = 0.0;
         s.last_rps = 0.0;
-        s.last_latency = LatencySummary::default();
+        s.last_p99_ms = 0.0;
         let orphans = self.assignment.values().filter(|sid| **sid == server).count();
         // With a WAL the victim's memstore contents survive as log backlog:
         // nothing is acknowledged-then-lost, but every orphaned partition
@@ -714,23 +827,8 @@ impl SimCluster {
         config.validate().expect("invalid server config");
         let id = ServerId(self.next_server);
         self.next_server += 1;
-        self.servers.insert(
-            id,
-            SimServer {
-                config,
-                state: ServerState::Online,
-                warmth: 0.3,
-                rng: self.rng_streams.fork(&format!("server-{}", id.0)),
-                compaction_backlog: VecDeque::new(),
-                last_cpu: 0.0,
-                last_io: 0.0,
-                last_mem: 0.0,
-                last_rps: 0.0,
-                last_latency: LatencySummary::default(),
-                cache_hits: 0,
-                cache_misses: 0,
-            },
-        );
+        let rng = self.rng_streams.fork(&format!("server-{}", id.0));
+        self.servers.insert(id, SimServer::new(id, config, ServerState::Online, 0.3, rng));
         self.namenode.add_datanode(DataNodeId(id.0));
         id
     }
@@ -1106,12 +1204,14 @@ impl SimCluster {
         let integrate_span = wallspan::span("sim.integrate");
         // 4. Integrate: counters, growth, flushes, warmth, compactions.
         let mut per_partition: BTreeMap<PartitionId, (f64, f64, f64, f64)> = BTreeMap::new();
-        for (gi, g) in self.groups.iter().enumerate() {
+        for ((g, x), rows) in self.groups.iter().zip(&solution.group_x).zip(&solution.plan.rates) {
             if !g.active {
                 continue;
             }
-            let x = solution.group_x[gi];
-            for (p, (r, w, s)) in g.per_partition_rates() {
+            // The solve's own rate tables: same rows, same order, as a
+            // second `per_partition_rates()` would yield.
+            for &(pi, r, w, s) in rows {
+                let Some(&p) = solution.plan.pids.get(pi) else { continue };
                 let e = per_partition.entry(p).or_insert((0.0, 0.0, 0.0, 0.0));
                 e.0 += x * r;
                 e.1 += x * w;
@@ -1173,13 +1273,11 @@ impl SimCluster {
         self.refresh_layout();
         let shards = self.layout.shards;
         {
-            let drain_entries: Vec<(&ServerId, &SimServer)> = self.servers.iter().collect();
-            let ranges = self.layout.item_ranges(drain_entries.iter().map(|(sid, _)| **sid));
-            let entries_ref = &drain_entries;
-            let ranges_ref = &ranges;
+            let fleet: Vec<(&ServerId, &SimServer)> = self.servers.iter().collect();
+            let layout = &self.layout;
             simcore::par::for_each_shard(&mut self.scratch[..shards], |shard, sc| {
                 sc.plans.clear();
-                for (sid, server) in &entries_ref[ranges_ref[shard].clone()] {
+                for (sid, server) in layout.members_of(shard, &fleet) {
                     if server.state != ServerState::Online {
                         continue;
                     }
@@ -1283,44 +1381,38 @@ impl SimCluster {
         self.node_series.record(self.now, self.online_server_ids().len() as f64);
         // Servers without any demand this tick idle at zero — otherwise a
         // server whose groups went quiet would report stale utilization
-        // forever.
+        // forever. Offline servers keep reporting zero too (their clients'
+        // penalty is already in the group response times).
         for server in self.servers.values_mut() {
             if server.state == ServerState::Online {
                 server.last_cpu = 0.0;
                 server.last_io = 0.0;
                 server.last_mem = 0.0;
                 server.last_rps = 0.0;
-                server.last_latency = LatencySummary::default();
-            }
-        }
-        // Latency digests land on every online server with demand;
-        // offline servers keep reporting zero (their clients' penalty is
-        // already in the group response times).
-        for (sid, lat) in &solution.server_latency {
-            if let Some(server) = self.servers.get_mut(sid) {
-                if server.state == ServerState::Online {
-                    server.last_latency = *lat;
-                }
+                server.last_p99_ms = 0.0;
             }
         }
         drop(series_span);
-        // Cache metrics: per-server updates are computed in parallel into
-        // per-shard buffers, then applied and flushed in server-ID order
-        // under a single registry lock (no per-gauge mutex contention).
+        // Cache and latency metrics of every online server with demand:
+        // per-server updates are computed in parallel into per-shard
+        // buffers, then applied and flushed in server-ID order under a
+        // single registry lock (no per-gauge mutex contention). The p99 is
+        // what `snapshot()` reports and is taken every tick; the mean, p50
+        // and p95 only feed gauges and histograms, so they are taken only
+        // while somebody records those.
         let _cache_span = wallspan::span("sim.cache_metrics");
-        let evals: Vec<(ServerId, ServerEval)> = solution.server_evals.into_iter().collect();
         let telemetry_on = self.telemetry.is_enabled();
         {
-            let servers_ref = &self.servers;
-            let latency_ref = &solution.server_latency;
-            let ranges = self.layout.item_ranges(evals.iter().map(|(sid, _)| *sid));
-            let evals_ref = &evals;
-            let ranges_ref = &ranges;
+            let fleet: Vec<(&ServerId, &SimServer)> = self.servers.iter().collect();
+            let layout = &self.layout;
             simcore::par::for_each_shard(&mut self.scratch[..shards], |shard, sc| {
                 sc.cache.clear();
                 sc.metrics.clear();
-                for (sid, eval) in &evals_ref[ranges_ref[shard].clone()] {
-                    let server = &servers_ref[sid];
+                for (slot, (sid, server)) in sc.slots.iter().zip(layout.members_of(shard, &fleet)) {
+                    if slot.demands.is_empty() || server.state != ServerState::Online {
+                        continue;
+                    }
+                    let eval = &slot.settled;
                     // Modelled block-cache traffic: the warmth fraction of
                     // this tick's requests hit the cache, the remainder go
                     // to disk.
@@ -1328,10 +1420,10 @@ impl SimCluster {
                     let hits = ((served as f64) * server.warmth).round() as u64;
                     let cache_hits = server.cache_hits + hits.min(served);
                     let cache_misses = server.cache_misses + served.saturating_sub(hits);
+                    let p99_ms = slot.mixture.quantile_ms(0.99);
                     let buf = &mut sc.metrics;
                     if telemetry_on {
-                        let label = sid.0.to_string();
-                        let labels = [("server", label.as_str())];
+                        let labels = [("server", server.label.as_str())];
                         buf.gauge_set("sim_block_cache_hits", &labels, cache_hits as f64);
                         buf.gauge_set("sim_block_cache_misses", &labels, cache_misses as f64);
                         let total = cache_hits + cache_misses;
@@ -1346,25 +1438,32 @@ impl SimCluster {
                         // per-tick observations into per-server /
                         // per-profile histograms whose summaries give the
                         // run's p50/p95/p99.
-                        if let Some(lat) = latency_ref.get(sid) {
-                            buf.gauge_set("sim_latency_p50_ms", &labels, lat.p50_ms);
-                            buf.gauge_set("sim_latency_p95_ms", &labels, lat.p95_ms);
-                            buf.gauge_set("sim_latency_p99_ms", &labels, lat.p99_ms);
-                            buf.observe("sim_server_latency_ms", &labels, lat.mean_ms);
-                            buf.observe("sim_server_p99_ms", &labels, lat.p99_ms);
-                            let profile = [("profile", profile_label(&server.config))];
-                            buf.observe("sim_profile_p99_ms", &profile, lat.p99_ms);
-                        }
+                        buf.gauge_set(
+                            "sim_latency_p50_ms",
+                            &labels,
+                            slot.mixture.quantile_ms(0.50),
+                        );
+                        buf.gauge_set(
+                            "sim_latency_p95_ms",
+                            &labels,
+                            slot.mixture.quantile_ms(0.95),
+                        );
+                        buf.gauge_set("sim_latency_p99_ms", &labels, p99_ms);
+                        buf.observe("sim_server_latency_ms", &labels, slot.mixture.mean_ms());
+                        buf.observe("sim_server_p99_ms", &labels, p99_ms);
+                        let profile = [("profile", profile_label(&server.config))];
+                        buf.observe("sim_profile_p99_ms", &profile, p99_ms);
                     }
-                    sc.cache.push((
-                        *sid,
-                        eval.rho_cpu.min(1.0),
-                        eval.rho_disk.min(1.0),
-                        eval.mem_util,
-                        eval.total_rps,
+                    let tick = ServerTick {
+                        cpu: eval.rho_cpu.min(1.0),
+                        io: eval.rho_disk.min(1.0),
+                        mem: eval.mem_util,
+                        rps: eval.total_rps,
+                        p99_ms,
                         cache_hits,
                         cache_misses,
-                    ));
+                    };
+                    sc.cache.push((**sid, tick));
                 }
             });
         }
@@ -1372,14 +1471,15 @@ impl SimCluster {
         // fields, then flush each shard's staged metrics — the registry
         // sees the same operation sequence the sequential engine produces.
         for sc in &mut self.scratch[..shards] {
-            for (sid, cpu, io, mem, rps, cache_hits, cache_misses) in sc.cache.drain(..) {
-                let server = self.servers.get_mut(&sid).expect("eval for unknown server");
-                server.last_cpu = cpu;
-                server.last_io = io;
-                server.last_mem = mem;
-                server.last_rps = rps;
-                server.cache_hits = cache_hits;
-                server.cache_misses = cache_misses;
+            for (sid, tick) in sc.cache.drain(..) {
+                let Some(server) = self.servers.get_mut(&sid) else { continue };
+                server.last_cpu = tick.cpu;
+                server.last_io = tick.io;
+                server.last_mem = tick.mem;
+                server.last_rps = tick.rps;
+                server.last_p99_ms = tick.p99_ms;
+                server.cache_hits = tick.cache_hits;
+                server.cache_misses = tick.cache_misses;
             }
         }
         for sc in &self.scratch[..shards] {
@@ -1503,44 +1603,87 @@ impl SimCluster {
         self.assignment.keys().copied().zip(values).collect()
     }
 
-    /// Per-group partition rate tables, computed once per tick: they
-    /// depend only on the group mixes and weights, not on the throughput
-    /// estimate, so hoisting them out of the 48-iteration solve changes
-    /// nothing arithmetically (the same `(p, rates)` sequence is folded in
-    /// the same order).
-    fn group_rate_tables(&self) -> Vec<GroupRateTable> {
-        self.groups
+    /// Builds the tick's [`SolvePlan`] and lays the topology into the
+    /// shards' resident [`ServerSlot`]s. Rebuilt every tick — moves, splits,
+    /// crashes, restarts, group switches, the balancer and provisioning all
+    /// change it — and never inside a solve, where none of them can happen.
+    /// `locality` is the per-tick table from
+    /// [`SimCluster::partition_localities`].
+    fn plan_solve(&mut self, locality: &BTreeMap<PartitionId, f64>) -> SolvePlan {
+        let tables: Vec<BTreeMap<PartitionId, (f64, f64, f64)>> = self
+            .groups
             .iter()
-            .map(
-                |g| {
-                    if g.active {
-                        g.per_partition_rates().into_iter().collect()
-                    } else {
-                        Vec::new()
-                    }
-                },
-            )
-            .collect()
+            .map(|g| if g.active { g.per_partition_rates() } else { BTreeMap::new() })
+            .collect();
+        let mut pids: Vec<PartitionId> = tables.iter().flat_map(|t| t.keys().copied()).collect();
+        pids.sort_unstable();
+        pids.dedup();
+        // Every id below comes out of `tables`, so the searches succeed; a
+        // miss would only drop the row.
+        let index = |p: PartitionId| pids.binary_search(&p).ok();
+        let rates = tables
+            .iter()
+            .map(|t| t.iter().filter_map(|(p, &(r, w, s))| Some((index(*p)?, r, w, s))).collect())
+            .collect();
+        let weights = self
+            .groups
+            .iter()
+            .map(|g| {
+                let resolve = |list: &[(PartitionId, f64)]| -> Vec<(usize, f64)> {
+                    let list = if g.active { list } else { &[] };
+                    list.iter().filter_map(|&(p, w)| Some((index(p)?, w))).collect()
+                };
+                [resolve(&g.read_weights), resolve(&g.write_weights), resolve(&g.scan_weights)]
+            })
+            .collect();
+
+        for (shard, sc) in self.scratch.iter_mut().enumerate().take(self.layout.shards) {
+            let members = self.layout.members_of(shard, &self.layout.ids).len();
+            sc.slots.resize_with(members, ServerSlot::default);
+            for slot in &mut sc.slots {
+                slot.demands.clear();
+                slot.index.clear();
+            }
+        }
+        // Ascending partition order, so each slot's demands come out
+        // ascending too. Unassigned partitions get no demand anywhere:
+        // their clients pay the unavailability penalty.
+        for (pi, p) in pids.iter().enumerate() {
+            let Some(sid) = self.assignment.get(p) else { continue };
+            let (Some(part), Some(&locality)) = (self.partitions.get(p), locality.get(p)) else {
+                continue;
+            };
+            let Some((shard, pos)) = self.layout.locate(*sid) else { continue };
+            let Some(slot) = self.scratch.get_mut(shard).and_then(|sc| sc.slots.get_mut(pos))
+            else {
+                continue;
+            };
+            slot.index.push(pi);
+            slot.demands.push(PartitionDemand {
+                partition: *p,
+                read_rps: 0.0,
+                write_rps: 0.0,
+                scan_rps: 0.0,
+                scan_rows: 1.0,
+                record_bytes: part.record_bytes,
+                data_bytes: part.size_bytes,
+                hot_set_fraction: part.hot_set_fraction,
+                hot_ops_fraction: part.hot_ops_fraction,
+                locality,
+                unavailable: part.moving_until.map(|t| t > self.now).unwrap_or(false),
+                write_cpu_factor: 1.0,
+            });
+        }
+        SolvePlan { pids, rates, weights }
     }
 
-    /// Builds the per-server demand vectors for a given group-throughput
-    /// estimate. Returns `(server → (partition list, demand list))` plus the
-    /// set of unavailable partitions. `locality` is the per-tick table from
-    /// [`SimCluster::partition_localities`].
-    fn build_demands(
-        &self,
-        group_x: &[f64],
-        locality: &BTreeMap<PartitionId, f64>,
-        group_rates: &[GroupRateTable],
-    ) -> BTreeMap<ServerId, Vec<PartitionDemand>> {
-        let mut rates: BTreeMap<PartitionId, (f64, f64, f64, f64, f64)> = BTreeMap::new();
-        for (gi, g) in self.groups.iter().enumerate() {
-            if !g.active {
-                continue;
-            }
-            let x = group_x[gi];
-            for &(p, (r, w, s)) in &group_rates[gi] {
-                let e = rates.entry(p).or_insert((0.0, 0.0, 0.0, 0.0, 1.0));
+    /// Per-partition offered load for a group-throughput estimate `x`,
+    /// into `loads` (one entry per plan index).
+    fn partition_loads(&self, plan: &SolvePlan, x: &[f64], loads: &mut [PartitionLoad]) {
+        loads.fill((0.0, 0.0, 0.0, 0.0, 1.0));
+        for ((g, rows), x) in self.groups.iter().zip(&plan.rates).zip(x) {
+            for &(pi, r, w, s) in rows {
+                let Some(e) = loads.get_mut(pi) else { continue };
                 e.0 += x * r;
                 let write_rate = x * w;
                 // Write-rate-weighted batching factor across groups.
@@ -1560,36 +1703,15 @@ impl SimCluster {
                 e.2 += scan_rate;
             }
         }
-        let mut by_server: BTreeMap<ServerId, Vec<PartitionDemand>> = BTreeMap::new();
-        for (p, (r, w, s, rows, wf)) in rates {
-            let Some(sid) = self.assignment.get(&p) else { continue };
-            let part = &self.partitions[&p];
-            let locality =
-                locality.get(&p).copied().expect("locality precomputed for assigned partition");
-            let unavailable = part.moving_until.map(|t| t > self.now).unwrap_or(false);
-            by_server.entry(*sid).or_default().push(PartitionDemand {
-                partition: p,
-                read_rps: r,
-                write_rps: w,
-                scan_rps: s,
-                scan_rows: rows.max(1.0),
-                record_bytes: part.record_bytes,
-                data_bytes: part.size_bytes,
-                hot_set_fraction: part.hot_set_fraction,
-                hot_ops_fraction: part.hot_ops_fraction,
-                locality,
-                unavailable,
-                write_cpu_factor: wf,
-            });
-        }
-        by_server
     }
 
-    /// Damped fixed-point solve of the closed-loop equilibrium.
+    /// Damped fixed-point solve of the closed-loop equilibrium. Per-server
+    /// results stay in the shards' [`ServerSlot`]s for `step()` to publish:
+    /// `settled` (the last iteration's evaluation) and `mixture` (the
+    /// reporting pass's response-time distribution).
     fn solve_equilibrium(&mut self) -> Equilibrium {
         let _solver_span = wallspan::span("sim.solver");
         self.refresh_layout();
-        let n = self.groups.len();
         let mut x: Vec<f64> = self
             .group_x
             .iter()
@@ -1605,7 +1727,6 @@ impl SimCluster {
             })
             .collect();
 
-        let mut server_evals: BTreeMap<ServerId, ServerEval> = BTreeMap::new();
         let mut avg: Vec<f64> = vec![0.0; x.len()];
         let mut group_r_ms: Vec<f64> = vec![0.0; x.len()];
         // Locality does not change during the solve: compute the table once
@@ -1614,94 +1735,82 @@ impl SimCluster {
             let _s = wallspan::span("sim.locality");
             self.partition_localities()
         };
-        let group_rates = self.group_rate_tables();
+        let plan = self.plan_solve(&localities);
         let shards = self.layout.shards;
-        let mut response: BTreeMap<PartitionId, (f64, f64, f64)> = BTreeMap::new();
+        let mut loads: Vec<PartitionLoad> = vec![(0.0, 0.0, 0.0, 0.0, 1.0); plan.pids.len()];
+        // `None`: no server answers for the partition (unassigned).
+        let mut response: Vec<Option<(f64, f64, f64)>> = vec![None; plan.pids.len()];
+        let pen = self.params.unavailable_penalty_ms;
+        let fleet: Vec<(&ServerId, &SimServer)> = self.servers.iter().collect();
         for iter in 0..SOLVER_ITERS {
             // Heavier damping once roughly settled, to kill limit cycles.
             let damping = if iter < SOLVER_ITERS / 2 { 0.35 } else { 0.15 };
-            let demands = {
+            {
                 let _s = wallspan::span("solver.demands");
-                self.build_demands(&x, &localities, &group_rates)
-            };
-            server_evals.clear();
+                self.partition_loads(&plan, &x, &mut loads);
+            }
             // Evaluate each server under the current demand — independent
-            // per server. Each shard runs its ID-contiguous slice of the
-            // demand list into its resident scratch; the combine below
-            // walks shards in order, which *is* server-ID order.
-            let entries: Vec<(&ServerId, &Vec<PartitionDemand>)> = demands.iter().collect();
-            let ranges = self.layout.item_ranges(entries.iter().map(|(sid, _)| **sid));
-            let params = &self.params;
-            let servers = &self.servers;
+            // per server. Each shard runs its resident slots; the combine
+            // below walks shards in order, which *is* server-ID order.
+            let (params, layout, loads_ref) = (&self.params, &self.layout, &loads);
             let fanout_span = wallspan::span("solver.fanout");
             let span_ctx = wallspan::current_context();
-            let entries_ref = &entries;
-            let ranges_ref = &ranges;
             simcore::par::for_each_shard(&mut self.scratch[..shards], |shard, sc| {
-                sc.evals.clear();
-                sc.responses.clear();
-                for (sid, parts) in &entries_ref[ranges_ref[shard].clone()] {
-                    let _eval_span = span_ctx.child_shard("solver.evaluate", sid.0);
-                    let server = &servers[*sid];
-                    if server.state != ServerState::Online {
-                        let pen = params.unavailable_penalty_ms;
-                        sc.responses.extend(parts.iter().map(|d| (d.partition, (pen, pen, pen))));
+                for (slot, (sid, server)) in
+                    sc.slots.iter_mut().zip(layout.members_of(shard, &fleet))
+                {
+                    if slot.demands.is_empty() {
                         continue;
                     }
-                    let background = if server.compaction_backlog.is_empty() {
-                        0.0
-                    } else {
-                        params.compact_mb_s
-                    };
-                    let eval =
-                        evaluate_server(params, &server.config, server.warmth, background, parts);
-                    let (icpu, idisk, ihandler) =
-                        inflation_factors(params, &server.config, parts, &eval);
-                    sc.responses.extend(parts.iter().zip(&eval.per_partition).map(|(d, t)| {
+                    let _eval_span = span_ctx.child_shard("solver.evaluate", sid.0);
+                    slot.responses.clear();
+                    if server.state != ServerState::Online {
+                        slot.responses.resize(slot.demands.len(), (pen, pen, pen));
+                        continue;
+                    }
+                    let (icpu, idisk, ihandler) = slot.evaluate(params, server, loads_ref);
+                    let times = slot.demands.iter().zip(&slot.eval.per_partition);
+                    slot.responses.extend(times.map(|(d, t)| {
                         let base = (
                             (t.read.0 * icpu + t.read.1 * idisk) * ihandler,
                             (t.write.0 * icpu + t.write.1 * idisk) * ihandler + t.write_stall_ms,
                             (t.scan.0 * icpu + t.scan.1 * idisk) * ihandler,
                         );
-                        let pen = if d.unavailable { params.unavailable_penalty_ms } else { 0.0 };
-                        (d.partition, (base.0 + pen, base.1 + pen, base.2 + pen))
+                        let pen = if d.unavailable { pen } else { 0.0 };
+                        (base.0 + pen, base.1 + pen, base.2 + pen)
                     }));
-                    sc.evals.push((**sid, eval));
                 }
             });
             drop(fanout_span);
             // Covers the shard-order (= ID-order) combine and the
             // group-throughput update to the end of the iteration.
             let _merge_span = wallspan::span("solver.merge");
-            response.clear();
-            for sc in &mut self.scratch[..shards] {
-                for &(p, r) in &sc.responses {
-                    response.insert(p, r);
-                }
-                for (sid, eval) in sc.evals.drain(..) {
-                    server_evals.insert(sid, eval);
+            for slot in self.scratch[..shards].iter().flat_map(|sc| &sc.slots) {
+                for (pi, r) in slot.index.iter().zip(&slot.responses) {
+                    if let Some(e) = response.get_mut(*pi) {
+                        *e = Some(*r);
+                    }
                 }
             }
 
             // Update each group's throughput.
-            for (gi, g) in self.groups.iter().enumerate() {
+            let answer = |pi: usize| response.get(pi).copied().flatten().unwrap_or((pen, pen, pen));
+            for (gi, (g, [reads, writes, scans])) in
+                self.groups.iter().zip(&plan.weights).enumerate()
+            {
                 if !g.active {
                     x[gi] = 0.0;
                     continue;
                 }
                 let mut r_ms = g.think_ms;
-                let pen = self.params.unavailable_penalty_ms;
-                for &(p, w) in &g.read_weights {
-                    let (rr, _, _) = response.get(&p).copied().unwrap_or((pen, pen, pen));
-                    r_ms += g.mix.read * w * rr;
+                for &(pi, w) in reads {
+                    r_ms += g.mix.read * w * answer(pi).0;
                 }
-                for &(p, w) in &g.write_weights {
-                    let (_, rw, _) = response.get(&p).copied().unwrap_or((pen, pen, pen));
-                    r_ms += g.mix.write * w * rw;
+                for &(pi, w) in writes {
+                    r_ms += g.mix.write * w * answer(pi).1;
                 }
-                for &(p, w) in &g.scan_weights {
-                    let (_, _, rs) = response.get(&p).copied().unwrap_or((pen, pen, pen));
-                    r_ms += g.mix.scan * w * rs;
+                for &(pi, w) in scans {
+                    r_ms += g.mix.scan * w * answer(pi).2;
                 }
                 group_r_ms[gi] = r_ms;
                 let mut target = g.threads / (r_ms / 1_000.0);
@@ -1717,55 +1826,29 @@ impl SimCluster {
             }
         }
         let x = avg;
-        for (gi, v) in x.iter().enumerate().take(n) {
-            self.group_x[gi] = *v;
-        }
+        self.group_x.clone_from(&x);
         // Reporting pass at the settled equilibrium: one more per-server
-        // evaluation at the cycle-averaged rates to build each server's
-        // response-time mixture. Nothing here feeds back into `x`, so
-        // group throughputs are exactly what they were without it.
+        // evaluation at the cycle-averaged rates to build each online
+        // server's response-time mixture. Nothing here feeds back into `x`,
+        // so group throughputs are exactly what they were without it. The
+        // utilisation `step()` publishes is the *last iteration's*, not
+        // this pass's: park it in `settled` before `eval` is overwritten.
         let _latency_span = wallspan::span("sim.latency");
-        let demands = self.build_demands(&x, &localities, &group_rates);
-        let entries: Vec<(&ServerId, &Vec<PartitionDemand>)> = demands.iter().collect();
-        let ranges = self.layout.item_ranges(entries.iter().map(|(sid, _)| **sid));
-        let params = &self.params;
-        let servers = &self.servers;
+        self.partition_loads(&plan, &x, &mut loads);
+        let (params, layout, loads_ref) = (&self.params, &self.layout, &loads);
         let span_ctx = wallspan::current_context();
-        let entries_ref = &entries;
-        let ranges_ref = &ranges;
         simcore::par::for_each_shard(&mut self.scratch[..shards], |shard, sc| {
-            sc.latencies.clear();
-            for (sid, parts) in &entries_ref[ranges_ref[shard].clone()] {
+            for (slot, (sid, server)) in sc.slots.iter_mut().zip(layout.members_of(shard, &fleet)) {
+                if slot.demands.is_empty() || server.state != ServerState::Online {
+                    continue;
+                }
                 let _eval_span = span_ctx.child_shard("latency.evaluate", sid.0);
-                let server = &servers[*sid];
-                let summary = if server.state != ServerState::Online {
-                    // Clients still routed here block and retry.
-                    let mut mix = LatencyMixture::new();
-                    let rate: f64 =
-                        parts.iter().map(|d| d.read_rps + d.write_rps + d.scan_rps).sum();
-                    mix.push(rate, params.unavailable_penalty_ms);
-                    mix.summary()
-                } else {
-                    let background = if server.compaction_backlog.is_empty() {
-                        0.0
-                    } else {
-                        params.compact_mb_s
-                    };
-                    let eval =
-                        evaluate_server(params, &server.config, server.warmth, background, parts);
-                    let inflations = inflation_factors(params, &server.config, parts, &eval);
-                    server_mixture(params, parts, &eval, inflations).summary()
-                };
-                sc.latencies.push((**sid, summary));
+                std::mem::swap(&mut slot.eval, &mut slot.settled);
+                let inflations = slot.evaluate(params, server, loads_ref);
+                server_mixture(params, &slot.demands, &slot.eval, inflations, &mut slot.mixture);
             }
         });
-        let mut server_latency: BTreeMap<ServerId, LatencySummary> = BTreeMap::new();
-        for sc in &mut self.scratch[..shards] {
-            for (sid, lat) in sc.latencies.drain(..) {
-                server_latency.insert(sid, lat);
-            }
-        }
-        Equilibrium { group_x: x, group_r_ms, server_evals, server_latency }
+        Equilibrium { group_x: x, group_r_ms, plan }
     }
 }
 
@@ -1807,8 +1890,9 @@ fn server_mixture(
     parts: &[PartitionDemand],
     eval: &ServerEval,
     (icpu, idisk, ihandler): (f64, f64, f64),
-) -> LatencyMixture {
-    let mut mix = LatencyMixture::new();
+    mix: &mut LatencyMixture,
+) {
+    mix.clear();
     for (d, t) in parts.iter().zip(&eval.per_partition) {
         let pen = if d.unavailable { params.unavailable_penalty_ms } else { 0.0 };
         let miss = 1.0 - t.hit_ratio;
@@ -1832,14 +1916,14 @@ fn server_mixture(
             );
         }
     }
-    mix
 }
 
+/// What a solve hands `step()`; the per-server half stays in the shards'
+/// [`ServerSlot`]s.
 struct Equilibrium {
     group_x: Vec<f64>,
     group_r_ms: Vec<f64>,
-    server_evals: BTreeMap<ServerId, ServerEval>,
-    server_latency: BTreeMap<ServerId, LatencySummary>,
+    plan: SolvePlan,
 }
 
 impl ElasticCluster for SimCluster {
@@ -1879,7 +1963,7 @@ impl ElasticCluster for SimCluster {
                     io_wait: s.last_io,
                     mem_util: s.last_mem,
                     requests_per_sec: s.last_rps,
-                    p99_latency_ms: s.last_latency.p99_ms,
+                    p99_latency_ms: s.last_p99_ms,
                     locality,
                     partitions: parts,
                     config: s.config.clone(),
@@ -2006,23 +2090,8 @@ impl ElasticCluster for SimCluster {
         } else {
             ServerState::Provisioning { until: self.now + delay }
         };
-        self.servers.insert(
-            id,
-            SimServer {
-                config,
-                state,
-                warmth: 0.05,
-                rng: self.rng_streams.fork(&format!("server-{}", id.0)),
-                compaction_backlog: VecDeque::new(),
-                last_cpu: 0.0,
-                last_io: 0.0,
-                last_mem: 0.0,
-                last_rps: 0.0,
-                last_latency: LatencySummary::default(),
-                cache_hits: 0,
-                cache_misses: 0,
-            },
-        );
+        let rng = self.rng_streams.fork(&format!("server-{}", id.0));
+        self.servers.insert(id, SimServer::new(id, config, state, 0.05, rng));
         self.namenode.add_datanode(DataNodeId(id.0));
         Ok(id)
     }
@@ -2058,6 +2127,416 @@ impl ElasticCluster for SimCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The map-based solver as it stood before the dense plan: every
+    /// iteration rebuilds `BTreeMap<PartitionId, rates>` and
+    /// `BTreeMap<ServerId, Vec<PartitionDemand>>`, evaluates through the
+    /// allocating model ([`crate::model::oracle`]) and answers weight
+    /// look-ups through a map-typed `response`. Sequential — which is what
+    /// the sharded original reduced to, its combine walking shards in
+    /// server-ID order. Test-only reference the dense solver is held to bit
+    /// for bit; it reads the cluster and writes nothing.
+    mod oracle {
+        use super::super::*;
+        use crate::latency::LatencySummary;
+        use crate::model::oracle::evaluate_server;
+
+        type GroupRateTable = Vec<(PartitionId, (f64, f64, f64))>;
+
+        pub(super) struct Equilibrium {
+            pub group_x: Vec<f64>,
+            pub group_r_ms: Vec<f64>,
+            pub server_evals: BTreeMap<ServerId, ServerEval>,
+            pub server_latency: BTreeMap<ServerId, LatencySummary>,
+        }
+
+        fn mixture_of(
+            params: &CostParams,
+            parts: &[PartitionDemand],
+            eval: &ServerEval,
+            inflations: (f64, f64, f64),
+        ) -> LatencyMixture {
+            let mut mix = LatencyMixture::new();
+            server_mixture(params, parts, eval, inflations, &mut mix);
+            mix
+        }
+
+        impl SimCluster {
+            fn group_rate_tables(&self) -> Vec<GroupRateTable> {
+                self.groups
+                    .iter()
+                    .map(|g| {
+                        if g.active {
+                            g.per_partition_rates().into_iter().collect()
+                        } else {
+                            Vec::new()
+                        }
+                    })
+                    .collect()
+            }
+
+            fn build_demands(
+                &self,
+                group_x: &[f64],
+                locality: &BTreeMap<PartitionId, f64>,
+                group_rates: &[GroupRateTable],
+            ) -> BTreeMap<ServerId, Vec<PartitionDemand>> {
+                let mut rates: BTreeMap<PartitionId, (f64, f64, f64, f64, f64)> = BTreeMap::new();
+                for (gi, g) in self.groups.iter().enumerate() {
+                    if !g.active {
+                        continue;
+                    }
+                    let x = group_x[gi];
+                    for &(p, (r, w, s)) in &group_rates[gi] {
+                        let e = rates.entry(p).or_insert((0.0, 0.0, 0.0, 0.0, 1.0));
+                        e.0 += x * r;
+                        let write_rate = x * w;
+                        // Write-rate-weighted batching factor across groups.
+                        e.4 = if e.1 + write_rate > 0.0 {
+                            (e.4 * e.1 + g.write_cpu_factor * write_rate) / (e.1 + write_rate)
+                        } else {
+                            e.4
+                        };
+                        e.1 += write_rate;
+                        let scan_rate = x * s;
+                        // Weighted average scan length across groups.
+                        e.3 = if e.2 + scan_rate > 0.0 {
+                            (e.3 * e.2 + g.scan_rows * scan_rate) / (e.2 + scan_rate)
+                        } else {
+                            e.3
+                        };
+                        e.2 += scan_rate;
+                    }
+                }
+                let mut by_server: BTreeMap<ServerId, Vec<PartitionDemand>> = BTreeMap::new();
+                for (p, (r, w, s, rows, wf)) in rates {
+                    let Some(sid) = self.assignment.get(&p) else { continue };
+                    let part = &self.partitions[&p];
+                    let locality = locality
+                        .get(&p)
+                        .copied()
+                        .expect("locality precomputed for assigned partition");
+                    let unavailable = part.moving_until.map(|t| t > self.now).unwrap_or(false);
+                    by_server.entry(*sid).or_default().push(PartitionDemand {
+                        partition: p,
+                        read_rps: r,
+                        write_rps: w,
+                        scan_rps: s,
+                        scan_rows: rows.max(1.0),
+                        record_bytes: part.record_bytes,
+                        data_bytes: part.size_bytes,
+                        hot_set_fraction: part.hot_set_fraction,
+                        hot_ops_fraction: part.hot_ops_fraction,
+                        locality,
+                        unavailable,
+                        write_cpu_factor: wf,
+                    });
+                }
+                by_server
+            }
+
+            pub(super) fn solve_equilibrium_oracle(&self) -> Equilibrium {
+                let mut x: Vec<f64> = self
+                    .group_x
+                    .iter()
+                    .zip(&self.groups)
+                    .map(|(prev, g)| {
+                        if !g.active {
+                            0.0
+                        } else if *prev > 0.0 {
+                            *prev
+                        } else {
+                            g.threads * 50.0
+                        }
+                    })
+                    .collect();
+                let mut server_evals: BTreeMap<ServerId, ServerEval> = BTreeMap::new();
+                let mut avg: Vec<f64> = vec![0.0; x.len()];
+                let mut group_r_ms: Vec<f64> = vec![0.0; x.len()];
+                let localities = self.partition_localities();
+                let group_rates = self.group_rate_tables();
+                let params = &self.params;
+                let mut response: BTreeMap<PartitionId, (f64, f64, f64)> = BTreeMap::new();
+                for iter in 0..SOLVER_ITERS {
+                    let damping = if iter < SOLVER_ITERS / 2 { 0.35 } else { 0.15 };
+                    let demands = self.build_demands(&x, &localities, &group_rates);
+                    server_evals.clear();
+                    response.clear();
+                    for (sid, parts) in &demands {
+                        let server = &self.servers[sid];
+                        if server.state != ServerState::Online {
+                            let pen = params.unavailable_penalty_ms;
+                            response.extend(parts.iter().map(|d| (d.partition, (pen, pen, pen))));
+                            continue;
+                        }
+                        let background = if server.compaction_backlog.is_empty() {
+                            0.0
+                        } else {
+                            params.compact_mb_s
+                        };
+                        let eval = evaluate_server(
+                            params,
+                            &server.config,
+                            server.warmth,
+                            background,
+                            parts,
+                        );
+                        let (icpu, idisk, ihandler) =
+                            inflation_factors(params, &server.config, parts, &eval);
+                        response.extend(parts.iter().zip(&eval.per_partition).map(|(d, t)| {
+                            let base = (
+                                (t.read.0 * icpu + t.read.1 * idisk) * ihandler,
+                                (t.write.0 * icpu + t.write.1 * idisk) * ihandler
+                                    + t.write_stall_ms,
+                                (t.scan.0 * icpu + t.scan.1 * idisk) * ihandler,
+                            );
+                            let pen =
+                                if d.unavailable { params.unavailable_penalty_ms } else { 0.0 };
+                            (d.partition, (base.0 + pen, base.1 + pen, base.2 + pen))
+                        }));
+                        server_evals.insert(*sid, eval);
+                    }
+
+                    for (gi, g) in self.groups.iter().enumerate() {
+                        if !g.active {
+                            x[gi] = 0.0;
+                            continue;
+                        }
+                        let mut r_ms = g.think_ms;
+                        let pen = self.params.unavailable_penalty_ms;
+                        for &(p, w) in &g.read_weights {
+                            let (rr, _, _) = response.get(&p).copied().unwrap_or((pen, pen, pen));
+                            r_ms += g.mix.read * w * rr;
+                        }
+                        for &(p, w) in &g.write_weights {
+                            let (_, rw, _) = response.get(&p).copied().unwrap_or((pen, pen, pen));
+                            r_ms += g.mix.write * w * rw;
+                        }
+                        for &(p, w) in &g.scan_weights {
+                            let (_, _, rs) = response.get(&p).copied().unwrap_or((pen, pen, pen));
+                            r_ms += g.mix.scan * w * rs;
+                        }
+                        group_r_ms[gi] = r_ms;
+                        let mut target = g.threads / (r_ms / 1_000.0);
+                        if let Some(cap) = g.target_rate {
+                            target = target.min(cap);
+                        }
+                        x[gi] = (1.0 - damping) * x[gi] + damping * target;
+                    }
+                    if iter >= SOLVER_ITERS - SOLVER_AVG_WINDOW {
+                        for (a, v) in avg.iter_mut().zip(&x) {
+                            *a += v / SOLVER_AVG_WINDOW as f64;
+                        }
+                    }
+                }
+                let x = avg;
+                // Reporting pass at the cycle-averaged rates.
+                let demands = self.build_demands(&x, &localities, &group_rates);
+                let mut server_latency: BTreeMap<ServerId, LatencySummary> = BTreeMap::new();
+                for (sid, parts) in &demands {
+                    let server = &self.servers[sid];
+                    let summary = if server.state != ServerState::Online {
+                        let mut mix = LatencyMixture::new();
+                        let rate: f64 =
+                            parts.iter().map(|d| d.read_rps + d.write_rps + d.scan_rps).sum();
+                        mix.push(rate, params.unavailable_penalty_ms);
+                        mix.summary()
+                    } else {
+                        let background = if server.compaction_backlog.is_empty() {
+                            0.0
+                        } else {
+                            params.compact_mb_s
+                        };
+                        let eval = evaluate_server(
+                            params,
+                            &server.config,
+                            server.warmth,
+                            background,
+                            parts,
+                        );
+                        let inflations = inflation_factors(params, &server.config, parts, &eval);
+                        mixture_of(params, parts, &eval, inflations).summary()
+                    };
+                    server_latency.insert(*sid, summary);
+                }
+                Equilibrium { group_x: x, group_r_ms, server_evals, server_latency }
+            }
+        }
+    }
+
+    fn eval_bits(e: &ServerEval) -> Vec<u64> {
+        let mut bits = vec![e.rho_cpu, e.rho_disk, e.mem_util, e.total_rps];
+        for t in &e.per_partition {
+            bits.extend([t.read.0, t.read.1, t.write.0, t.write.1, t.scan.0, t.scan.1]);
+            bits.extend([t.write_stall_ms, t.hit_ratio, t.scan_hit_ratio]);
+        }
+        bits.into_iter().map(f64::to_bits).collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Solves the cluster's current state with the oracle and with the
+    /// dense solver and holds every published float of the second to the
+    /// first. Leaves the warm start as it found it, so calling this between
+    /// ticks does not move the trajectory.
+    fn assert_dense_solve_matches_oracle(sim: &mut SimCluster) {
+        let warm_start = sim.group_x.clone();
+        let want = sim.solve_equilibrium_oracle();
+        let got = sim.solve_equilibrium();
+        sim.group_x = warm_start;
+        assert_eq!(bits(&got.group_x), bits(&want.group_x), "group_x");
+        assert_eq!(bits(&got.group_r_ms), bits(&want.group_r_ms), "group_r_ms");
+        let fleet: Vec<(&ServerId, &SimServer)> = sim.servers.iter().collect();
+        let mut evals = 0;
+        for (shard, sc) in sim.scratch.iter().enumerate().take(sim.layout.shards) {
+            for (slot, (sid, server)) in sc.slots.iter().zip(sim.layout.members_of(shard, &fleet)) {
+                if slot.demands.is_empty() || server.state != ServerState::Online {
+                    assert!(!want.server_evals.contains_key(sid), "{sid}: oracle-only eval");
+                    continue;
+                }
+                evals += 1;
+                assert_eq!(eval_bits(&slot.settled), eval_bits(&want.server_evals[sid]), "{sid}");
+                let (lat, want_lat) = (slot.mixture.summary(), want.server_latency[sid]);
+                assert_eq!(
+                    bits(&[lat.mean_ms, lat.p50_ms, lat.p95_ms, lat.p99_ms]),
+                    bits(&[want_lat.mean_ms, want_lat.p50_ms, want_lat.p95_ms, want_lat.p99_ms]),
+                    "{sid} latency"
+                );
+            }
+        }
+        assert_eq!(evals, want.server_evals.len(), "dense solver skipped a server");
+    }
+
+    /// A random multi-tenant cluster: heterogeneous server profiles, some
+    /// partitions unassigned, TPC-C-shaped groups (read, write, scan and
+    /// insert weights over different partition subsets), an inactive
+    /// group, a rate cap, auto-split on.
+    fn random_topology(seed: u64, servers: usize, partitions: usize, groups: usize) -> SimCluster {
+        let mut rng = SimRng::new(seed).derive("dense-solver-proptest");
+        let mut sim = SimCluster::new(CostParams::default(), seed);
+        for i in 0..servers {
+            let mut config = StoreConfig::default_homogeneous();
+            match i % 3 {
+                1 => (config.block_cache_fraction, config.memstore_fraction) = (0.55, 0.10),
+                2 => (config.block_cache_fraction, config.memstore_fraction) = (0.10, 0.55),
+                _ => {}
+            }
+            config.block_size = [32, 64, 128][rng.next_below(3) as usize] * 1024;
+            sim.add_server_immediate(config);
+        }
+        let parts: Vec<PartitionId> = (0..partitions)
+            .map(|_| {
+                sim.create_partition(PartitionSpec {
+                    table: "t".into(),
+                    size_bytes: 0.2e9 + rng.next_f64() * 2.5e9,
+                    record_bytes: 100.0 + rng.next_f64() * 2_000.0,
+                    hot_set_fraction: 0.05 + rng.next_f64() * 0.9,
+                    hot_ops_fraction: 0.3 + rng.next_f64() * 0.7,
+                })
+            })
+            .collect();
+        let online = sim.online_server_ids();
+        for p in &parts {
+            // Roughly one partition in six stays unassigned.
+            if rng.next_below(6) > 0 {
+                let sid = online[rng.next_below(online.len() as u64) as usize];
+                sim.assign_partition(*p, sid).unwrap();
+            }
+        }
+        let subset = |rng: &mut SimRng| -> Vec<(PartitionId, f64)> {
+            let mut chosen: Vec<PartitionId> =
+                parts.iter().copied().filter(|_| rng.next_below(3) == 0).collect();
+            if chosen.is_empty() {
+                chosen.push(parts[rng.next_below(parts.len() as u64) as usize]);
+            }
+            let raw: Vec<f64> = chosen.iter().map(|_| 0.1 + rng.next_f64()).collect();
+            let total: f64 = raw.iter().sum();
+            chosen.into_iter().zip(raw).map(|(p, w)| (p, w / total)).collect()
+        };
+        for gi in 0..groups {
+            let (read_weights, write_weights) = (subset(&mut rng), subset(&mut rng));
+            let (scan_weights, insert_weights) = (subset(&mut rng), subset(&mut rng));
+            sim.add_group(ClientGroup {
+                name: format!("g{gi}"),
+                threads: 5.0 + rng.next_f64() * 150.0,
+                think_ms: 0.2 + rng.next_f64() * 3.0,
+                target_rate: (gi == 1).then_some(900.0),
+                mix: OpMix::new(rng.next_f64() * 3.0, rng.next_f64() * 2.0, rng.next_f64() * 0.3),
+                read_weights,
+                write_weights,
+                scan_weights,
+                scan_rows: 1.0 + rng.next_f64() * 80.0,
+                insert_fraction: rng.next_f64(),
+                insert_weights,
+                write_cpu_factor: 0.2 + rng.next_f64() * 0.8,
+                active: gi != 2,
+            });
+        }
+        sim.set_auto_split(Some(2.4e9));
+        sim
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// The dense solver against the map-based oracle on the same state,
+        /// every tick, while the topology churns underneath: a move
+        /// (partitions mid-outage), a compaction backlog, a restarting and
+        /// a crashed server, groups switching on and off, auto-splits — at
+        /// one thread and at two, whose runs must also agree with each
+        /// other.
+        #[test]
+        fn dense_solver_matches_the_map_based_oracle(
+            seed in proptest::any::<u64>(),
+            servers in 1usize..9,
+            partitions in 1usize..25,
+            groups in 1usize..5,
+        ) {
+            let run = |threads: usize| {
+                let mut sim = random_topology(seed, servers, partitions, groups);
+                sim.set_threads(threads);
+                for tick in 0..36 {
+                    let online = sim.online_server_ids();
+                    let assigned: Vec<PartitionId> = sim.assignment.keys().copied().collect();
+                    let pick = |k: usize| assigned.get(k % assigned.len().max(1)).copied();
+                    match tick {
+                        4 => {
+                            if let (Some(p), Some(to)) = (pick(1), online.last()) {
+                                sim.move_partition(p, *to).unwrap();
+                            }
+                        }
+                        6 => {
+                            if let Some(p) = pick(2) {
+                                let _ = sim.major_compact(p);
+                            }
+                        }
+                        9 if online.len() >= 2 => {
+                            let config = sim.servers[&online[0]].config.clone();
+                            sim.restart_server(online[0], config).unwrap();
+                        }
+                        12 if online.len() >= 3 => {
+                            sim.crash_server(online[1]);
+                        }
+                        15 => sim.set_group_active("g2", true),
+                        20 => sim.set_group_active("g0", false),
+                        24 => {
+                            if let (Some(p), Some(to)) = (pick(3), online.first()) {
+                                sim.move_partition(p, *to).unwrap();
+                            }
+                        }
+                        _ => {}
+                    }
+                    assert_dense_solve_matches_oracle(&mut sim);
+                    sim.step();
+                }
+                (sim.total_series().points().to_vec(), format!("{:?}", sim.snapshot()))
+            };
+            let (one, two) = (run(1), run(2));
+            proptest::prop_assert_eq!(one, two, "1 and 2 threads diverged");
+        }
+    }
 
     fn basic_cluster(servers: usize, seed: u64) -> (SimCluster, Vec<PartitionId>) {
         let mut sim = SimCluster::new(CostParams::default(), seed);

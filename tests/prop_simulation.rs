@@ -148,3 +148,118 @@ proptest! {
         prop_assert!(weighted >= total as f64 - 1e-6, "writers lost locality");
     }
 }
+
+/// FNV-1a over `u64` words, byte by byte (little endian).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn float(&mut self, v: f64) {
+        self.word(v.to_bits());
+    }
+
+    fn series(&mut self, s: &simcore::timeseries::TimeSeries) {
+        self.word(s.points().len() as u64);
+        for (t, v) in s.points() {
+            self.word(t.as_millis());
+            self.float(*v);
+        }
+    }
+}
+
+/// Figure 4's first ten minutes: the six-tenant YCSB scenario on five
+/// Random-Homogeneous servers, MeT (scaling off) attached at tick 120.
+/// Digests every float the simulation publishes — `total_series`, each
+/// group's throughput and latency series, the final snapshot — and, when
+/// telemetry is on, the registry's per-server and per-profile p99
+/// histograms (the only consumers of the latency digest's mean/p50/p95
+/// besides the gauges live beside them).
+fn control_loop_digest(telemetry: telemetry::Telemetry) -> u64 {
+    let mut scenario = met_bench::scenario::ycsb_scenario(1000);
+    baselines::build_random_homogeneous(&mut scenario.sim, 5);
+    scenario.start_clients();
+    scenario.sim.set_telemetry(telemetry.clone());
+    let cfg = met::MetConfig { allow_scaling: false, ..met::MetConfig::default() };
+    let mut met =
+        met::Met::with_telemetry(cfg, StoreConfig::default_homogeneous(), telemetry.clone());
+    let sim = &mut scenario.sim;
+    for tick in 0..600 {
+        sim.step();
+        if tick >= 120 {
+            met.tick(sim);
+        }
+    }
+
+    let mut h = Fnv::new();
+    h.series(sim.total_series());
+    for d in &scenario.deployments {
+        let name = d.client_group().name;
+        h.series(sim.group_throughput(&name).expect("group series"));
+        h.series(sim.group_latency_ms(&name).expect("latency series"));
+    }
+    let snap = sim.snapshot();
+    for s in &snap.servers {
+        h.word(s.server.0);
+        for v in
+            [s.cpu_util, s.io_wait, s.mem_util, s.requests_per_sec, s.p99_latency_ms, s.locality]
+        {
+            h.float(v);
+        }
+        h.word(s.partitions.len() as u64);
+    }
+    for p in &snap.partitions {
+        h.word(p.partition.0);
+        h.word(p.counters.reads);
+        h.word(p.counters.writes);
+        h.word(p.counters.scans);
+        h.word(p.size_bytes);
+        h.word(p.assigned_to.map_or(0, |s| s.0));
+        h.float(p.locality);
+    }
+    if telemetry.is_enabled() {
+        let metrics = telemetry.metrics();
+        for (key, value) in &metrics.gauges {
+            if key.name.starts_with("sim_latency_") {
+                h.float(*value);
+            }
+        }
+        for (key, s) in &metrics.histograms {
+            if matches!(
+                key.name.as_str(),
+                "sim_server_latency_ms" | "sim_server_p99_ms" | "sim_profile_p99_ms"
+            ) {
+                h.word(s.count);
+                for v in [s.sum, s.min, s.max, s.p50, s.p95, s.p99] {
+                    h.float(v);
+                }
+            }
+        }
+    }
+    h.0
+}
+
+/// Pinned at the commit before the dense solver landed: any change to the
+/// order of a float operation in `SimCluster::step` moves these.
+#[test]
+fn control_loop_bits_are_pinned_with_telemetry_off() {
+    assert_eq!(
+        control_loop_digest(telemetry::Telemetry::disabled()),
+        0xa653_1a58_d204_e05a,
+        "digest moved"
+    );
+}
+
+#[test]
+fn control_loop_bits_are_pinned_with_telemetry_on() {
+    let ring = telemetry::Telemetry::with_ring(telemetry::Verbosity::Debug, 1 << 12);
+    assert_eq!(control_loop_digest(ring), 0x6c04_5f1a_ac98_2e80, "digest moved");
+}
