@@ -23,7 +23,6 @@ want=$root/results
 got=$(mktemp -d "${TMPDIR:-/tmp}/check-results.XXXXXX")
 trap 'rm -rf "$got"' EXIT
 
-echo "check-results: skipping scale.json (wall-clock ticks/s and speed-ups)"
 echo "check-results: skipping crash.json (replayed_records depends on background-flusher timing with MET_CRASH_BG=1, see ROADMAP)"
 
 differ=()
@@ -34,7 +33,7 @@ for name in table1 fig1 fig4 fig5 fig6 table2 ablations chaos latency; do
         exit 2
     fi
     # The committed files come from the default environment: no trace, no
-    # fault plan, the engine's default thread count.
+    # fault plan.
     if ! (cd "$got" && env -u MET_TRACE -u MET_TRACE_LEVEL -u MET_FAULT_PLAN -u MET_PROFILE \
         MET_RESULTS_DIR="$got" "$exe" >"$got/$name.txt" 2>"$got/$name.stderr"); then
         echo "check-results: exp-$name exited non-zero:" >&2

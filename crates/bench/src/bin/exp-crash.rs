@@ -6,8 +6,7 @@
 //! Knobs: `MET_CRASH_OPS` (schedule length, default 150), `MET_CRASH_SEED`
 //! (schedule seed, default 42), `MET_CRASH_BG` (run every crashed store
 //! with the background maintenance pipeline on — same invariants, crashes
-//! now land mid-flush and mid-compaction), `MET_THREADS` (engine thread
-//! count — the sim leg must hold its invariants at any).
+//! now land mid-flush and mid-compaction).
 
 use met_bench::crash;
 use simcore::{FaultPlan, FaultSpec, ScheduledFault, SimTime};

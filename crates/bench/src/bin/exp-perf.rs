@@ -4,9 +4,8 @@
 //!
 //! Knobs (via [`simcore::config::EnvConfig`]; see the README's knob
 //! table): `MET_PERF_OPS`, `MET_PERF_TICKS`, `MET_PERF_WARMUP_TICKS`,
-//! `MET_PERF_REPS`, `MET_PERF_THREADS`, `MET_PERF_CLIENTS`,
-//! `MET_PERF_ASSERT_CLIENT_SPEEDUP`, `MET_PERF_ASSERT_WRITER_SPEEDUP`,
-//! `MET_PERF_COMMIT`, `MET_BENCH_PATH`.
+//! `MET_PERF_REPS`, `MET_PERF_CLIENTS`, `MET_PERF_ASSERT_CLIENT_SPEEDUP`,
+//! `MET_PERF_ASSERT_WRITER_SPEEDUP`, `MET_PERF_COMMIT`, `MET_BENCH_PATH`.
 
 use met_bench::perf::{self, PerfConfig, PerfRecord};
 use serde_json::Value;
@@ -79,15 +78,13 @@ fn main() {
         ticks: env.perf_ticks.unwrap_or(perf::DEFAULT_TICKS),
         warmup_ticks: env.perf_warmup_ticks.unwrap_or(perf::DEFAULT_WARMUP_TICKS),
         reps: env.perf_reps.unwrap_or(perf::DEFAULT_REPS),
-        par_threads: env.perf_threads.unwrap_or_else(|| PerfConfig::default().par_threads),
         clients: env.perf_clients.unwrap_or(perf::DEFAULT_CLIENTS),
     };
     let commit = commit_label(env);
     eprintln!(
-        "perf: {} ops x {} reps per store mix, {} ticks x {} reps per cluster leg \
-         (threads 1 and {}), {} client threads on the threaded store legs, \
-         commit {commit}...",
-        cfg.ops, cfg.reps, cfg.ticks, cfg.reps, cfg.par_threads, cfg.clients
+        "perf: {} ops x {} reps per store mix, {} ticks x {} reps for the cluster leg, \
+         {} client threads on the threaded store legs, commit {commit}...",
+        cfg.ops, cfg.reps, cfg.ticks, cfg.reps, cfg.clients
     );
 
     let records = perf::run_suite(&cfg);
@@ -125,8 +122,7 @@ fn main() {
 
     // The concurrent-engine gate: point-get at N clients must beat the
     // single-thread leg by the given factor. A wall-clock speedup needs
-    // real cores, so this is armed on multi-core CI, never by default
-    // (the same deal as MET_SCALE_ASSERT_SPEEDUP).
+    // real cores, so this is armed on multi-core CI, never by default.
     if let Some(min) = env.perf_assert_client_speedup {
         let rate = |threads: usize| {
             records

@@ -44,6 +44,9 @@ pub struct ChaosRun {
     pub scale_in_vetoes: u64,
     /// Faults the injector actually delivered.
     pub faults_injected: u64,
+    /// Final cluster snapshot, so determinism checks can compare end
+    /// states.
+    pub snapshot: ClusterSnapshot,
 }
 
 impl ChaosRun {
@@ -81,45 +84,29 @@ pub struct ChaosResult {
 /// minute 2, scaling disabled as in §6.2) with `plan`'s faults injected
 /// into both the cluster substrate and the control loop. An empty plan
 /// leaves the injector detached, reproducing the fault-free Fig-4 path
-/// byte for byte.
+/// byte for byte. A thin wrapper over the unified
+/// [`ScenarioSpec`](crate::ScenarioSpec) runner: the chaos experiment is
+/// exactly [`MetFixedFleet`](crate::ScenarioStrategy) plus a fault plan, a
+/// realistic 60 s provision delay (so a crash is a real outage rather than
+/// an instant swap) and per-tick layout tracking.
 pub fn run_chaos_curve(
     seed: u64,
     minutes: u64,
     plan: &FaultPlan,
     telemetry: Telemetry,
 ) -> ChaosRun {
-    run_chaos_curve_threads(seed, minutes, plan, telemetry, None).0
-}
-
-/// [`run_chaos_curve`] with an explicit simulation thread count (`None`
-/// keeps the `MET_THREADS` default) and the final cluster snapshot, so
-/// cross-thread determinism checks can compare end states. A thin wrapper
-/// over the unified [`ScenarioSpec`](crate::ScenarioSpec) runner: the chaos
-/// experiment is exactly [`MetFixedFleet`](crate::ScenarioStrategy) plus a
-/// fault plan, a realistic 60 s provision delay (so a crash is a real
-/// outage rather than an instant swap) and per-tick layout tracking.
-pub fn run_chaos_curve_threads(
-    seed: u64,
-    minutes: u64,
-    plan: &FaultPlan,
-    telemetry: Telemetry,
-    threads: Option<usize>,
-) -> (ChaosRun, ClusterSnapshot) {
-    let mut spec = crate::ScenarioSpec::new(crate::ScenarioStrategy::MetFixedFleet, seed, minutes)
+    let run = crate::ScenarioSpec::new(crate::ScenarioStrategy::MetFixedFleet, seed, minutes)
         .telemetry(telemetry.clone())
         .faults(plan.clone())
         .provision_delay(SimDuration::from_secs(60))
-        .track_layout(true);
-    if let Some(t) = threads {
-        spec = spec.threads(t);
-    }
-    let run = spec.run();
+        .track_layout(true)
+        .run();
 
     let end = SimTime::from_mins(minutes + 2);
     // Saturate for short runs (determinism gates use 6-minute curves);
     // the steady window then just covers the whole run.
     let steady_from = SimTime::from_mins((minutes + 2).saturating_sub(10));
-    let chaos = ChaosRun {
+    ChaosRun {
         steady: run.total_series.mean_between(steady_from, end).unwrap_or(0.0),
         reconfigurations: run.reconfigurations,
         converged_at_min: run.converged_at_min,
@@ -133,8 +120,8 @@ pub fn run_chaos_curve_threads(
         degraded_entries: telemetry.counter_total("met_degraded_entries_total"),
         scale_in_vetoes: telemetry.counter_total("met_scale_in_vetoes_total"),
         faults_injected: run.faults_injected,
-    };
-    (chaos, run.snapshot)
+        snapshot: run.snapshot,
+    }
 }
 
 /// Runs the full experiment: a fault-free baseline, then the same seed

@@ -184,9 +184,6 @@ pub(crate) fn run_spec(spec: crate::ScenarioSpec) -> crate::ScenarioRun {
     let telemetry = spec.telemetry.clone();
     let (mut cloud, deployments) =
         build_cloud_delayed(spec.seed, spec.provision_delay.unwrap_or(boot_delay()));
-    if let Some(t) = spec.threads {
-        cloud.inner_mut().set_threads(t);
-    }
     cloud.set_telemetry(telemetry.clone());
     let injector = (!spec.faults.is_empty()).then(|| spec.faults.injector());
     if let Some(inj) = &injector {

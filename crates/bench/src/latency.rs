@@ -110,23 +110,13 @@ pub fn slo_config(slo: Option<f64>) -> MetConfig {
     }
 }
 
-/// One SLO run (gated or ungated), fully parameterized for the
-/// determinism checks.
-pub fn run_slo_threads(
-    seed: u64,
-    minutes: u64,
-    slo: Option<f64>,
-    telemetry: Telemetry,
-    threads: Option<usize>,
-) -> ScenarioRun {
-    let mut spec = ScenarioSpec::new(ScenarioStrategy::MetFixedFleet, seed, minutes)
+/// One SLO run (gated or ungated).
+pub fn run_slo(seed: u64, minutes: u64, slo: Option<f64>, telemetry: Telemetry) -> ScenarioRun {
+    ScenarioSpec::new(ScenarioStrategy::MetFixedFleet, seed, minutes)
         .load(SLO_LOAD)
         .met_config(slo_config(slo))
-        .telemetry(telemetry);
-    if let Some(t) = threads {
-        spec = spec.threads(t);
-    }
-    spec.run()
+        .telemetry(telemetry)
+        .run()
 }
 
 /// Outcome of one SLO run, reduced to the numbers the comparison needs.
@@ -175,14 +165,8 @@ pub struct LatencyResult {
 /// verdicts live); the sweep and the ungated twin run uninstrumented.
 pub fn run(seed: u64, sweep_minutes: u64, slo_minutes: u64, telemetry: Telemetry) -> LatencyResult {
     let sweep = SWEEP_LOADS.iter().map(|&load| sweep_point(seed, load, sweep_minutes)).collect();
-    let gated = outcome_of(
-        &run_slo_threads(seed, slo_minutes, Some(SLO_P99_MS), telemetry, None),
-        slo_minutes,
-    );
-    let ungated = outcome_of(
-        &run_slo_threads(seed, slo_minutes, None, Telemetry::disabled(), None),
-        slo_minutes,
-    );
+    let gated = outcome_of(&run_slo(seed, slo_minutes, Some(SLO_P99_MS), telemetry), slo_minutes);
+    let ungated = outcome_of(&run_slo(seed, slo_minutes, None, Telemetry::disabled()), slo_minutes);
     LatencyResult { sweep, gated, ungated, slo_p99_ms: SLO_P99_MS, slo_load: SLO_LOAD }
 }
 
@@ -252,13 +236,11 @@ mod tests {
     #[test]
     fn slo_gate_scales_out_and_restores_p99() {
         let gated = outcome_of(
-            &run_slo_threads(1_000, SLO_MINUTES, Some(SLO_P99_MS), Telemetry::disabled(), None),
+            &run_slo(1_000, SLO_MINUTES, Some(SLO_P99_MS), Telemetry::disabled()),
             SLO_MINUTES,
         );
-        let ungated = outcome_of(
-            &run_slo_threads(1_000, SLO_MINUTES, None, Telemetry::disabled(), None),
-            SLO_MINUTES,
-        );
+        let ungated =
+            outcome_of(&run_slo(1_000, SLO_MINUTES, None, Telemetry::disabled()), SLO_MINUTES);
         assert_eq!(
             ungated.online, FIG1_SERVERS,
             "without the gate nothing can look overloaded: {ungated:?}"

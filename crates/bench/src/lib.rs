@@ -2,6 +2,8 @@
 //! paper (see DESIGN.md's per-experiment index and EXPERIMENTS.md for
 //! paper-vs-measured).
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod chaos;
 pub mod crash;
@@ -12,7 +14,6 @@ pub mod latency;
 pub mod perf;
 pub mod profile;
 pub mod report;
-pub mod scale;
 pub mod scenario;
 pub mod spec;
 pub mod table2;

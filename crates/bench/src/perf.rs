@@ -9,8 +9,7 @@
 //!    driven straight at one [`CfStore`], deterministic key sequences, a
 //!    warmup pass, fixed op counts, and median-of-k repetition.
 //! 2. **Full-cluster ticks/sec** — the fig4 cluster (six YCSB workloads on
-//!    five RegionServers) stepped for a fixed tick count at `MET_THREADS=1`
-//!    and at the sweep's parallel thread count.
+//!    five RegionServers) stepped for a fixed tick count.
 //! 3. **Threaded store ops/sec** — the point-get and scan mixes re-run
 //!    with `MET_PERF_CLIENTS` concurrent [`StoreReader`] threads over one
 //!    shared store, plus a contended mixed leg where readers ride through
@@ -90,8 +89,6 @@ pub struct PerfConfig {
     pub warmup_ticks: u64,
     /// Repetitions; the median is reported.
     pub reps: usize,
-    /// Parallel thread count for the second cluster leg.
-    pub par_threads: usize,
     /// Client thread count for the threaded store legs (`1` skips them).
     pub clients: usize,
 }
@@ -103,7 +100,6 @@ impl Default for PerfConfig {
             ticks: DEFAULT_TICKS,
             warmup_ticks: DEFAULT_WARMUP_TICKS,
             reps: DEFAULT_REPS,
-            par_threads: simcore::par::met_threads().max(2),
             clients: DEFAULT_CLIENTS,
         }
     }
@@ -363,8 +359,7 @@ fn put_heavy_rep_bg(cfg: &PerfConfig) -> (f64, f64) {
 /// pipeline, repetitions *interleaved* (inline rep, then background rep,
 /// `cfg.reps` times) so host drift lands on both legs equally and the
 /// writer-speedup ratio between the two medians reflects the engines, not
-/// when they ran — the same pairing discipline as
-/// [`bench_fig4_ticks_pair`].
+/// when they ran.
 pub fn bench_put_heavy_pair(cfg: &PerfConfig) -> (PerfRecord, PerfRecord) {
     let mut inline_rates = Vec::with_capacity(cfg.reps);
     let mut bg_rates = Vec::with_capacity(cfg.reps);
@@ -640,13 +635,12 @@ pub fn bench_mixed_rw_pair(cfg: &PerfConfig) -> Vec<PerfRecord> {
     ]
 }
 
-/// One timed repetition of the fig4 cluster at `threads`: rebuild the
-/// scenario from the same seed (so every rep times the identical tick
-/// window; warmup covers the client ramp), step, return ticks/sec.
-fn fig4_rep(cfg: &PerfConfig, threads: usize) -> f64 {
+/// One timed repetition of the fig4 cluster: rebuild the scenario from the
+/// same seed (so every rep times the identical tick window; warmup covers
+/// the client ramp), step, return ticks/sec.
+fn fig4_rep(cfg: &PerfConfig) -> f64 {
     let mut scenario = crate::scenario::ycsb_scenario(1_000);
     build_random_homogeneous(&mut scenario.sim, FIG1_SERVERS);
-    scenario.sim.set_threads(threads);
     scenario.start_clients();
     for _ in 0..cfg.warmup_ticks {
         scenario.sim.step();
@@ -658,57 +652,25 @@ fn fig4_rep(cfg: &PerfConfig, threads: usize) -> f64 {
     cfg.ticks as f64 / t0.elapsed().as_secs_f64()
 }
 
-/// Median wall-clock ticks/sec of the fig4 cluster at `threads`.
-pub fn bench_fig4_ticks(cfg: &PerfConfig, threads: usize) -> PerfRecord {
-    let rates = (0..cfg.reps).map(|_| fig4_rep(cfg, threads)).collect();
+/// Median wall-clock ticks/sec of the fig4 cluster.
+pub fn bench_fig4_ticks(cfg: &PerfConfig) -> PerfRecord {
+    let rates = (0..cfg.reps).map(|_| fig4_rep(cfg)).collect();
     PerfRecord {
         bench: "cluster-fig4-ticks".into(),
         ops_per_sec: None,
         ticks_per_sec: Some(median(rates)),
-        threads,
+        threads: 1,
         stall_ms: None,
     }
 }
 
-/// The two cluster legs as a *paired* measurement: repetitions alternate
-/// 1-thread and `threads` runs instead of timing one whole leg after the
-/// other, so slow drift in the host (thermal state, page cache, noisy
-/// neighbours) lands on both legs equally and the speedup ratio between
-/// the two medians reflects the engines, not when they ran.
-pub fn bench_fig4_ticks_pair(cfg: &PerfConfig, threads: usize) -> (PerfRecord, PerfRecord) {
-    let mut seq = Vec::with_capacity(cfg.reps);
-    let mut par = Vec::with_capacity(cfg.reps);
-    for _ in 0..cfg.reps {
-        seq.push(fig4_rep(cfg, 1));
-        par.push(fig4_rep(cfg, threads));
-    }
-    let rec = |threads: usize, rates: Vec<f64>| PerfRecord {
-        bench: "cluster-fig4-ticks".into(),
-        ops_per_sec: None,
-        ticks_per_sec: Some(median(rates)),
-        threads,
-        stall_ms: None,
-    };
-    (rec(1, seq), rec(threads, par))
-}
-
-/// Runs the whole suite: the cluster legs at one thread and at
-/// `cfg.par_threads`, then the store mixes (including the WAL-attached
-/// put-heavy variants).
+/// Runs the whole suite: the cluster leg, then the store mixes (including
+/// the WAL-attached put-heavy variants).
 ///
-/// The cluster pair goes first deliberately: its 1-vs-N ratio is the
-/// number the parallel-engine acceptance gate reads, and minutes of
-/// store-mix hammering measurably degrades a small host before the
-/// cluster legs would otherwise run.
+/// The cluster leg goes first deliberately: minutes of store-mix hammering
+/// measurably degrades a small host before it would otherwise run.
 pub fn run_suite(cfg: &PerfConfig) -> Vec<PerfRecord> {
-    let mut out = Vec::new();
-    if cfg.par_threads > 1 {
-        let (seq, par) = bench_fig4_ticks_pair(cfg, cfg.par_threads);
-        out.push(seq);
-        out.push(par);
-    } else {
-        out.push(bench_fig4_ticks(cfg, 1));
-    }
+    let mut out = vec![bench_fig4_ticks(cfg)];
     out.extend([bench_point_get(cfg), bench_scan_heavy(cfg)]);
     let (put_inline, put_bg) = bench_put_heavy_pair(cfg);
     out.push(put_inline);
@@ -726,7 +688,7 @@ mod tests {
     use super::*;
 
     fn smoke_cfg() -> PerfConfig {
-        PerfConfig { ops: 2_000, ticks: 5, warmup_ticks: 2, reps: 1, par_threads: 2, clients: 2 }
+        PerfConfig { ops: 2_000, ticks: 5, warmup_ticks: 2, reps: 1, clients: 2 }
     }
 
     #[test]
@@ -818,7 +780,7 @@ mod tests {
             recs.iter().any(|r| r.bench == "store-mixed-rw-writer-bg" && r.threads == cfg.clients),
             "background mixed writer record missing"
         );
-        let solo = PerfConfig { clients: 1, par_threads: 1, ..cfg };
+        let solo = PerfConfig { clients: 1, ..cfg };
         assert!(
             run_suite(&solo).iter().all(|r| r.bench != "store-mixed-rw"),
             "clients=1 must skip the threaded legs"
@@ -828,7 +790,7 @@ mod tests {
     #[test]
     fn cluster_leg_reports_ticks_per_sec() {
         let cfg = smoke_cfg();
-        let rec = bench_fig4_ticks(&cfg, 1);
+        let rec = bench_fig4_ticks(&cfg);
         let rate = rec.ticks_per_sec.expect("cluster leg reports ticks/sec");
         assert!(rate > 0.0 && rate.is_finite());
         assert!(rec.ops_per_sec.is_none());

@@ -1,12 +1,11 @@
 //! The unified Scenario API: one builder, one `run()`, every experiment.
 //!
 //! Historically each figure grew its own runner family —
-//! `fig1::run_once`, `fig4::run_met_curve{,_traced,_threads}`,
-//! `fig4::run_manual_curve`, `chaos::run_chaos_curve{,_threads}`,
+//! `fig1::run_once`, `fig4::run_met_curve{,_traced}`,
+//! `fig4::run_manual_curve`, `chaos::run_chaos_curve`,
 //! `elastic::run_one{,_for,_traced}`, `table2::run_{manual,met,captured}` —
-//! all permutations of the same seven choices: seed, horizon, thread
-//! count, telemetry pipeline, fault plan, provision delay and the strategy
-//! under test. [`ScenarioSpec`] names those choices once; [`ScenarioSpec::run`]
+//! all permutations of the same six choices: seed, horizon, telemetry
+//! pipeline, fault plan, provision delay and the strategy under test. [`ScenarioSpec`] names those choices once; [`ScenarioSpec::run`]
 //! executes them; [`ScenarioRun`] carries everything any caller derives its
 //! figures from. The legacy entry points survive as thin wrappers, so
 //! existing tests, binaries and recorded traces are untouched: a spec with
@@ -56,9 +55,6 @@ pub struct ScenarioSpec {
     /// top; TPC-C and the cloud runs use this as the full horizon, as
     /// their legacy runners did).
     pub minutes: u64,
-    /// Explicit simulation thread count; `None` keeps the `MET_THREADS`
-    /// default.
-    pub threads: Option<usize>,
     /// Telemetry pipeline shared by the simulator and the controller.
     pub telemetry: Telemetry,
     /// Scripted faults; an empty plan leaves the injector detached.
@@ -104,14 +100,12 @@ pub struct ScenarioRun {
 }
 
 impl ScenarioSpec {
-    /// A spec with the legacy defaults: ambient thread count, disabled
-    /// telemetry, no faults, no provision delay, no layout tracking.
+    /// A spec with the legacy defaults: disabled telemetry, no faults, no provision delay, no layout tracking.
     pub fn new(strategy: ScenarioStrategy, seed: u64, minutes: u64) -> Self {
         ScenarioSpec {
             strategy,
             seed,
             minutes,
-            threads: None,
             telemetry: Telemetry::disabled(),
             faults: FaultPlan::empty(),
             provision_delay: None,
@@ -119,13 +113,6 @@ impl ScenarioSpec {
             load_factor: 1.0,
             met_config: None,
         }
-    }
-
-    /// Pins the simulation thread count (determinism checks compare runs
-    /// across thread counts).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
     }
 
     /// Routes the simulator and controller through `telemetry`.
@@ -292,9 +279,6 @@ fn run_ycsb_direct(spec: ScenarioSpec) -> ScenarioRun {
         }
         _ => unreachable!("run_ycsb_direct only handles direct YCSB strategies"),
     }
-    if let Some(t) = spec.threads {
-        scenario.sim.set_threads(t);
-    }
     scenario.start_clients();
     scenario.sim.set_telemetry(spec.telemetry.clone());
     if let Some(d) = spec.provision_delay {
@@ -348,7 +332,7 @@ mod tests {
         let spec = ScenarioSpec::new(ScenarioStrategy::MetFixedFleet, 7, 6);
         let run = spec.run();
         let (legacy, reconfigs, snap) =
-            crate::fig4::run_met_curve_threads(7, 6, Telemetry::disabled(), None);
+            crate::fig4::run_met_curve_traced(7, 6, Telemetry::disabled());
         assert_eq!(run.total_series.points(), legacy.points());
         assert_eq!(run.reconfigurations, reconfigs);
         assert_eq!(format!("{:?}", run.snapshot), format!("{snap:?}"));

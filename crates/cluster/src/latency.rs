@@ -1,8 +1,8 @@
 //! Per-server queueing latency: service-time costing of real storage work
 //! and a deterministic response-time distribution per server.
 //!
-//! Two halves, both closed-form so results are bit-identical regardless of
-//! `MET_THREADS`:
+//! Two halves, both closed-form (no sampling), so results are bit-identical
+//! from run to run:
 //!
 //! * [`op_service_ms`] prices one executed [`hstore`] operation from the
 //!   work it actually did ([`OpStats`]): a memstore insert costs CPU only,

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! The distributed NoSQL cluster substrate of the MeT reproduction.
 //!

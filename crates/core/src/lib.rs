@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! MeT: workload-aware elasticity for NoSQL — the control plane.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! A simulated HDFS for the MeT reproduction.
 //!

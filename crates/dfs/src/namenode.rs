@@ -238,21 +238,12 @@ impl Namenode {
     }
 
     /// Batched [`Namenode::locality_index`]: one result per query, in query
-    /// order, computed across the shared thread pool when `threads > 1`.
-    ///
-    /// The namenode is read-only for the whole batch, so queries are
-    /// embarrassingly parallel; callers (the per-tick locality accounting in
-    /// `cluster::sim`) pass queries in stable server/partition-ID order and
-    /// get results back in that same order regardless of thread count.
-    /// Queries borrow their file manifests — the per-tick caller no longer
-    /// clones every partition's file list just to ask about it.
-    pub fn locality_indices(
-        &self,
-        threads: usize,
-        queries: &[(DataNodeId, &[(DfsFileId, u64)])],
-    ) -> Vec<f64> {
+    /// order. Queries borrow their file manifests, so the per-tick caller
+    /// (the locality accounting in `cluster::sim`) clones no file list just
+    /// to ask about it.
+    pub fn locality_indices(&self, queries: &[(DataNodeId, &[(DfsFileId, u64)])]) -> Vec<f64> {
         let _span = telemetry::span::span("dfs.locality_batch");
-        simcore::par::map(threads, queries, |(node, served)| self.locality_index(*node, served))
+        queries.iter().map(|(node, served)| self.locality_index(*node, served)).collect()
     }
 
     /// Bytes physically stored on a DataNode (all block replicas).
@@ -441,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_locality_matches_single_queries_at_any_thread_count() {
+    fn batched_locality_matches_single_queries() {
         let mut n = nn(2, 8);
         for f in 0..32u64 {
             n.create_file(DfsFileId(f), 100 + f * 37, DataNodeId(f % 8)).unwrap();
@@ -458,10 +449,7 @@ mod tests {
         let queries: Vec<(DataNodeId, &[(DfsFileId, u64)])> =
             manifests.iter().map(|(d, s)| (*d, s.as_slice())).collect();
         let expected: Vec<f64> = manifests.iter().map(|(d, s)| n.locality_index(*d, s)).collect();
-        for threads in [1, 2, 4] {
-            let got = n.locality_indices(threads, &queries);
-            assert_eq!(got, expected, "threads={threads}");
-        }
+        assert_eq!(n.locality_indices(&queries), expected);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Every `MET_*` environment variable the workspace honors is read here,
 //! exactly once, into an [`EnvConfig`] that callers receive explicitly (or
 //! through the cached [`env_config`] accessor). This replaces the previous
-//! sprawl of ad-hoc `std::env::var` calls scattered over `simcore::par`,
-//! the bench harness and the experiment binaries; the README's knob table
-//! is the one place all of them are documented.
+//! sprawl of ad-hoc `std::env::var` calls scattered over the bench harness
+//! and the experiment binaries; the README's knob table is the one place
+//! all of them are documented.
 //!
 //! Values that belong to other crates' vocabularies (the trace verbosity,
 //! the fault-plan grammar) are carried as raw strings — `simcore` sits at
@@ -18,9 +18,6 @@ use std::sync::OnceLock;
 /// Every environment knob, parsed once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnvConfig {
-    /// `MET_THREADS` — engine-wide thread count (`1` = the legacy
-    /// sequential path). Unset or unparsable: available parallelism.
-    pub threads: usize,
     /// `MET_TRACE` — JSONL audit-trail export path, if tracing is on.
     pub trace_path: Option<PathBuf>,
     /// `MET_TRACE_LEVEL` — raw verbosity string (`off|info|debug`);
@@ -31,19 +28,6 @@ pub struct EnvConfig {
     pub fault_plan: Option<String>,
     /// `MET_FAULT_SEED` — seed for the `random` fault plan.
     pub fault_seed: u64,
-    /// `MET_SCALE_SIZES` — fleet sizes for the `exp-scale` sweep.
-    pub scale_sizes: Option<Vec<usize>>,
-    /// `MET_SCALE_TICKS` — simulated ticks per `exp-scale` sweep run.
-    pub scale_ticks: Option<usize>,
-    /// `MET_SCALE_THREADS` — parallel thread count `exp-scale` compares
-    /// against the sequential engine.
-    pub scale_threads: Option<usize>,
-    /// `MET_SCALE_TRACE_MINUTES` — length of `exp-scale`'s traced
-    /// determinism runs.
-    pub scale_trace_minutes: Option<u64>,
-    /// `MET_SCALE_ASSERT_SPEEDUP` — arm `exp-scale`'s speedup gate
-    /// (exactly `"1"`).
-    pub scale_assert_speedup: bool,
     /// `MET_PERF_OPS` — `exp-perf` ops per repetition of each store mix.
     pub perf_ops: Option<u64>,
     /// `MET_PERF_TICKS` — `exp-perf` measured cluster ticks per repetition.
@@ -52,16 +36,13 @@ pub struct EnvConfig {
     pub perf_warmup_ticks: Option<u64>,
     /// `MET_PERF_REPS` — `exp-perf` repetitions (median reported).
     pub perf_reps: Option<usize>,
-    /// `MET_PERF_THREADS` — `exp-perf` parallel cluster leg's threads.
-    pub perf_threads: Option<usize>,
     /// `MET_PERF_CLIENTS` — `exp-perf` client threads for the threaded
     /// store legs (`1` skips them).
     pub perf_clients: Option<usize>,
     /// `MET_PERF_ASSERT_CLIENT_SPEEDUP` — minimum
     /// point-get-at-N-clients / point-get-at-1-thread ratio `exp-perf`
     /// exits non-zero below. Meaningful only where real cores exist, so
-    /// armed on multi-core CI, not by default (cf.
-    /// `MET_SCALE_ASSERT_SPEEDUP`).
+    /// armed on multi-core CI, not by default.
     pub perf_assert_client_speedup: Option<f64>,
     /// `MET_PERF_COMMIT` — `exp-perf` commit label override.
     pub perf_commit: Option<String>,
@@ -116,28 +97,15 @@ impl EnvConfig {
     /// Parses a config from an arbitrary lookup function (tests feed maps;
     /// [`EnvConfig::from_env`] feeds the real environment).
     pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Self {
-        let threads = match get("MET_THREADS").and_then(|s| s.trim().parse::<usize>().ok()) {
-            Some(n) if n >= 1 => n,
-            _ => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        };
         EnvConfig {
-            threads,
             trace_path: get("MET_TRACE").map(PathBuf::from),
             trace_level: get("MET_TRACE_LEVEL"),
             fault_plan: get("MET_FAULT_PLAN"),
             fault_seed: get("MET_FAULT_SEED").and_then(|s| s.trim().parse().ok()).unwrap_or(42),
-            scale_sizes: get("MET_SCALE_SIZES")
-                .map(|s| parse_usize_list(&s))
-                .filter(|v| !v.is_empty()),
-            scale_ticks: get("MET_SCALE_TICKS").and_then(|s| s.trim().parse().ok()),
-            scale_threads: get("MET_SCALE_THREADS").and_then(|s| s.trim().parse().ok()),
-            scale_trace_minutes: get("MET_SCALE_TRACE_MINUTES").and_then(|s| s.trim().parse().ok()),
-            scale_assert_speedup: get("MET_SCALE_ASSERT_SPEEDUP").is_some_and(|v| v == "1"),
             perf_ops: get("MET_PERF_OPS").and_then(|s| s.trim().parse().ok()),
             perf_ticks: get("MET_PERF_TICKS").and_then(|s| s.trim().parse().ok()),
             perf_warmup_ticks: get("MET_PERF_WARMUP_TICKS").and_then(|s| s.trim().parse().ok()),
             perf_reps: get("MET_PERF_REPS").and_then(|s| s.trim().parse().ok()),
-            perf_threads: get("MET_PERF_THREADS").and_then(|s| s.trim().parse().ok()),
             perf_clients: get("MET_PERF_CLIENTS").and_then(|s| s.trim().parse().ok()),
             perf_assert_client_speedup: get("MET_PERF_ASSERT_CLIENT_SPEEDUP")
                 .and_then(|s| s.trim().parse().ok()),
@@ -172,16 +140,9 @@ impl EnvConfig {
     }
 }
 
-/// Parses a comma-separated usize list like `10,50,100` (invalid entries
-/// are skipped).
-pub fn parse_usize_list(s: &str) -> Vec<usize> {
-    s.split(',').filter_map(|t| t.trim().parse().ok()).collect()
-}
-
 /// The process-wide [`EnvConfig`], parsed on first use and cached for the
 /// life of the process. Tests that need a specific value should construct
-/// an [`EnvConfig`] (or use per-object overrides such as
-/// `SimCluster::set_threads`) instead of mutating the environment.
+/// an [`EnvConfig`] instead of mutating the environment.
 pub fn env_config() -> &'static EnvConfig {
     static CONFIG: OnceLock<EnvConfig> = OnceLock::new();
     CONFIG.get_or_init(EnvConfig::from_env)
@@ -201,13 +162,10 @@ mod tests {
     #[test]
     fn defaults_when_nothing_is_set() {
         let c = EnvConfig::from_lookup(lookup(&[]));
-        assert!(c.threads >= 1);
         assert_eq!(c.trace_path, None);
         assert_eq!(c.trace_level, None);
         assert_eq!(c.fault_plan, None);
         assert_eq!(c.fault_seed, 42);
-        assert_eq!(c.scale_sizes, None);
-        assert!(!c.scale_assert_speedup);
         assert!(!c.profile, "profiling is off by default");
         assert_eq!(c.profile_out, None);
         assert_eq!(c.profile_minutes, None);
@@ -226,21 +184,14 @@ mod tests {
     #[test]
     fn parses_every_knob() {
         let c = EnvConfig::from_lookup(lookup(&[
-            ("MET_THREADS", "4"),
             ("MET_TRACE", "/tmp/trail.jsonl"),
             ("MET_TRACE_LEVEL", "info"),
             ("MET_FAULT_PLAN", "reference"),
             ("MET_FAULT_SEED", "7"),
-            ("MET_SCALE_SIZES", "10, 50,100"),
-            ("MET_SCALE_TICKS", "90"),
-            ("MET_SCALE_THREADS", "8"),
-            ("MET_SCALE_TRACE_MINUTES", "12"),
-            ("MET_SCALE_ASSERT_SPEEDUP", "1"),
             ("MET_PERF_OPS", "5000"),
             ("MET_PERF_TICKS", "30"),
             ("MET_PERF_WARMUP_TICKS", "10"),
             ("MET_PERF_REPS", "3"),
-            ("MET_PERF_THREADS", "2"),
             ("MET_PERF_CLIENTS", "4"),
             ("MET_PERF_ASSERT_CLIENT_SPEEDUP", "2.0"),
             ("MET_PERF_COMMIT", " abc1234 "),
@@ -259,21 +210,14 @@ mod tests {
             ("MET_STORE_BLOCKING_FILES", "20"),
             ("MET_PERF_ASSERT_WRITER_SPEEDUP", "1.1"),
         ]));
-        assert_eq!(c.threads, 4);
         assert_eq!(c.trace_path.as_deref(), Some(std::path::Path::new("/tmp/trail.jsonl")));
         assert_eq!(c.trace_level.as_deref(), Some("info"));
         assert_eq!(c.fault_plan.as_deref(), Some("reference"));
         assert_eq!(c.fault_seed, 7);
-        assert_eq!(c.scale_sizes, Some(vec![10, 50, 100]));
-        assert_eq!(c.scale_ticks, Some(90));
-        assert_eq!(c.scale_threads, Some(8));
-        assert_eq!(c.scale_trace_minutes, Some(12));
-        assert!(c.scale_assert_speedup);
         assert_eq!(c.perf_ops, Some(5000));
         assert_eq!(c.perf_ticks, Some(30));
         assert_eq!(c.perf_warmup_ticks, Some(10));
         assert_eq!(c.perf_reps, Some(3));
-        assert_eq!(c.perf_threads, Some(2));
         assert_eq!(c.perf_clients, Some(4));
         assert_eq!(c.perf_assert_client_speedup, Some(2.0));
         assert_eq!(c.perf_commit.as_deref(), Some("abc1234"));
@@ -306,21 +250,7 @@ mod tests {
 
     #[test]
     fn bad_values_fall_back() {
-        let c = EnvConfig::from_lookup(lookup(&[
-            ("MET_THREADS", "zero"),
-            ("MET_FAULT_SEED", "NaN"),
-            ("MET_SCALE_SIZES", "no,numbers,here"),
-            ("MET_SCALE_ASSERT_SPEEDUP", "yes"),
-        ]));
-        assert!(c.threads >= 1);
+        let c = EnvConfig::from_lookup(lookup(&[("MET_FAULT_SEED", "NaN")]));
         assert_eq!(c.fault_seed, 42);
-        assert_eq!(c.scale_sizes, None, "a list with no valid entry is treated as unset");
-        assert!(!c.scale_assert_speedup, "the gate arms only on the literal \"1\"");
-    }
-
-    #[test]
-    fn usize_list_skips_invalid_entries() {
-        assert_eq!(parse_usize_list("1, x, 3"), vec![1, 3]);
-        assert!(parse_usize_list("").is_empty());
     }
 }

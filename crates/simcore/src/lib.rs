@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Simulation kernel shared by every crate in the MeT reproduction.
 //!
@@ -14,9 +15,6 @@
 //!   server restarts, compaction completions).
 //! * [`fault`] — deterministic fault injection: seeded [`FaultPlan`]
 //!   scripts consumed through the shared [`FaultInjector`] handle.
-//! * [`par`] — the shared thread pool behind the parallel engine
-//!   (`MET_THREADS`), with order-preserving primitives that keep parallel
-//!   runs bit-identical to sequential ones.
 //! * [`rng`] — seeded, splittable random-number streams so that every
 //!   experiment is reproducible from a single `u64` seed.
 //! * [`dist`] — the YCSB key-request distributions (uniform, zipfian,
@@ -34,7 +32,6 @@ pub mod config;
 pub mod dist;
 pub mod events;
 pub mod fault;
-pub mod par;
 pub mod rng;
 pub mod smoothing;
 pub mod stats;

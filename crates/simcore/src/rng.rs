@@ -44,18 +44,17 @@ impl SimRng {
         SimRng::new(self.state ^ splitmix(idx.wrapping_add(0x51ed_270b)))
     }
 
-    /// Forks a keyed sub-stream for a parallel owner (e.g. one simulated
+    /// Forks a keyed sub-stream for an independent owner (e.g. one simulated
     /// server), without consuming any draws from `self`.
     ///
-    /// `fork` exists for the parallel engine: every shard of parallel work
-    /// owns exactly one forked stream, keyed by a stable identifier, so the
-    /// draws a shard makes are identical no matter how many threads execute
-    /// the tick or in which order shards run. The forking rules (see
-    /// DESIGN.md "Parallel engine & determinism"):
+    /// Every owner gets exactly one forked stream, keyed by a stable
+    /// identifier, so the draws made on its behalf do not depend on what
+    /// any sibling drew or on the order siblings are visited in. The
+    /// forking rules (see DESIGN.md "Determinism"):
     ///
     /// 1. fork from an *immutable* base stream, keyed by a stable ID — never
-    ///    from a mutable parent inside a parallel section (that would make
-    ///    the child depend on sibling execution order);
+    ///    from a mutable parent (that would make the child depend on how
+    ///    many siblings were forked before it);
     /// 2. equal `(base, label)` always yields the identical stream;
     /// 3. `fork` uses a finalized SplitMix64 mix of the label hash, a
     ///    different construction than [`SimRng::derive`], so forked streams

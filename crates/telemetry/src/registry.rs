@@ -198,10 +198,8 @@ impl MetricsRegistry {
 
     /// Applies every update buffered in `buf`, in buffer order.
     ///
-    /// This is the reduction half of the sharded-metrics scheme: parallel
-    /// phases record into private [`MetricsBuffer`]s and the coordinator
-    /// merges them in a fixed (shard-ID) order, so the registry contents are
-    /// identical to what the same updates applied inline would produce.
+    /// The registry contents are identical to what the same updates
+    /// applied inline would produce.
     pub fn merge(&mut self, buf: &MetricsBuffer) {
         for (key, op) in &buf.ops {
             match op {
@@ -238,10 +236,9 @@ enum BufferedOp {
 
 /// A private, lock-free staging area for metric updates.
 ///
-/// Parallel simulation shards each own one buffer and record into it without
-/// synchronization; the coordinating thread then flushes all buffers in
-/// shard-ID order under a single registry lock
-/// ([`MetricsRegistry::merge`] / `Telemetry::flush_buffers`). Updates are
+/// A hot loop (the simulation's per-server metrics pass) records into one
+/// buffer and flushes it under a single registry lock
+/// ([`MetricsRegistry::merge`] / `Telemetry::flush_buffer`). Updates are
 /// replayed in recording order, so a flushed buffer is indistinguishable
 /// from the same calls made directly against the registry.
 #[derive(Debug, Clone, Default)]
@@ -265,9 +262,8 @@ impl MetricsBuffer {
         self.ops.len()
     }
 
-    /// Drops all buffered updates, keeping the allocation. Long-lived
-    /// shards clear and refill one buffer per tick instead of allocating
-    /// a fresh buffer per server per tick.
+    /// Drops all buffered updates, keeping the allocation: the simulation
+    /// clears and refills one buffer per tick.
     pub fn clear(&mut self) {
         self.ops.clear();
     }

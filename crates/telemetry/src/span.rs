@@ -2,20 +2,15 @@
 //!
 //! Everything else in this crate measures *simulated* time; this module
 //! measures where *wall-clock* time goes inside a tick — per phase and per
-//! worker thread — which is the only way to diagnose a parallel-engine
-//! regression (the fig4 bench losing throughput at 2 threads cannot be
-//! explained by sim-clock counters that are identical at every thread
-//! count by construction).
+//! recording thread — which sim-clock counters cannot say.
 //!
 //! * [`span`] / [`span_labeled`] / [`Telemetry::span`](crate::Telemetry::span)
 //!   open a [`SpanGuard`] that records its start/end wall-clock
 //!   timestamps, thread id and parent span when dropped.
 //! * Records land in per-thread buffers (one buffer per OS thread,
 //!   registered on first use); recording never contends with other
-//!   threads — only [`drain`] briefly locks each buffer.
-//! * [`current_context`] captures the open span so `simcore::par` worker
-//!   closures can parent their per-shard spans on the coordinator's
-//!   phase span ([`SpanContext::child_shard`]).
+//!   threads — only [`drain`] briefly locks each buffer. (`hstore`'s
+//!   flusher and compactor threads record their spans this way.)
 //! * [`chrome_trace`] serializes records as Chrome trace-event JSON
 //!   (loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev));
 //!   [`aggregate`] reduces them to per-phase statistics (count, total and
@@ -31,7 +26,7 @@
 //! Spans never write to the sim clock, any RNG stream, or the telemetry
 //! event/metric pipeline (only an explicit [`export_to_registry`] call
 //! does), so enabling profiling leaves JSONL traces, registry contents and
-//! simulation results byte-identical: the `parallel_determinism` gates
+//! simulation results byte-identical: `met-bench`'s `determinism` gates
 //! hold with profiling on or off.
 
 use std::cell::{Cell, RefCell};
@@ -44,7 +39,7 @@ use std::time::Instant;
 pub struct SpanRecord {
     /// Span (phase) name, e.g. `solver.evaluate`.
     pub name: &'static str,
-    /// Label pairs attached at creation, e.g. `("shard", "3")`.
+    /// Label pairs attached at creation, e.g. `("server", "3")`.
     pub labels: Vec<(&'static str, String)>,
     /// Start, microseconds since the profiler epoch.
     pub start_us: u64,
@@ -145,10 +140,8 @@ struct ActiveSpan {
     name: &'static str,
     labels: Vec<(&'static str, String)>,
     id: u64,
+    /// The thread's open span when this one began; restored on drop.
     parent: Option<u64>,
-    /// What `CURRENT` held before this span opened (differs from `parent`
-    /// for cross-thread children, whose parent lives on another thread).
-    prev_current: Option<u64>,
     start: Instant,
 }
 
@@ -172,7 +165,7 @@ impl Drop for SpanGuard {
             active.start.checked_duration_since(epoch()).unwrap_or_default().as_micros() as u64;
         let dur_us =
             end.checked_duration_since(active.start).unwrap_or_default().as_micros() as u64;
-        CURRENT.with(|c| c.set(active.prev_current));
+        CURRENT.with(|c| c.set(active.parent));
         with_buffer(|buf| {
             buf.records.lock().unwrap().push(SpanRecord {
                 name: active.name,
@@ -187,20 +180,12 @@ impl Drop for SpanGuard {
     }
 }
 
-fn begin(
-    name: &'static str,
-    labels: Vec<(&'static str, String)>,
-    parent_override: Option<Option<u64>>,
-) -> SpanGuard {
+fn begin(name: &'static str, labels: Vec<(&'static str, String)>) -> SpanGuard {
     // The epoch must exist before the first start timestamp is taken.
     let _ = epoch();
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    let prev_current = CURRENT.with(|c| c.get());
-    let parent = parent_override.unwrap_or(prev_current);
-    CURRENT.with(|c| c.set(Some(id)));
-    SpanGuard {
-        active: Some(ActiveSpan { name, labels, id, parent, prev_current, start: Instant::now() }),
-    }
+    let parent = CURRENT.with(|c| c.replace(Some(id)));
+    SpanGuard { active: Some(ActiveSpan { name, labels, id, parent, start: Instant::now() }) }
 }
 
 /// Opens an unlabelled span parented on the thread's current span.
@@ -209,7 +194,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     if !enabled() {
         return SpanGuard::inert();
     }
-    begin(name, Vec::new(), None)
+    begin(name, Vec::new())
 }
 
 /// Opens a labelled span. Callers on hot paths should gate any label
@@ -219,46 +204,7 @@ pub fn span_labeled(name: &'static str, labels: &[(&'static str, &str)]) -> Span
     if !enabled() {
         return SpanGuard::inert();
     }
-    begin(name, labels.iter().map(|(k, v)| (*k, v.to_string())).collect(), None)
-}
-
-/// A capture of the coordinator's open span, for parenting spans recorded
-/// on `simcore::par` worker threads. `Copy`, so it moves freely into `Fn`
-/// closures.
-#[derive(Debug, Clone, Copy)]
-pub struct SpanContext {
-    parent: Option<u64>,
-}
-
-/// Captures the current span (or nothing when profiling is off) for
-/// cross-thread parenting.
-#[inline]
-pub fn current_context() -> SpanContext {
-    if !enabled() {
-        return SpanContext { parent: None };
-    }
-    SpanContext { parent: CURRENT.with(|c| c.get()) }
-}
-
-impl SpanContext {
-    /// Opens a span on the *calling* thread, parented on the captured span.
-    #[inline]
-    pub fn child(&self, name: &'static str) -> SpanGuard {
-        if !enabled() {
-            return SpanGuard::inert();
-        }
-        begin(name, Vec::new(), Some(self.parent))
-    }
-
-    /// [`SpanContext::child`] with a `shard` label; the label is formatted
-    /// only when profiling is on, so the disabled path stays free.
-    #[inline]
-    pub fn child_shard(&self, name: &'static str, shard: u64) -> SpanGuard {
-        if !enabled() {
-            return SpanGuard::inert();
-        }
-        begin(name, vec![("shard", shard.to_string())], Some(self.parent))
-    }
+    begin(name, labels.iter().map(|(k, v)| (*k, v.to_string())).collect())
 }
 
 /// Takes every recorded span out of every thread buffer, ordered by start

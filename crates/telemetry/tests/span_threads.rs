@@ -1,7 +1,6 @@
-//! Span-profiler correctness across `simcore::par` worker threads: the
-//! exact shape the instrumented tick pipeline uses (a coordinator phase
-//! span, a captured [`SpanContext`], per-shard child spans inside the
-//! parallel closure).
+//! Span-profiler correctness when several OS threads record at once — the
+//! shape `hstore`'s flusher and compactor threads produce beside the
+//! thread that runs the tick.
 
 use std::sync::Mutex;
 use telemetry::span;
@@ -12,43 +11,15 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-#[test]
-fn par_workers_parent_on_the_coordinator_phase_span() {
-    let _l = lock();
-    span::set_enabled(true);
-    span::clear();
-
-    let shards: Vec<u64> = (0..16).collect();
-    let phase_id;
-    {
-        let phase = span::span("solver.fanout");
-        phase_id = phase.id().unwrap();
-        let ctx = span::current_context();
-        let results = simcore::par::map(4, &shards, |&shard| {
-            let _eval = ctx.child_shard("solver.evaluate", shard);
-            shard * 2
-        });
-        assert_eq!(results, shards.iter().map(|s| s * 2).collect::<Vec<_>>());
-    }
-    span::set_enabled(false);
-
-    let records = span::drain();
-    let evals: Vec<_> = records.iter().filter(|r| r.name == "solver.evaluate").collect();
-    assert_eq!(evals.len(), 16);
-    for eval in &evals {
-        assert_eq!(
-            eval.parent,
-            Some(phase_id),
-            "worker-side span must parent on the coordinator's phase span"
-        );
-    }
-    // Every shard label present exactly once.
-    let mut labels: Vec<&str> = evals.iter().map(|r| r.labels[0].1.as_str()).collect();
-    labels.sort_by_key(|s| s.parse::<u64>().unwrap());
-    let expect: Vec<String> = (0..16u64).map(|s| s.to_string()).collect();
-    assert_eq!(labels, expect.iter().map(String::as_str).collect::<Vec<_>>());
-    let phase = records.iter().find(|r| r.name == "solver.fanout").unwrap();
-    assert_eq!(phase.parent, None);
+/// Opens one labelled `worker.job` span on each of `n` spawned threads.
+fn record_on_threads(n: u64) {
+    std::thread::scope(|s| {
+        for job in 0..n {
+            s.spawn(move || {
+                let _g = span::span_labeled("worker.job", &[("job", &job.to_string())]);
+            });
+        }
+    });
 }
 
 #[test]
@@ -56,63 +27,23 @@ fn spans_on_distinct_os_threads_get_distinct_thread_ids() {
     let _l = lock();
     span::set_enabled(true);
     span::clear();
-    let phase_id;
     {
-        let phase = span::span("solver.fanout");
-        phase_id = phase.id().unwrap();
-        let ctx = span::current_context();
-        // Explicit threads (not a pool) make the cross-thread case
-        // deterministic: rayon may service a small fan-out entirely on the
-        // coordinator, but these two closures *must* run elsewhere.
-        std::thread::scope(|s| {
-            for shard in [100u64, 200] {
-                s.spawn(move || {
-                    let _g = ctx.child_shard("solver.evaluate", shard);
-                });
-            }
-        });
-        let _local = ctx.child_shard("solver.evaluate", 0);
+        let _phase = span::span("sim.tick");
+        record_on_threads(2);
+        let _local = span::span("solver.evaluate");
     }
     span::set_enabled(false);
     let records = span::drain();
-    let evals: Vec<_> = records.iter().filter(|r| r.name == "solver.evaluate").collect();
-    assert_eq!(evals.len(), 3);
-    let coordinator = records.iter().find(|r| r.name == "solver.fanout").unwrap().thread;
-    let mut threads: Vec<u64> = evals.iter().map(|r| r.thread).collect();
-    threads.sort_unstable();
-    threads.dedup();
-    assert!(threads.len() >= 3, "each OS thread gets its own id, got {threads:?}");
-    for eval in &evals {
-        assert_eq!(eval.parent, Some(phase_id));
-        if eval.labels[0].1 != "0" {
-            assert_ne!(eval.thread, coordinator, "spawned spans record their own thread id");
-        }
-    }
-}
-
-#[test]
-fn sequential_fanout_still_nests_via_context() {
-    let _l = lock();
-    span::set_enabled(true);
-    span::clear();
-    let shards: Vec<u64> = (0..4).collect();
-    {
-        let _phase = span::span("solver.fanout");
-        let ctx = span::current_context();
-        // threads = 1: par::map degrades to a plain loop on this thread.
-        let _ = simcore::par::map(1, &shards, |&shard| {
-            let _eval = ctx.child_shard("solver.evaluate", shard);
-            shard
-        });
-    }
-    span::set_enabled(false);
-    let records = span::drain();
-    let phase_id = records.iter().find(|r| r.name == "solver.fanout").unwrap().id;
-    let evals: Vec<_> = records.iter().filter(|r| r.name == "solver.evaluate").collect();
-    assert_eq!(evals.len(), 4);
-    for e in &evals {
-        assert_eq!(e.parent, Some(phase_id));
-        assert_eq!(e.thread, records.iter().find(|r| r.name == "solver.fanout").unwrap().thread);
+    let tick = records.iter().find(|r| r.name == "sim.tick").unwrap();
+    let local = records.iter().find(|r| r.name == "solver.evaluate").unwrap();
+    assert_eq!(local.parent, Some(tick.id), "same-thread spans nest");
+    assert_eq!(local.thread, tick.thread);
+    let jobs: Vec<_> = records.iter().filter(|r| r.name == "worker.job").collect();
+    assert_eq!(jobs.len(), 2);
+    assert_ne!(jobs[0].thread, jobs[1].thread, "each OS thread gets its own id");
+    for job in jobs {
+        assert_ne!(job.thread, tick.thread, "spawned spans record their own thread id");
+        assert_eq!(job.parent, None, "nesting is per thread");
     }
 }
 
@@ -139,28 +70,19 @@ fn disabled_profiler_is_a_no_op_even_across_threads() {
     let _l = lock();
     span::set_enabled(false);
     span::clear();
-    let ctx = span::current_context();
-    let items: Vec<u64> = (0..32).collect();
-    let _ = simcore::par::map(4, &items, |&i| {
-        let _g = ctx.child_shard("noop", i);
-        i
-    });
+    record_on_threads(4);
     assert!(span::drain().is_empty());
 }
 
 #[test]
-fn chrome_trace_from_a_parallel_run_is_loadable() {
+fn chrome_trace_from_a_multi_thread_run_is_loadable() {
     let _l = lock();
     span::set_enabled(true);
     span::clear();
-    let shards: Vec<u64> = (0..8).collect();
     {
         let _tick = span::span("sim.tick");
-        let ctx = span::current_context();
-        let _ = simcore::par::map(2, &shards, |&s| {
-            let _g = ctx.child_shard("solver.evaluate", s);
-            s
-        });
+        let _solve = span::span("sim.solver");
+        record_on_threads(2);
     }
     span::set_enabled(false);
     let records = span::drain();

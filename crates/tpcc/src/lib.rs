@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! A PyTPCC-style TPC-C implementation over the MeT reproduction's store.
 //!

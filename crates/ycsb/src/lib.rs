@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! A YCSB-style workload generator for the MeT reproduction.
 //!

@@ -4,6 +4,8 @@
 //! single dependency. See `DESIGN.md` for the system inventory and
 //! `EXPERIMENTS.md` for the paper-vs-measured record.
 
+#![forbid(unsafe_code)]
+
 pub use baselines;
 pub use cluster;
 pub use dfs;
