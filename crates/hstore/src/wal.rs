@@ -37,6 +37,13 @@
 //! executes SSE4.2 — is established by `is_x86_feature_detected!` on the
 //! line before the call, at run time, on every call. Everywhere else (and
 //! in the tests, as the reference) the portable slicing-by-8 kernel runs.
+//!
+//! Inside that one function, whole stripes of `3 × LANE` bytes run as
+//! three independent `crc32` chains, joined by four `const`-evaluated
+//! shift tables — table lookups, not carry-less multiplies, so SSE4.2 is
+//! still the only target feature and nothing is initialized at run time.
+//! Block checksums reach the stripe path through `StagedCrc32c`, which
+//! gathers a block's small per-cell fields into whole stripes first.
 
 use crate::error::{HStoreError, Result};
 use crate::types::{InternalKey, Qualifier, RowKey, Timestamp};
@@ -98,19 +105,91 @@ fn update_portable(mut crc: u32, data: &[u8]) -> u32 {
     crc
 }
 
+/// Bytes per lane of the hardware kernel, which folds a *stripe* of
+/// `3 × LANE` bytes as three independent chains. Picked by a sweep over
+/// 16 KiB blocks (CHANGES.md, PR 25): shorter lanes pay the join more
+/// often, longer ones leave more of a staged run to the one-chain tail.
+const LANE: usize = 512;
+
+/// `SHIFT[k][b]` is the raw state `b << 8k` advanced through [`LANE`] zero
+/// bytes. Advancing a raw state through zeros is linear over GF(2), so
+/// [`shift`] advances any state by XOR-ing one entry per state byte; each
+/// entry is in turn the XOR of the advanced single-bit states it holds,
+/// which keeps the build to 32 byte-at-a-time walks over `CRC_TABLES[0]`.
+#[cfg(target_arch = "x86_64")]
+const SHIFT: [[u32; 256]; 4] = {
+    let mut bits = [0u32; 32];
+    let mut i = 0;
+    while i < 32 {
+        let mut crc = 1u32 << i;
+        let mut n = 0;
+        while n < LANE {
+            crc = CRC_TABLES[0][(crc & 0xFF) as usize] ^ (crc >> 8);
+            n += 1;
+        }
+        bits[i] = crc;
+        i += 1;
+    }
+    let mut tables = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            let mut bit = 0;
+            while bit < 8 {
+                if (b >> bit) & 1 != 0 {
+                    tables[k][b] ^= bits[8 * k + bit];
+                }
+                bit += 1;
+            }
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// The raw state `crc` advanced through [`LANE`] zero bytes.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn shift(crc: u32) -> u32 {
+    SHIFT[0][(crc & 0xFF) as usize]
+        ^ SHIFT[1][((crc >> 8) & 0xFF) as usize]
+        ^ SHIFT[2][((crc >> 16) & 0xFF) as usize]
+        ^ SHIFT[3][(crc >> 24) as usize]
+}
+
 /// The hardware kernel: the SSE4.2 `crc32` instruction computes exactly
 /// this polynomial, folding 8, 4, 2 or 1 bytes per instruction.
+///
+/// One chain of `crc32` is latency-bound (3 cycles per 8 bytes, with room
+/// for three in flight), so whole stripes run as three chains over
+/// adjacent lanes — the first from `crc`, the other two from zero — and
+/// are joined by the identity `crc(s, A‖B) = shift(crc(s, A)) ^ crc(0, B)`.
+/// The tail keeps the one-chain 8/4/2/1 loop.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
 fn update_sse42(crc: u32, data: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u16, _mm_crc32_u32, _mm_crc32_u64, _mm_crc32_u8};
-    let mut chunks = data.chunks_exact(8);
+    let (stripes, tail) = data.as_chunks::<{ 3 * LANE }>();
+    let mut crc = crc;
+    for stripe in stripes {
+        let (a, bc) = stripe.as_chunks::<8>().0.split_at(LANE / 8);
+        let (b, c) = bc.split_at(LANE / 8);
+        let (mut x, mut y, mut z) = (u64::from(crc), 0, 0);
+        for ((p, q), r) in a.iter().zip(b).zip(c) {
+            x = _mm_crc32_u64(x, u64::from_le_bytes(*p));
+            y = _mm_crc32_u64(y, u64::from_le_bytes(*q));
+            z = _mm_crc32_u64(z, u64::from_le_bytes(*r));
+        }
+        crc = shift(shift(x as u32) ^ y as u32) ^ z as u32;
+    }
+    let (words, mut rest) = tail.as_chunks::<8>();
     let mut wide = u64::from(crc);
-    for chunk in &mut chunks {
-        wide = _mm_crc32_u64(wide, u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+    for word in words {
+        wide = _mm_crc32_u64(wide, u64::from_le_bytes(*word));
     }
     let mut crc = wide as u32;
-    let mut rest = chunks.remainder();
     if let Some((head, tail)) = rest.split_first_chunk::<4>() {
         crc = _mm_crc32_u32(crc, u32::from_le_bytes(*head));
         rest = tail;
@@ -147,10 +226,9 @@ fn update(crc: u32, data: &[u8]) -> u32 {
 /// `crc32` instruction per 8 bytes, so a checksummed disk read costs a
 /// fraction of what a table-driven CRC-32/IEEE does. Hand rolled: the
 /// workspace vendors no checksum crate, and a page of const-eval plus one
-/// intrinsic loop beats a dependency. The streaming API exists so block
-/// and WAL checksums can fold multi-field records directly, without first
-/// serializing them into a scratch buffer — CRC over a concatenation
-/// equals the CRC of streaming the parts.
+/// intrinsic loop beats a dependency. The streaming API folds a record
+/// given in parts — CRC over a concatenation equals the CRC of streaming
+/// the parts — and is what `StagedCrc32c` feeds once per full stage.
 #[derive(Debug, Clone, Copy)]
 pub struct Crc32c(u32);
 
@@ -179,6 +257,76 @@ pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = Crc32c::new();
     crc.update(data);
     crc.finish()
+}
+
+/// Bytes [`StagedCrc32c`] gathers per kernel call: whole stripes, so every
+/// full run takes the three-chain path with no tail.
+pub(crate) const STAGE: usize = 3 * LANE;
+
+/// CRC-32C of a record that arrives as many small pieces (a block's
+/// per-cell framing): the pieces are copied into a stack buffer and the
+/// kernel runs once per [`STAGE`] bytes — at stripe speed — instead of once
+/// per piece. Same value as [`Crc32c`] fed the same pieces.
+pub(crate) struct StagedCrc32c {
+    crc: Crc32c,
+    len: usize,
+    buf: [u8; STAGE],
+}
+
+impl StagedCrc32c {
+    /// A fresh checksum with an empty stage.
+    pub(crate) fn new() -> Self {
+        StagedCrc32c { crc: Crc32c::new(), len: 0, buf: [0; STAGE] }
+    }
+
+    /// Appends `bytes` to the checksummed run.
+    #[inline]
+    pub(crate) fn push(&mut self, bytes: &[u8]) {
+        let (n, end) = (bytes.len(), self.len + bytes.len());
+        if end >= STAGE {
+            return self.spill(bytes);
+        }
+        // Rows and qualifiers are a few bytes long: two overlapping
+        // fixed-width copies cost less than a call into `memcpy` each
+        // (verify 151–160 → 128–147 ns/KiB in a traced `read-spill`).
+        let dst = &mut self.buf[self.len..end];
+        match n {
+            8..=16 => {
+                dst[..8].copy_from_slice(&bytes[..8]);
+                dst[n - 8..].copy_from_slice(&bytes[n - 8..]);
+            }
+            4..=7 => {
+                dst[..4].copy_from_slice(&bytes[..4]);
+                dst[n - 4..].copy_from_slice(&bytes[n - 4..]);
+            }
+            _ => dst.copy_from_slice(bytes),
+        }
+        self.len = end;
+    }
+
+    /// [`StagedCrc32c::push`] of a piece that fills the stage: the kernel
+    /// folds each full stage, and what is left starts the next one. Out of
+    /// line so every inlined `push` stays a compare and a copy (inlined,
+    /// the kernel dispatch at each of a cell's eight pushes made verify
+    /// slower than the per-field calls it replaces).
+    #[inline(never)]
+    fn spill(&mut self, mut bytes: &[u8]) {
+        while self.len + bytes.len() >= STAGE {
+            let (head, rest) = bytes.split_at(STAGE - self.len);
+            self.buf[self.len..].copy_from_slice(head);
+            self.crc.update(&self.buf);
+            self.len = 0;
+            bytes = rest;
+        }
+        self.buf[..bytes.len()].copy_from_slice(bytes);
+        self.len = bytes.len();
+    }
+
+    /// The finished checksum of everything pushed.
+    pub(crate) fn finish(mut self) -> u32 {
+        self.crc.update(&self.buf[..self.len]);
+        self.crc.finish()
+    }
 }
 
 /// Frame header size: `len: u32` + `crc: u32`.
@@ -640,6 +788,7 @@ fn decode_record(data: &[u8]) -> std::result::Result<(WalRecord, usize), BadFram
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key(row: &str, qual: &str, ts: u64) -> InternalKey {
         InternalKey::new(
@@ -689,11 +838,15 @@ mod tests {
 
     #[test]
     fn hardware_and_portable_kernels_agree() {
-        // Every length that exercises each tail width (8/4/2/1) at every
-        // alignment of the first byte, from a non-trivial running state.
-        let data = noise(8 + 300, 0x9E37_79B9_7F4A_7C15);
+        // Every length that exercises each tail width (8/4/2/1), and every
+        // length around one and two three-lane stripes, at every alignment
+        // of the first byte, from a non-trivial running state.
+        let stripe = 3 * LANE;
+        let data = noise(8 + 2 * stripe + 16, 0x9E37_79B9_7F4A_7C15);
+        let lens =
+            (0..=300).chain(stripe - 16..=stripe + 16).chain(2 * stripe - 16..=2 * stripe + 16);
         for offset in 0..8 {
-            for len in 0..=300 {
+            for len in lens.clone() {
                 let slice = &data[offset..offset + len];
                 for state in [!0u32, 0, 0xDEAD_BEEF] {
                     assert_eq!(
@@ -711,10 +864,49 @@ mod tests {
         }
     }
 
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn shift_tables_advance_a_state_through_one_lane_of_zeros() {
+        let zeros = [0u8; LANE];
+        for (k, table) in SHIFT.iter().enumerate() {
+            for (b, &entry) in table.iter().enumerate() {
+                let state = (b as u32) << (8 * k);
+                assert_eq!(entry, update_portable(state, &zeros), "SHIFT[{k}][{b:#x}]");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A run staged piece by piece — pieces from empty to several
+        /// stages long, so every copy width and every way a piece can meet
+        /// a stage boundary — checksums to what one pass over the whole
+        /// run does.
+        #[test]
+        fn staged_pieces_equal_the_whole_run(
+            seed in any::<u64>(),
+            len in 0..4 * STAGE,
+            cuts in prop::collection::vec(0..4 * STAGE, 0..400),
+        ) {
+            let data = noise(len, seed | 1);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (len + 1)).collect();
+            cuts.extend([0, len]);
+            cuts.sort_unstable();
+            let mut staged = StagedCrc32c::new();
+            for piece in cuts.windows(2) {
+                staged.push(&data[piece[0]..piece[1]]);
+            }
+            prop_assert_eq!(staged.finish(), crc32(&data));
+            prop_assert_eq!(crc32(&data), portable(&data));
+        }
+    }
+
     #[test]
     fn streaming_crc_equals_one_shot_over_any_split() {
-        // Block checksums stream field-by-field; they must match a CRC of
-        // the concatenated serialization however the input is split —
+        // `Crc32c` streams a record given in parts (the block oracle feeds
+        // it field by field); that must match a CRC of the concatenated
+        // serialization however the input is split —
         // every two- and three-way split, so every combination of fold
         // widths on either side of a boundary.
         let data = noise(100, 42);
