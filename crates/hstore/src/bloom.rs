@@ -18,13 +18,23 @@ impl BloomFilter {
     /// Creates a filter sized for `expected_entries` at roughly 1 % false
     /// positives (10 bits/key, 7 hashes — the classic sizing).
     pub fn with_capacity(expected_entries: usize) -> Self {
-        let num_bits = ((expected_entries.max(1)) as u64 * 10).next_power_of_two();
+        let num_bits = Self::bits_for(expected_entries);
         BloomFilter {
             bits: vec![0u64; (num_bits as usize).div_ceil(64)],
             num_bits,
             num_hashes: 7,
             entries: 0,
         }
+    }
+
+    fn bits_for(entries: usize) -> u64 {
+        (entries.max(1) as u64 * 10).next_power_of_two()
+    }
+
+    /// Whether [`BloomFilter::with_capacity`]`(entries)` would pick this
+    /// filter's size — and so, given the same keys, set the same bits.
+    pub(crate) fn sized_for(&self, entries: usize) -> bool {
+        self.num_bits == Self::bits_for(entries)
     }
 
     fn hashes(&self, key: &[u8]) -> (u64, u64) {

@@ -263,8 +263,7 @@ pub struct HFile {
 pub(crate) struct HFileBuilder {
     id: FileId,
     block_size: u64,
-    /// Entry count the Bloom filter was sized for; an upper bound.
-    expected_entries: usize,
+    /// Sized for the entry count passed to `new`, an upper bound.
     bloom: BloomFilter,
     blocks: Vec<Block>,
     /// The open block. `keys` and `meta` are copied out at their exact
@@ -290,7 +289,6 @@ impl HFileBuilder {
         HFileBuilder {
             id,
             block_size,
-            expected_entries,
             bloom: BloomFilter::with_capacity(expected_entries),
             blocks: Vec::new(),
             keys: Vec::new(),
@@ -358,11 +356,11 @@ impl HFileBuilder {
         if !self.meta.is_empty() {
             self.seal();
         }
-        if self.entry_count != self.expected_entries as u64 {
-            // The estimate was only an upper bound (a major compaction
-            // dropped versions): re-size the filter to the cells actually
-            // written, so a file's Bloom answers depend on its contents
-            // alone and not on how it was produced.
+        if !self.bloom.sized_for(self.entry_count as usize) {
+            // The estimate was only an upper bound (a merge dropped
+            // versions) and the cells written want fewer bits: re-size, so
+            // a file's Bloom answers depend on its contents alone. Bit
+            // positions depend only on the size, so otherwise keep it.
             self.bloom = BloomFilter::with_capacity(self.entry_count as usize);
             for block in &self.blocks {
                 for i in 0..block.len() {
@@ -1104,9 +1102,30 @@ mod tests {
         }
     }
 
+    /// A builder keeps the Bloom filter it was sized with whenever the
+    /// cells it actually received would size one the same, and re-sizes it
+    /// otherwise; either way the file equals one built for its exact count.
+    #[test]
+    fn bloom_size_depends_only_on_the_cells_written() {
+        // 102 cells want 1 020 → 1 024 bits; 103 want 1 030 → 2 048.
+        let cases = [(102, 102), (103, 102), (1_000, 102), (102, 90), (103, 103), (200, 103)];
+        for (estimate, actual) in cases {
+            let cells: Vec<CellVersion> =
+                (0..actual).map(|i| cell(&format!("row{i:03}"), "c", 1, Some("v"))).collect();
+            let mut builder = HFileBuilder::new(FileId(9), 256, estimate);
+            for c in &cells {
+                builder.push(c.key.as_key_ref(), c.value.clone());
+            }
+            let got = builder.finish();
+            assert_eq!(got.bloom.byte_size(), if actual > 102 { 256 } else { 128 });
+            assert_same_file(&got, &HFile::build(FileId(9), cells, 256));
+        }
+    }
+
     #[test]
     fn streamed_compaction_output_equals_a_built_file() {
-        use crate::store::merge_file_set;
+        use crate::memstore::MemStore;
+        use crate::store::write_merged;
         use std::sync::Arc;
         // Three overlapping inputs, oldest first: a base load, a newer
         // pass that overwrites every third row and deletes every seventh,
@@ -1123,34 +1142,55 @@ mod tests {
             |id, cells: &[CellVersion]| Arc::new(HFile::build(FileId(id), cells.to_vec(), 256));
         let (f1, f2, f3) = (file(1, &base), file(2, &newer), file(3, &wipe));
 
-        // What a merge must write, computed the slow way.
+        // What a merge must write, computed the slow way: the newest
+        // version of each coordinate, tombstones included unless major.
         let expected = |inputs: &[&[CellVersion]], major: bool| {
             let mut all: Vec<CellVersion> = inputs.concat();
             all.sort_by(|a, b| a.key.cmp(&b.key));
+            all.dedup_by(|later, first| later.key.coord == first.key.coord);
             if major {
-                all.dedup_by(|later, first| later.key.coord == first.key.coord);
                 all.retain(|c| c.value.is_some());
             }
             all
         };
 
-        // Minor: every version and tombstone kept, the count is exact.
-        let streamed = merge_file_set(&[f1.clone(), f2.clone()], FileId(9), 256, false);
+        // Minor: shadowed versions dropped, tombstones kept — one cell per
+        // row, so the inputs' entry count was only an upper bound.
+        let streamed = write_merged(&[], &[f1.clone(), f2.clone()], FileId(9), 256, false);
         let want = expected(&[&base, &newer], false);
-        assert_eq!(streamed.entry_count(), f1.entry_count() + f2.entry_count());
+        assert_eq!(streamed.entry_count(), 300);
         assert!(streamed.block_count() > 1);
+        assert_same_file(&streamed, &HFile::build(FileId(9), want.clone(), 256));
+
+        // A flush of a memstore batch follows the same rule.
+        let mem = |cells: &[CellVersion]| {
+            let mut m = MemStore::new();
+            for c in cells {
+                m.insert(c.key.clone(), c.value.clone());
+            }
+            Arc::new(m)
+        };
+        let (m1, m2) = (mem(&base), mem(&newer));
+        let flushed = write_merged(&[&m1, &m2], &[], FileId(9), 256, false);
+        assert_same_file(&flushed, &HFile::build(FileId(9), want, 256));
+
+        // Minor over a full wipe: the tombstones stay, masking f1 and f2's
+        // cells for any file older than the run.
+        let streamed =
+            write_merged(&[], &[f1.clone(), f2.clone(), f3.clone()], FileId(9), 256, false);
+        let want = expected(&[&base, &newer, &wipe], false);
+        assert!(want.iter().all(|c| c.value.is_none()) && want.len() == 300);
         assert_same_file(&streamed, &HFile::build(FileId(9), want, 256));
 
-        // Major: shadowed versions and tombstones dropped, so the inputs'
-        // entry count was only an upper bound on what got written.
-        let streamed = merge_file_set(&[f1.clone(), f2.clone()], FileId(9), 256, true);
+        // Major: tombstones dropped too.
+        let streamed = write_merged(&[], &[f1.clone(), f2.clone()], FileId(9), 256, true);
         let want = expected(&[&base, &newer], true);
-        assert!(streamed.entry_count() < f1.entry_count() + f2.entry_count());
+        assert!(streamed.entry_count() < 300);
         assert!(streamed.block_count() > 1);
         assert_same_file(&streamed, &HFile::build(FileId(9), want, 256));
 
         // Major over a full wipe: nothing survives.
-        let streamed = merge_file_set(&[f1, f2, f3], FileId(9), 256, true);
+        let streamed = write_merged(&[], &[f1, f2, f3], FileId(9), 256, true);
         assert_eq!((streamed.block_count(), streamed.entry_count()), (0, 0));
         assert_eq!(streamed.first_row(), None);
         assert_same_file(&streamed, &HFile::build(FileId(9), vec![], 256));

@@ -37,7 +37,7 @@
 use crate::block_cache::FileId;
 use crate::hfile::HFile;
 use crate::memstore::MemStore;
-use crate::store::{flush_memstores, merge_file_set, FileIdAllocator, StoreShared};
+use crate::store::{write_merged, FileIdAllocator, StoreShared};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -316,9 +316,9 @@ impl Inner {
             }
             let _span = telemetry::span::span("hstore.flush");
             let frozen: Vec<&Arc<MemStore>> = jobs.iter().map(|j| &j.frozen).collect();
-            let file = Arc::new(flush_memstores(&frozen, self.ids.next(), self.block_size));
+            let file = write_merged(&frozen, &[], self.ids.next(), self.block_size, false);
             let bytes = file.total_bytes();
-            self.shared.publish_flush_batch(&frozen, file);
+            self.shared.publish_flush_batch(&frozen, Arc::new(file));
             // Truncation covers the newest sealed segment of the batch:
             // every job's edits are in the published file, so the max over
             // the batch is exactly the prefix that no longer needs the log.
@@ -352,7 +352,7 @@ impl Inner {
                 .collect();
             if inputs.len() == job.ids.len() && inputs.len() >= 2 {
                 let bytes_read: u64 = inputs.iter().map(|f| f.total_bytes()).sum();
-                let out = merge_file_set(&inputs, self.ids.next(), self.block_size, false);
+                let out = write_merged(&[], &inputs, self.ids.next(), self.block_size, false);
                 let rewritten = bytes_read + out.total_bytes();
                 if self.shared.replace_files(&job.ids, Arc::new(out)) {
                     self.stats.compaction_bytes_rewritten.fetch_add(rewritten, Ordering::Relaxed);

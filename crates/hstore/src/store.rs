@@ -803,7 +803,7 @@ impl CfStore {
         self.active_bytes = 0;
         // Build the file off the frozen copy — no locks held, readers
         // proceed against the published view.
-        let file = Arc::new(flush_memstores(&[&frozen], self.ids.next(), self.block_size));
+        let file = Arc::new(write_merged(&[&frozen], &[], self.ids.next(), self.block_size, false));
         let outcome = FlushOutcome { file: file.id(), bytes: file.total_bytes() };
         // Swap: the frozen memstore leaves the view as the file enters it.
         self.shared.publish_flush(&frozen, file);
@@ -912,8 +912,9 @@ impl CfStore {
         hit
     }
 
-    /// Merges the oldest `k` files into one (minor compaction). All versions
-    /// and tombstones are retained — only a major compaction may drop them.
+    /// Merges the oldest `k` files into one (minor compaction), keeping each
+    /// coordinate's newest version, tombstones included: only a major
+    /// compaction may drop them.
     pub fn compact_minor(&mut self, k: usize) -> Option<CompactionOutcome> {
         self.drain_maintenance();
         let files = self.shared.view.read().files.clone();
@@ -924,9 +925,9 @@ impl CfStore {
         self.merge_files(&files[..k], false)
     }
 
-    /// Merges *all* files into one, keeping only the newest version of each
-    /// coordinate and dropping tombstones — HBase's major compact, which is
-    /// also what restores DFS locality after region moves (§2.1).
+    /// Merges *all* files into one, keeping each coordinate's newest version
+    /// and dropping tombstones, which have nothing older left to mask —
+    /// HBase's major compact, which also restores DFS locality (§2.1).
     pub fn compact_major(&mut self) -> Option<CompactionOutcome> {
         self.drain_maintenance();
         let files = self.shared.view.read().files.clone();
@@ -941,7 +942,7 @@ impl CfStore {
     /// keep reading the replaced files — their `Arc`s stay alive until the
     /// last snapshot drops.
     fn merge_files(&mut self, inputs: &[Arc<HFile>], major: bool) -> Option<CompactionOutcome> {
-        let file = merge_file_set(inputs, self.ids.next(), self.block_size, major);
+        let file = write_merged(&[], inputs, self.ids.next(), self.block_size, major);
         let replaced: Vec<FileId> = inputs.iter().map(|f| f.id()).collect();
         let bytes_read: u64 = inputs.iter().map(|f| f.total_bytes()).sum();
         let bytes_written = file.total_bytes();
@@ -1027,62 +1028,53 @@ impl CfStore {
     }
 }
 
-/// The heavy half of a compaction, shared by the inline path and the
-/// background compactor pool: loser-tree merges `inputs` (oldest→newest)
-/// into one file with **no store locks held**. Minor compactions retain
-/// every version and tombstone; major compactions keep only the newest
-/// version per coordinate and drop tombstones once they have shadowed.
-pub(crate) fn merge_file_set(
-    inputs: &[Arc<HFile>],
+/// The heavy half of every flush and compaction, inline or background:
+/// loser-tree merges `mems` (a flush: one frozen memstore, or a backlog
+/// batch whose key ranges may overlap) or `files` (a compaction: a
+/// contiguous run, oldest → newest) into one file, by reference and with
+/// **no store locks held**.
+///
+/// Retention is HBase at `VERSIONS = 1`: only the newest version of each
+/// coordinate is written. A tombstone is kept — in a flush or minor
+/// compaction it may mask a value in an older file outside the inputs —
+/// unless `drop_tombstones` is set, which only a major compaction (whose
+/// inputs are every file) may do.
+pub(crate) fn write_merged(
+    mems: &[&Arc<MemStore>],
+    files: &[Arc<HFile>],
     out_id: FileId,
     block_size: u64,
-    major: bool,
+    drop_tombstones: bool,
 ) -> HFile {
-    let _span = telemetry::span::span_labeled(
-        "hstore.compact",
-        &[("kind", if major { "major" } else { "minor" })],
-    );
+    let _span = (!files.is_empty()).then(|| {
+        let kind = if drop_tombstones { "major" } else { "minor" };
+        telemetry::span::span_labeled("hstore.compact", &[("kind", kind)])
+    });
     // Compaction reads bypass the block cache (HBase does not pollute
     // the cache with compaction IO): scan through a zero-capacity
     // scratch cache that admits nothing, merging by reference so only
     // surviving keys are copied, once, into the output's arenas.
     let scratch = SharedBlockCache::new(0);
     let all = KeyRange::all();
-    let cursors: Vec<Cursor<'_>> =
-        inputs.iter().map(|f| Cursor::file(f.range_scan(&all, &scratch))).collect();
-
-    // Merged cells stream straight into the output's blocks. Every input
-    // entry survives a minor merge, so their sum sizes the Bloom filter
-    // exactly; for a major merge it is an upper bound.
-    let expected: u64 = inputs.iter().map(|f| f.entry_count()).sum();
-    let mut out = HFileBuilder::new(out_id, block_size, expected as usize);
+    let cursors = mems
+        .iter()
+        .map(|m| Cursor::mem(m.range_iter(&all)))
+        .chain(files.iter().map(|f| Cursor::file(f.range_scan(&all, &scratch))))
+        .collect();
+    // The input cell count bounds the output's; `finish` re-sizes the
+    // Bloom filter only if what survived needs fewer bits.
+    let expected = mems.iter().map(|m| m.len()).sum::<usize>()
+        + files.iter().map(|f| f.entry_count() as usize).sum::<usize>();
+    let mut out = HFileBuilder::new(out_id, block_size, expected);
     let mut last_coord = None;
     for (key, value) in LoserTree::new(cursors) {
-        if major {
-            if last_coord == Some(key.coord()) {
-                continue; // shadowed older version
-            }
-            last_coord = Some(key.coord());
-            if value.is_none() {
-                continue; // tombstone dropped once it has shadowed
-            }
+        if last_coord == Some(key.coord()) {
+            continue; // shadowed older version
         }
-        out.push(key, value.clone());
-    }
-    out.finish()
-}
-
-/// The heavy half of a flush, shared by the inline path and the background
-/// flusher: streams `mems` — one frozen memstore, or a backlog batch whose
-/// key ranges may overlap — through the read path's merge into one file,
-/// by reference and with **no store locks held**. Timestamps are
-/// writer-unique, so no two memstores hold an equal key and the cell count
-/// is exact.
-pub(crate) fn flush_memstores(mems: &[&Arc<MemStore>], out_id: FileId, block_size: u64) -> HFile {
-    let all = KeyRange::all();
-    let cursors = mems.iter().map(|m| Cursor::mem(m.range_iter(&all))).collect();
-    let mut out = HFileBuilder::new(out_id, block_size, mems.iter().map(|m| m.len()).sum());
-    for (key, value) in LoserTree::new(cursors) {
+        last_coord = Some(key.coord());
+        if drop_tombstones && value.is_none() {
+            continue; // tombstone dropped once it has shadowed
+        }
         out.push(key, value.clone());
     }
     out.finish()
@@ -1593,6 +1585,36 @@ mod tests {
         assert!(out.bytes_rewritten > 0);
         assert_eq!(s.get(&"keep".into(), &"c".into()), Some(b("v2")));
         assert_eq!(s.get(&"kill".into(), &"c".into()), None);
+    }
+
+    #[test]
+    fn a_tombstone_merged_in_a_middle_run_keeps_masking_an_older_file() {
+        // f1 holds `r`; f2 overwrites `other`; f3 deletes `r`. Merging the
+        // run [f2, f3] — as a compactor does while f1 is claimed — must
+        // keep the tombstone, or f1's value comes back.
+        let mut s = wal_store();
+        s.put("r".into(), "c".into(), b("f1"));
+        s.put("other".into(), "c".into(), b("f1"));
+        s.flush().unwrap();
+        s.put("other".into(), "c".into(), b("f2"));
+        s.flush().unwrap();
+        s.delete("r".into(), "c".into());
+        s.put("other".into(), "c".into(), b("f3"));
+        s.flush().unwrap();
+        let files = s.shared.files_snapshot();
+        let merged = write_merged(&[], &files[1..], s.ids.next(), s.block_size, false);
+        assert_eq!(merged.entry_count(), 2, "one version of `other`, plus the tombstone");
+        assert!(s.shared.replace_files(&[files[1].id(), files[2].id()], Arc::new(merged)));
+        assert_eq!(s.file_count(), 2);
+        let check = |s: &CfStore| {
+            assert_eq!(s.get(&"r".into(), &"c".into()), None, "f1's value stays masked");
+            assert_eq!(s.get(&"other".into(), &"c".into()), Some(b("f3")));
+        };
+        check(&s);
+        let (s, _) =
+            CfStore::recover(s.crash(), SharedBlockCache::new(1 << 20), FileIdAllocator::new())
+                .unwrap();
+        check(&s);
     }
 
     #[test]

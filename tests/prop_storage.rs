@@ -88,6 +88,39 @@ fn crc32c_over_several_stripes_matches_the_portable_value() {
     assert_eq!(hstore::wal::crc32(b"123456789"), 0xE306_9283);
 }
 
+/// Overwrites are reclaimed: 200 keys each written 50 times through the
+/// background flusher and compactor leave the files holding about one
+/// version per key, not fifty, and every key reads its last write.
+#[test]
+fn background_maintenance_reclaims_overwritten_versions() {
+    const KEYS: usize = 200;
+    const VALUE_BYTES: usize = 100;
+    let mut s = CfStore::new(SharedBlockCache::new(1 << 20), FileIdAllocator::new(), 4 << 10);
+    s.start_maintenance(hstore::MaintenanceConfig {
+        memstore_flush_bytes: 8 << 10,
+        compact_min_files: 2,
+        compactors: 1,
+        ..Default::default()
+    });
+    let key = |i: usize| hstore::RowKey::from(format!("key{i:03}"));
+    for round in 0..50u8 {
+        for i in 0..KEYS {
+            s.put(key(i), qual(0), Bytes::from(vec![round; VALUE_BYTES]));
+        }
+    }
+    s.drain_maintenance();
+    // A cell accounts row + qualifier + value + 24 bytes of timestamp and
+    // per-cell overhead.
+    let live =
+        (KEYS * (key(0).as_bytes().len() + qual(0).as_bytes().len() + VALUE_BYTES + 24)) as u64;
+    assert!(s.file_bytes() > 0, "the pipeline flushed");
+    assert!(s.file_bytes() <= 2 * live, "files hold {} bytes for {live} live", s.file_bytes());
+    for i in 0..KEYS {
+        assert_eq!(s.get(&key(i), &qual(0)), Some(Bytes::from(vec![49u8; VALUE_BYTES])));
+    }
+    s.stop_maintenance();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
