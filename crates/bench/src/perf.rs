@@ -571,10 +571,16 @@ fn mixed_rw_rep(cfg: &PerfConfig, bg: bool) -> MixedRwRep {
                 writer_store.maintenance_snapshot().map(|m| m.stall_ms_total()).unwrap_or_default();
             barrier.wait();
             let t0 = Instant::now();
+            // At least one put: on a busy host the readers can finish their
+            // window before this thread is scheduled, and a zero rate is no
+            // measurement.
             let mut ops = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 wop(writer_store, &mut keys);
                 ops += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             let rate = ops as f64 / t0.elapsed().as_secs_f64();
             let stall =

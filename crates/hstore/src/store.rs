@@ -1633,6 +1633,27 @@ mod tests {
     }
 
     #[test]
+    fn a_frozen_memstore_answers_gets_through_its_row_filter() {
+        // Rows a word-at-a-time hash could confuse: empty, prefixes of one
+        // another, equal first words, zero padding.
+        let rows: [&[u8]; 6] =
+            [b"", b"user0000", b"user0000\0", b"user00001", b"user0000000001", b"user0000000002"];
+        let mut s = store();
+        for (i, row) in rows.iter().enumerate() {
+            s.put(RowKey::from(*row), "c".into(), b(&i.to_string()));
+        }
+        s.delete(RowKey::from(rows[3]), "c".into());
+        s.shared.freeze_active().unwrap();
+        assert_eq!(s.shared.view.read().frozen.len(), 1);
+        for (i, row) in rows.iter().enumerate() {
+            let (got, stats) = s.get_with_stats(&RowKey::from(*row), &"c".into());
+            assert!(stats.memstore, "{row:?} answered by the frozen memstore");
+            assert_eq!(got, (i != 3).then(|| b(&i.to_string())), "{row:?}");
+        }
+        assert_eq!(s.get(&"user00002".into(), &"c".into()), None);
+    }
+
+    #[test]
     fn memstore_accounting_resets_on_flush() {
         let mut s = store();
         s.put("r".into(), "c".into(), b("0123456789"));

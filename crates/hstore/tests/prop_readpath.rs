@@ -5,8 +5,9 @@
 
 use bytes::Bytes;
 use hstore::block_cache::SharedBlockCache;
+use hstore::memstore::MemStore;
 use hstore::store::{CfStore, FileIdAllocator};
-use hstore::types::{InternalKey, KeyRange, Qualifier, RowKey};
+use hstore::types::{InternalKey, KeyRange, Qualifier, RowKey, Timestamp};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -170,5 +171,76 @@ proptest! {
         let range = KeyRange::all();
         let got = store.scan_range(&range, usize::MAX);
         prop_assert_eq!(&got, &reference_scan(&model, &range));
+    }
+}
+
+/// Rows that a word-at-a-time row hash could confuse: the empty row, rows
+/// that are prefixes of one another, rows that share their first eight
+/// bytes and differ only in the tail, and zero bytes where a short final
+/// word is padded.
+const FILTER_ROWS: [&[u8]; 14] = [
+    b"",
+    b"\0",
+    b"\0\0\0\0\0\0\0\0",
+    b"u",
+    b"user",
+    b"user0000",
+    b"user0000\0",
+    b"user00000",
+    b"user00001",
+    b"user0000000001",
+    b"user0000000002",
+    b"user00000000010000",
+    b"user0000000001000",
+    b"user0000\0\0\0\0\0\0\0\0",
+];
+
+/// One cell version for the row-filter property: row, qualifier,
+/// timestamp, and a value byte or `None` for a tombstone.
+fn filter_cell() -> impl Strategy<Value = (usize, usize, u64, Option<u8>)> {
+    (0..FILTER_ROWS.len(), 0..2usize, 0..4u64, any::<u8>(), any::<bool>())
+        .prop_map(|(r, q, ts, v, live)| (r, q, ts, live.then_some(v)))
+}
+
+/// The newest version at a coordinate, by walking the whole reference map
+/// (its order puts the newest version of a coordinate first).
+fn reference_newest(
+    model: &BTreeMap<InternalKey, Option<Bytes>>,
+    row: &RowKey,
+    qual: &Qualifier,
+) -> Option<Option<Bytes>> {
+    model
+        .iter()
+        .find(|(k, _)| k.coord.row == *row && k.coord.qualifier == *qual)
+        .map(|(_, v)| v.clone())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The memstore's row filter never hides an inserted row: `get_newest`
+    /// on the active memstore and on its clone agrees with a plain
+    /// `BTreeMap` on every coordinate, present or absent.
+    #[test]
+    fn memstore_row_filter_has_no_false_negatives(
+        cells in prop::collection::vec(filter_cell(), 0..40),
+    ) {
+        let mut mem = MemStore::new();
+        let mut model = BTreeMap::new();
+        for (r, q, ts, v) in cells {
+            let key = InternalKey::new(RowKey::from(FILTER_ROWS[r]), qual(q), Timestamp(ts));
+            let value = v.map(|b| Bytes::copy_from_slice(&[b]));
+            mem.insert(key.clone(), value.clone());
+            model.insert(key, value);
+        }
+        let copy = mem.clone();
+        for r in FILTER_ROWS {
+            let row = RowKey::from(r);
+            for q in 0..3 {
+                let want = reference_newest(&model, &row, &qual(q));
+                prop_assert_eq!(mem.get_newest(&row, &qual(q)), want.clone(), "{:?}", row);
+                prop_assert_eq!(copy.get_newest(&row, &qual(q)), want, "clone, {:?}", row);
+            }
+        }
     }
 }
