@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Turn a sampler.c profile into a per-function table.
 
-    ci/prof/symbolize.py PROFILE [--within REGEX] [--top N]
+    ci/prof/symbolize.py PROFILE [--within REGEX] [--callers REGEX] [--top N]
 
 Each sampled address is mapped to its binary's ELF virtual address (the
 /proc/self/maps copy in the profile gives the file offset, `readelf -lW`
@@ -10,12 +10,21 @@ inlined frames count as functions of their own. Prints, per function, the
 share of samples it appears in (inclusive) and the share it is innermost
 in (self). With --within, only samples with a frame matching REGEX count,
 so "X is 21 % of try_get" reads as `--within try_get`.
+
+With --callers, prints instead the caller chains of the samples whose
+innermost frame matches REGEX, each cut to its CALLER_DEPTH nearest frames,
+with their share of those samples. A stripped libc names its functions
+after the nearest exported symbol, so a `memcpy` can read as
+`__nss_database_lookup`; its callers say whose copy it is.
 """
 import argparse
 import bisect
 import collections
 import re
 import subprocess
+
+# Frames of a caller chain printed by --callers, nearest first.
+CALLER_DEPTH = 4
 
 
 def read_profile(path):
@@ -80,6 +89,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("profile")
     ap.add_argument("--within", help="count only samples with a frame matching this regex")
+    ap.add_argument("--callers", help="print the caller chains of samples ending in this regex")
     ap.add_argument("--top", type=int, default=30)
     args = ap.parse_args()
 
@@ -108,6 +118,14 @@ def main():
         stacks = [s for s in stacks if any(pattern.search(f) for f in s)]
     if not stacks:
         print("no samples")
+        return
+    if args.callers:
+        pattern = re.compile(args.callers)
+        leaves = [s for s in stacks if pattern.search(s[0])]
+        print(f"{len(leaves)} of {len(stacks)} samples end in /{args.callers}/")
+        chains = collections.Counter(" <- ".join(s[1 : 1 + CALLER_DEPTH]) for s in leaves)
+        for chain, n in chains.most_common(args.top):
+            print(f"{100 * n / len(leaves):7.1f}  {chain}")
         return
     inclusive, own = collections.Counter(), collections.Counter()
     for stack in stacks:

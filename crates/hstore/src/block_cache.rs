@@ -7,9 +7,18 @@
 //! hit/miss statistics; the cached payloads themselves stay in the in-memory
 //! [`HFile`](crate::hfile::HFile), so the cache models *admission and
 //! eviction*, which is what the performance model consumes.
+//!
+//! So that a hit and a miss cost what the mechanism costs and not what its
+//! bookkeeping does, the cache keeps no tree and no per-block hash: recency
+//! is an intrusive list through a slab, and a block is found through one
+//! map from its file — hashed with one multiply — to a dense vector of that
+//! file's slab slots, indexed by block number. A hit is one map probe, one
+//! vector read and a relink; a miss adds the slab and map updates of the
+//! blocks it admits and evicts. Invalidating a file walks its vector.
 
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -122,7 +131,7 @@ impl CacheStats {
     }
 }
 
-/// Sentinel for "no node" in the intrusive LRU list.
+/// Sentinel for "no node" in the intrusive LRU list and in a file's slots.
 const NIL: usize = usize::MAX;
 
 /// One resident block's slab slot: payload plus intrusive list links.
@@ -134,6 +143,42 @@ struct LruNode {
     next: usize,
 }
 
+/// One file's resident blocks: slot `i` holds block `i`'s slab index, or
+/// [`NIL`]. Block indices are dense from 0, so a file's vector is at most
+/// its block count long.
+#[derive(Debug, Default)]
+struct FileSlots {
+    slots: Vec<usize>,
+    /// Non-[`NIL`] slots; the file's entry goes when this reaches zero.
+    resident: usize,
+}
+
+/// Hashes a [`FileId`] with one multiply. File ids are allocated by the
+/// store, never taken from outside the program, so the map needs no
+/// protection against crafted collisions, and a miss, which probes it once
+/// per block admitted or evicted, need not pay `SipHash` for each probe.
+#[derive(Debug, Default)]
+struct FileIdHasher(u64);
+
+impl Hasher for FileIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        // Fibonacci hashing: the high bits, which pick a bucket's tag, mix
+        // every input bit; the low bits, which pick the bucket, stay
+        // distinct for sequential ids.
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A byte-bounded LRU cache of block identifiers.
 ///
 /// Recency is an intrusive doubly-linked list threaded through a slab
@@ -142,22 +187,18 @@ struct LruNode {
 /// where the previous stamp-keyed `BTreeMap` paid O(log n) tree rebalances
 /// on *every* access under the shared per-server mutex. Eviction order is
 /// byte-identical to the stamp scheme: the list tail is exactly the
-/// smallest-stamp entry.
+/// smallest-stamp entry. Blocks are found through `files` (module docs).
 #[derive(Debug)]
 pub struct BlockCache {
     capacity_bytes: u64,
     used_bytes: u64,
-    // BlockId → slab index into `nodes`.
-    resident: HashMap<BlockId, usize>,
+    files: HashMap<FileId, FileSlots, BuildHasherDefault<FileIdHasher>>,
     nodes: Vec<LruNode>,
     free: Vec<usize>,
     /// Most recently used node (NIL when empty).
     head: usize,
     /// Least recently used node — the eviction victim (NIL when empty).
     tail: usize,
-    // FileId → resident block indices, so compaction-time invalidation is
-    // O(blocks of that file), not O(all resident blocks).
-    per_file: HashMap<FileId, BTreeSet<u32>>,
     stats: CacheStats,
 }
 
@@ -167,14 +208,19 @@ impl BlockCache {
         BlockCache {
             capacity_bytes,
             used_bytes: 0,
-            resident: HashMap::new(),
+            files: HashMap::default(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            per_file: HashMap::new(),
             stats: CacheStats::default(),
         }
+    }
+
+    /// Slab index of `block`, if resident.
+    fn slot(&self, block: &BlockId) -> Option<usize> {
+        let file = self.files.get(&block.file)?;
+        file.slots.get(block.index as usize).copied().filter(|&idx| idx != NIL)
     }
 
     /// Detaches node `idx` from the list without freeing its slot.
@@ -225,7 +271,7 @@ impl BlockCache {
     /// admit this one, so a sharded front-end can maintain lock-free global
     /// counters without re-reading per-shard stats.
     pub fn touch_counted(&mut self, block: BlockId, size: u64) -> (Access, u64) {
-        if let Some(&idx) = self.resident.get(&block) {
+        if let Some(idx) = self.slot(&block) {
             if idx != self.head {
                 self.unlink(idx);
                 self.push_front(idx);
@@ -245,7 +291,6 @@ impl BlockCache {
             let LruNode { block: vb, size: vsz, .. } = self.nodes[victim];
             self.unlink(victim);
             self.free.push(victim);
-            self.resident.remove(&vb).expect("lru/resident out of sync");
             self.unindex(vb);
             debug_assert!(self.used_bytes >= vsz, "cache byte accounting corrupt");
             self.used_bytes = self.used_bytes.saturating_sub(vsz);
@@ -254,33 +299,37 @@ impl BlockCache {
         }
         let idx = self.alloc(LruNode { block, size, prev: NIL, next: NIL });
         self.push_front(idx);
-        self.resident.insert(block, idx);
-        self.per_file.entry(block.file).or_default().insert(block.index);
+        let file = self.files.entry(block.file).or_default();
+        let index = block.index as usize;
+        if file.slots.len() <= index {
+            file.slots.resize(index + 1, NIL);
+        }
+        file.slots[index] = idx;
+        file.resident += 1;
         self.used_bytes += size;
         (Access::Miss, evicted)
     }
 
-    /// Removes `block` from the per-file index, dropping the file's entry
-    /// when its last resident block goes.
+    /// Clears `block`'s slot, dropping the file's entry when its last
+    /// resident block goes.
     fn unindex(&mut self, block: BlockId) {
-        if let Some(set) = self.per_file.get_mut(&block.file) {
-            set.remove(&block.index);
-            if set.is_empty() {
-                self.per_file.remove(&block.file);
-            }
+        let file = self.files.get_mut(&block.file).expect("lru/slots out of sync");
+        file.slots[block.index as usize] = NIL;
+        file.resident -= 1;
+        if file.resident == 0 {
+            self.files.remove(&block.file);
         }
     }
 
     /// Drops every block belonging to `file` (file deleted by compaction).
     ///
-    /// O(resident blocks *of that file*) via the per-file index — a
-    /// compaction that deletes a file with few cached blocks no longer scans
-    /// the whole cache while holding the shared mutex.
+    /// O(that file's slot vector), walked in ascending block order — a
+    /// compaction that deletes a file no longer scans the whole cache while
+    /// holding the shared mutex, and the freed slab slots are pushed in the
+    /// same order as ever, so later admissions reuse the same slots.
     pub fn invalidate_file(&mut self, file: FileId) {
-        let Some(indices) = self.per_file.remove(&file) else { return };
-        for index in indices {
-            let b = BlockId { file, index };
-            let idx = self.resident.remove(&b).expect("per-file index out of sync");
+        let Some(FileSlots { slots, .. }) = self.files.remove(&file) else { return };
+        for idx in slots.into_iter().filter(|&idx| idx != NIL) {
             let sz = self.nodes[idx].size;
             self.unlink(idx);
             self.free.push(idx);
@@ -297,19 +346,18 @@ impl BlockCache {
     /// blend in warm pre-restart hits (that would hide exactly the
     /// reconfiguration cost §6.2 measures).
     pub fn clear(&mut self) {
-        self.resident.clear();
+        self.files.clear();
         self.nodes.clear();
         self.free.clear();
         self.head = NIL;
         self.tail = NIL;
-        self.per_file.clear();
         self.used_bytes = 0;
         self.stats = CacheStats::default();
     }
 
     /// True when the block is resident (no LRU side effect).
     pub fn contains(&self, block: &BlockId) -> bool {
-        self.resident.contains_key(block)
+        self.slot(block).is_some()
     }
 
     /// Bytes currently cached.
@@ -629,6 +677,56 @@ mod tests {
         assert_eq!(c.used_bytes(), 200);
         assert!(c.contains(&bid(2, 0)));
         assert!(c.contains(&bid(3, 0)));
+    }
+
+    #[test]
+    fn a_file_entry_goes_with_its_last_resident_block() {
+        let mut c = BlockCache::new(300);
+        c.touch(bid(1, 5), 100);
+        c.touch(bid(1, 0), 100);
+        c.touch(bid(2, 3), 100);
+        assert_eq!(c.files[&FileId(1)].slots.len(), 6);
+        assert_eq!(c.files[&FileId(1)].resident, 2);
+        // Two admissions evict file 1's two blocks, oldest first.
+        c.touch(bid(3, 0), 100);
+        assert!(c.files.contains_key(&FileId(1)));
+        c.touch(bid(3, 1), 100);
+        assert!(!c.files.contains_key(&FileId(1)), "evicting the last block drops the entry");
+        assert!(!c.contains(&bid(1, 0)) && !c.contains(&bid(1, 5)));
+        // Eviction can empty the very file it admits into.
+        let mut c = BlockCache::new(100);
+        c.touch(bid(7, 0), 100);
+        assert_eq!(c.touch(bid(7, 1), 100), Access::Miss);
+        assert!(c.contains(&bid(7, 1)) && !c.contains(&bid(7, 0)));
+        assert_eq!(c.files[&FileId(7)].resident, 1);
+        assert_eq!(c.files.len(), 1);
+    }
+
+    #[test]
+    fn an_invalidated_block_can_be_readmitted() {
+        let mut c = BlockCache::new(1_000);
+        for i in [2, 0, 1] {
+            c.touch(bid(4, i), 100);
+        }
+        c.touch(bid(5, 0), 100);
+        c.invalidate_file(FileId(4));
+        assert!(!c.files.contains_key(&FileId(4)));
+        // Slab slots by admission: block 2 → 0, block 0 → 1, block 1 → 2.
+        // They are freed in ascending block order, so the next admission
+        // reuses block 2's slot.
+        assert_eq!(c.free, [1, 2, 0]);
+        assert_eq!(c.touch(bid(4, 1), 100), Access::Miss);
+        assert_eq!(c.slot(&bid(4, 1)), Some(0));
+        assert_eq!(c.touch(bid(4, 1), 100), Access::Hit);
+        assert_eq!(c.files[&FileId(4)].resident, 1);
+        assert_eq!(c.used_bytes(), 200);
+        // Recency survived: filling the cache evicts file 5's block, the
+        // older one, and keeps the re-admitted one.
+        for i in 0..9 {
+            c.touch(bid(6, i), 100);
+        }
+        assert!(!c.contains(&bid(5, 0)));
+        assert!(c.contains(&bid(4, 1)));
     }
 
     #[test]

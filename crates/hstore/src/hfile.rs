@@ -14,15 +14,18 @@
 //! **meta** record per cell (arena offset, row and qualifier length,
 //! timestamp), the **value handles** (shared `Bytes`, never copied into
 //! the block) and a **search index** ([`SearchIndex`]): the row prefix all
-//! cells share plus, per cell, the next 8 row bytes as a big-endian `u64`.
-//! A seek is a binary search over that `u64` array — about 1 KiB for a
-//! 16 KiB block — and touches a full key only where two windows tie; a
-//! walk reads meta and arena front to back. The file keeps the same index
+//! cells share (up to 16 bytes, inline) plus, per cell, the next 8 row
+//! bytes as a big-endian `u64`, and inline, the high half of every
+//! sixteenth of those. A seek compares the probe with the 16 inline
+//! samples, then binary-searches the one segment of the `u64` array they
+//! leave — about 64 bytes of a 16 KiB block's 904 — and touches a full key
+//! only where two windows tie; a walk reads meta and arena front to back.
+//! The file keeps the same index
 //! over its blocks' first keys. DESIGN.md "HFile block layout" has the
 //! reasoning and the cache-line arithmetic.
 
 use crate::block_cache::{Access, AccessCounter, BlockId, FileId, SharedBlockCache};
-use crate::bloom::BloomFilter;
+use crate::bloom::{row_hash, BloomFilter};
 use crate::error::{CorruptionKind, HStoreError};
 use crate::types::{cell_heap_size, CellVersion, KeyRange, KeyRef, Qualifier, RowKey, Timestamp};
 use crate::wal::StagedCrc32c;
@@ -44,12 +47,29 @@ fn window(row: &[u8], skip: usize) -> u64 {
     u64::from_be_bytes(buf)
 }
 
+/// Most row bytes the search index keeps as its shared prefix. Rows that
+/// share more simply tie on more windows.
+const PREFIX_BYTES: usize = 16;
+
+/// Segments of the search index's inline top level.
+const SEGMENTS: usize = 16;
+
 /// Fixed-stride search index over a sorted run of keys: a binary search
-/// reads one dense `u64` array instead of chasing a pointer per probe.
+/// reads one dense `u64` array instead of chasing a pointer per probe, and
+/// an inline top level of sampled windows narrows it to one segment first.
 #[derive(Debug, Clone, Default)]
 struct SearchIndex {
-    /// The row prefix every indexed key shares.
-    prefix: Box<[u8]>,
+    /// The row prefix every indexed key shares (its first `prefix_len`
+    /// bytes), kept inline.
+    prefix: [u8; PREFIX_BYTES],
+    prefix_len: u8,
+    /// `top[j]` is the high half of the window of key
+    /// [`SearchIndex::segment_start`]`(j)`, the first of segment `j`: a
+    /// seek compares the probe with these 16 (one cache line's worth)
+    /// before it reads one segment of `windows`. Half a window orders
+    /// keys wherever it differs, like a whole one, and ties more often;
+    /// the 64 bytes it saves per block were worth more than the ties cost.
+    top: [u32; SEGMENTS],
     /// Per key, the [`window`] of its row past the shared prefix.
     windows: Box<[u64]>,
 }
@@ -62,11 +82,25 @@ impl SearchIndex {
         }
         // Sorted input: what the first and last row share, all rows share.
         let (first, last) = (row(0), row(n - 1));
-        let prefix_len = first.iter().zip(last).take_while(|(a, b)| a == b).count();
-        SearchIndex {
-            prefix: first[..prefix_len].into(),
+        let prefix_len =
+            first.iter().zip(last).take_while(|(a, b)| a == b).count().min(PREFIX_BYTES);
+        let mut index = SearchIndex {
+            prefix: [0; PREFIX_BYTES],
+            prefix_len: prefix_len as u8,
+            top: [0; SEGMENTS],
             windows: (0..n).map(|i| window(row(i), prefix_len)).collect(),
+        };
+        index.prefix[..prefix_len].copy_from_slice(&first[..prefix_len]);
+        for j in 0..SEGMENTS {
+            index.top[j] = (index.windows[index.segment_start(j)] >> 32) as u32;
         }
+        index
+    }
+
+    /// First key of segment `j` ∈ `0..=SEGMENTS`; segment `SEGMENTS` starts
+    /// at the end. With fewer keys than segments, segments repeat keys.
+    fn segment_start(&self, j: usize) -> usize {
+        j * self.windows.len() / SEGMENTS
     }
 
     /// How many leading keys sort before a probe whose row is `probe_row`.
@@ -75,17 +109,28 @@ impl SearchIndex {
     /// strict (`<`) or lax (`<=`) as the caller's bound needs.
     fn partition_point(&self, probe_row: &[u8], before: impl Fn(usize) -> bool) -> usize {
         let n = self.windows.len();
+        if n == 0 {
+            return 0;
+        }
         // A probe without the shared prefix sorts before or after every
         // key; slice order puts a probe that is a proper prefix of the
         // prefix first, which is where it belongs.
-        let head = &probe_row[..probe_row.len().min(self.prefix.len())];
-        match head.cmp(&self.prefix) {
+        let prefix = &self.prefix[..self.prefix_len as usize];
+        let head = &probe_row[..probe_row.len().min(prefix.len())];
+        match head.cmp(prefix) {
             std::cmp::Ordering::Less => return 0,
             std::cmp::Ordering::Greater => return n,
             std::cmp::Ordering::Equal => {}
         }
-        let probe = window(probe_row, self.prefix.len());
-        let (mut lo, mut hi) = (0, n);
+        let probe = window(probe_row, prefix.len());
+        // Segment starts whose sample is below the probe's sort before it,
+        // those above it after; only a tie needs `before`, so the answer
+        // lies past the last start below and at or before the first above.
+        let high = (probe >> 32) as u32;
+        let below = self.top.iter().filter(|&&w| w < high).count();
+        let at_or_below = self.top.iter().filter(|&&w| w <= high).count();
+        let mut lo = below.checked_sub(1).map_or(0, |j| self.segment_start(j) + 1);
+        let mut hi = self.segment_start(at_or_below);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             let mid_before = match self.windows[mid].cmp(&probe) {
@@ -496,7 +541,19 @@ impl HFile {
         qualifier: &Qualifier,
         cache: &SharedBlockCache,
     ) -> crate::error::Result<(Option<Option<Bytes>>, bool, Option<Access>)> {
-        if !self.bloom.may_contain(row.as_bytes()) {
+        self.get_hashed(row, qualifier, row_hash(row.as_bytes()), cache)
+    }
+
+    /// [`HFile::get`] for a caller that has already computed the row's
+    /// [`row_hash`], as a point get does once for every file it probes.
+    pub(crate) fn get_hashed(
+        &self,
+        row: &RowKey,
+        qualifier: &Qualifier,
+        hash: u64,
+        cache: &SharedBlockCache,
+    ) -> crate::error::Result<(Option<Option<Bytes>>, bool, Option<Access>)> {
+        if !self.bloom.may_contain_hash(hash) {
             return Ok((None, true, None));
         }
         // Newest version of the coordinate has the smallest InternalKey.
@@ -1268,6 +1325,50 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
+        /// The two-level search lands where a linear walk does at every
+        /// size around the top level's segment count — none, fewer keys
+        /// than segments, one per segment, a few over — and at a block's
+        /// and a file's typical sizes. Rows come from a small sorted pool,
+        /// so runs of equal rows (and rows equal in their first 8 bytes
+        /// past the prefix) straddle segment starts; a shared base longer
+        /// than the 16 inline prefix bytes makes the prefix cap matter.
+        #[test]
+        fn search_index_matches_a_linear_walk_at_every_size(
+            base in 0usize..3,
+            tails in prop::collection::vec(prop::collection::vec(0usize..3, 0..12), 1..8),
+            picks in prop::collection::vec(0usize..8, 737..738),
+        ) {
+            let base: &[u8] = [&b""[..], b"a", &[b'k'; 20]][base];
+            let pool: Vec<Vec<u8>> = tails
+                .iter()
+                .map(|t| {
+                    let tail: Vec<u8> = t.iter().map(|&i| [0x00, b'a', 0xFF][i]).collect();
+                    [base, &tail].concat()
+                })
+                .collect();
+            let mut probes = vec![vec![], vec![0xFF; 30], base.to_vec()];
+            for row in &pool {
+                probes.push(row[..row.len() / 2].to_vec());
+                for b in [0x00, b'a', 0xFF] {
+                    probes.push([row, &[b][..]].concat());
+                }
+                probes.push(row.clone());
+            }
+            for n in [0, 1, 15, 16, 17, 31, 32, 33, 113, 737] {
+                let mut rows: Vec<&[u8]> =
+                    picks[..n].iter().map(|&i| pool[i % pool.len()].as_slice()).collect();
+                rows.sort();
+                let index = SearchIndex::build(n, |i| rows[i]);
+                for probe in &probes {
+                    let probe = probe.as_slice();
+                    let strict = index.partition_point(probe, |i| rows[i] < probe);
+                    prop_assert_eq!(strict, rows.partition_point(|r| *r < probe), "n {} <", n);
+                    let lax = index.partition_point(probe, |i| rows[i] <= probe);
+                    prop_assert_eq!(lax, rows.partition_point(|r| *r <= probe), "n {} <=", n);
+                }
+            }
+        }
+
         /// The windowed binary searches land where a linear walk over full
         /// keys does, in a block and over the file's block index.
         #[test]
@@ -1315,17 +1416,21 @@ mod tests {
             f.verify_checksums().expect("a fresh file scrubs clean");
 
             // Point reads: same Bloom answer, same result, same block
-            // traffic (both sides start from a cold cache of their own).
-            let (new_cache, ref_cache) = (cache(), cache());
+            // traffic (each side starts from a cold cache of its own), and
+            // the same again through the entry point that takes the hash.
+            let (new_cache, ref_cache, hashed_cache) = (cache(), cache(), cache());
             for (row, q) in probes_for(&cells) {
                 prop_assert_eq!(
                     f.bloom.may_contain(row.as_bytes()),
                     want.bloom.may_contain(row.as_bytes())
                 );
                 let got = f.get(&row, &q, &new_cache).expect("undamaged file");
+                let hashed = f.get_hashed(&row, &q, row_hash(row.as_bytes()), &hashed_cache);
+                prop_assert_eq!(&got, &hashed.expect("undamaged file"));
                 prop_assert_eq!(got, want.get(&row, &q, &ref_cache), "get({:?}, {:?})", row, q);
             }
             prop_assert_eq!(new_cache.stats(), ref_cache.stats());
+            prop_assert_eq!(hashed_cache.stats(), ref_cache.stats());
 
             // Range scans between every pair of stored rows, and open ones.
             let mut bounds: Vec<Option<RowKey>> = vec![None];

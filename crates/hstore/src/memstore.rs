@@ -8,6 +8,7 @@
 //! row filter every memstore carries, which lets a point get skip a memstore
 //! that cannot hold its row (DESIGN.md, "Memstore row filter").
 
+use crate::bloom::row_hash;
 use crate::types::{cell_heap_size, CellVersion, InternalKey, KeyRange, RowKey};
 use bytes::Bytes;
 use std::collections::BTreeMap;
@@ -35,29 +36,10 @@ impl Default for MemStore {
     }
 }
 
-/// The row filter's two bit positions for `row`, from one word-at-a-time
-/// 64-bit hash: the low and the high half of the mixed hash.
-fn row_bits(row: &[u8]) -> [usize; 2] {
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().unwrap());
-    let mut h = row.len() as u64;
-    // The last word is the row's last eight bytes, overlapping the words
-    // before it: padding a short tail into a buffer costs a `memcpy` call,
-    // more than the rest of the hash.
-    let last = if row.len() >= 8 {
-        for w in row[..row.len() - 1].chunks_exact(8) {
-            h = (h ^ word(w)).wrapping_mul(K).rotate_left(29);
-        }
-        word(&row[row.len() - 8..])
-    } else {
-        row.iter().rev().fold(0, |t, &b| t << 8 | b as u64)
-    };
-    h = (h ^ last).wrapping_mul(K);
-    // The murmur3 finalizer, so both halves depend on every input bit.
-    h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^= h >> 33;
-    [h as usize % FILTER_BITS, (h >> 32) as usize % FILTER_BITS]
+/// The row filter's two bit positions for a row whose [`row_hash`] is
+/// `hash`: one from its low and one from its high half.
+fn row_bits(hash: u64) -> [usize; 2] {
+    [hash as usize % FILTER_BITS, (hash >> 32) as usize % FILTER_BITS]
 }
 
 impl MemStore {
@@ -66,9 +48,10 @@ impl MemStore {
         MemStore::default()
     }
 
-    /// False when no cell of `row` can be in the memstore.
-    fn may_hold_row(&self, row: &[u8]) -> bool {
-        row_bits(row).iter().all(|&b| self.row_filter[b / 64] & (1 << (b % 64)) != 0)
+    /// False when no cell of the row whose [`row_hash`] is `hash` can be in
+    /// the memstore.
+    fn may_hold_row(&self, hash: u64) -> bool {
+        row_bits(hash).iter().all(|&b| self.row_filter[b / 64] & (1 << (b % 64)) != 0)
     }
 
     /// Inserts a cell version (a put, or a tombstone when `value` is
@@ -78,7 +61,7 @@ impl MemStore {
         let size = |value: &Option<Bytes>| {
             cell_heap_size(row_len, qual_len, value.as_ref().map_or(0, |v| v.len()))
         };
-        for b in row_bits(key.coord.row.as_bytes()) {
+        for b in row_bits(row_hash(key.coord.row.as_bytes())) {
             self.row_filter[b / 64] |= 1 << (b % 64);
         }
         let added = size(&value);
@@ -99,7 +82,19 @@ impl MemStore {
         row: &RowKey,
         qualifier: &crate::types::Qualifier,
     ) -> Option<Option<Bytes>> {
-        if !self.may_hold_row(row.as_bytes()) {
+        self.get_newest_hashed(row, qualifier, row_hash(row.as_bytes()))
+    }
+
+    /// [`MemStore::get_newest`] for a caller that has already computed the
+    /// row's [`row_hash`], as a point get does once for every memstore and
+    /// file it probes.
+    pub(crate) fn get_newest_hashed(
+        &self,
+        row: &RowKey,
+        qualifier: &crate::types::Qualifier,
+        hash: u64,
+    ) -> Option<Option<Bytes>> {
+        if !self.may_hold_row(hash) {
             return None;
         }
         // The first entry ≥ (row, qualifier, MAX ts) within the coordinate is
@@ -264,7 +259,8 @@ mod tests {
             m.insert(InternalKey::new(row(2 * i), "c".into(), Timestamp(1)), val("v"));
         }
         let absent = 100_000;
-        let admitted = (0..absent).filter(|i| m.may_hold_row(row(2 * i + 1).as_bytes())).count();
+        let admitted =
+            (0..absent).filter(|i| m.may_hold_row(row_hash(row(2 * i + 1).as_bytes()))).count();
         admitted as f64 / absent as f64
     }
 

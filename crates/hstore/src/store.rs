@@ -24,6 +24,7 @@
 //! the pre-compaction files. Lock order is always active-before-view.
 
 use crate::block_cache::{AccessCounter, FileId, SharedBlockCache};
+use crate::bloom::row_hash;
 use crate::error::{CorruptionKind, HStoreError, Result};
 use crate::hfile::{HFile, HFileBuilder, HFileScanIter};
 use crate::maintenance::{MaintenanceConfig, MaintenanceHandle, MaintenanceSnapshot};
@@ -240,10 +241,13 @@ impl StoreShared {
     /// newest-first, files newest-first) without holding any lock.
     fn try_get(&self, row: &RowKey, qualifier: &Qualifier) -> Result<(Option<Bytes>, OpStats)> {
         let mut stats = OpStats::default();
+        // Hashed once: every memstore row filter and file Bloom filter
+        // probed below takes its bits from this one hash.
+        let hash = row_hash(row.as_bytes());
         let view = {
             let active = self.active.read();
             let view = self.view.read().clone();
-            if let Some(v) = active.get_newest(row, qualifier) {
+            if let Some(v) = active.get_newest_hashed(row, qualifier, hash) {
                 self.memstore_hits.fetch_add(1, Ordering::Relaxed);
                 stats.memstore = true;
                 return Ok((v, stats)); // tombstone → None
@@ -251,14 +255,15 @@ impl StoreShared {
             view
         };
         for mem in &view.frozen {
-            if let Some(v) = mem.get_newest(row, qualifier) {
+            if let Some(v) = mem.get_newest_hashed(row, qualifier, hash) {
                 self.memstore_hits.fetch_add(1, Ordering::Relaxed);
                 stats.memstore = true;
                 return Ok((v, stats));
             }
         }
         for file in view.files.iter().rev() {
-            let (result, bloom_rejected, access) = file.get(row, qualifier, &self.cache)?;
+            let (result, bloom_rejected, access) =
+                file.get_hashed(row, qualifier, hash, &self.cache)?;
             match access {
                 Some(crate::Access::Hit) => stats.cache_hits += 1,
                 Some(crate::Access::Miss) => stats.blocks_read += 1,
@@ -1147,14 +1152,16 @@ impl StoreSnapshot {
     /// The canonical point read against the captured state.
     pub fn try_get(&self, row: &RowKey, qualifier: &Qualifier) -> Result<(Option<Bytes>, OpStats)> {
         let mut stats = OpStats::default();
+        let hash = row_hash(row.as_bytes());
         for mem in &self.mems {
-            if let Some(v) = mem.get_newest(row, qualifier) {
+            if let Some(v) = mem.get_newest_hashed(row, qualifier, hash) {
                 stats.memstore = true;
                 return Ok((v, stats));
             }
         }
         for file in self.files.iter().rev() {
-            let (result, bloom_rejected, access) = file.get(row, qualifier, &self.cache)?;
+            let (result, bloom_rejected, access) =
+                file.get_hashed(row, qualifier, hash, &self.cache)?;
             match access {
                 Some(crate::Access::Hit) => stats.cache_hits += 1,
                 Some(crate::Access::Miss) => stats.blocks_read += 1,

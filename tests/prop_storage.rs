@@ -168,6 +168,69 @@ proptest! {
     }
 }
 
+/// Cell counts on either side of one and two multiples of the HFile search
+/// index's 16 top-level segments, plus a single cell.
+const SEGMENT_STRADDLING_COUNTS: [usize; 7] = [1, 15, 16, 17, 31, 32, 33];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Point gets over a store of several flushed files agree with a
+    /// `BTreeMap` reference on tricky rows, where each flush writes a
+    /// number of distinct coordinates that straddles the search index's
+    /// segments: with one-byte blocks every cell is a block of its own, so
+    /// the count is the file's block count (the index `block_for` reads);
+    /// with 64 KiB blocks the file is one block of that many cells (the
+    /// index the in-block seek reads). Newer files shadow and delete rows
+    /// of older ones, and a few writes stay in the memstore.
+    #[test]
+    fn point_gets_over_files_straddling_index_segments_match_the_model(
+        flushes in prop::collection::vec(
+            (0usize..7, prop::collection::vec((any::<u8>(), any::<u8>(), 0u8..8), 48..49)),
+            1..5,
+        ),
+        unflushed in prop::collection::vec((any::<u8>(), any::<u8>()), 0..8),
+        one_cell_blocks in any::<bool>(),
+    ) {
+        let block_size = if one_cell_blocks { 1 } else { 64 << 10 };
+        let mut store =
+            CfStore::new(SharedBlockCache::new(1 << 20), FileIdAllocator::new(), block_size);
+        let mut model: BTreeMap<(hstore::RowKey, hstore::Qualifier), Bytes> = BTreeMap::new();
+        for (count, candidates) in flushes {
+            let target = SEGMENT_STRADDLING_COUNTS[count];
+            let mut written = std::collections::BTreeSet::new();
+            for (r, q, v) in candidates {
+                let (row, qual) = (tricky_row(r), tricky_qual(q));
+                if written.len() == target && !written.contains(&(row.clone(), qual.clone())) {
+                    continue;
+                }
+                written.insert((row.clone(), qual.clone()));
+                // One write in eight is a delete.
+                if v == 0 {
+                    store.delete(row.clone(), qual.clone());
+                    model.remove(&(row, qual));
+                } else {
+                    store.put(row.clone(), qual.clone(), Bytes::from(vec![v; usize::from(v)]));
+                    model.insert((row, qual), Bytes::from(vec![v; usize::from(v)]));
+                }
+            }
+            store.flush();
+        }
+        for (r, q) in unflushed {
+            let (row, qual) = (tricky_row(r), tricky_qual(q));
+            store.put(row.clone(), qual.clone(), Bytes::from_static(b"mem"));
+            model.insert((row, qual), Bytes::from_static(b"mem"));
+        }
+        for r in 0..=u8::MAX {
+            for q in 0..4 {
+                let (row, qual) = (tricky_row(r), tricky_qual(q));
+                let want = model.get(&(row.clone(), qual.clone())).cloned();
+                prop_assert_eq!(store.get(&row, &qual), want, "get({:?}, {:?})", row, qual);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
