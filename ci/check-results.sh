@@ -14,7 +14,8 @@ set -uo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 if [ "$#" -gt 0 ]; then
-    bin=$1
+    # Absolute, because each binary runs from inside the scratch directory.
+    bin=$(cd "$1" && pwd) || exit 2
 else
     bin=$root/target/release
     (cd "$root" && cargo build --release --workspace --offline --quiet) || exit 2

@@ -166,6 +166,45 @@ proptest! {
         prop_assert!(CfStore::recover(s.crash(), cache(), FileIdAllocator::new())
             .is_err_and(|e| rot(&e)));
     }
+
+    /// A cache that admits nothing makes every get a cold read that
+    /// verifies its block. Over blocks whose values mix distinct buffers of
+    /// 0–300 bytes with runs of rows sharing one handle — the two layouts
+    /// the checksum's gather pass tells apart — each get returns its own
+    /// row's bytes, and a rotted block fails the next get typed.
+    #[test]
+    fn cold_gets_verify_blocks_of_shared_and_distinct_values(
+        rows in prop::collection::vec(
+            (prop::collection::vec(any::<u8>(), 1..24), any::<bool>(), 0usize..301),
+            1..300,
+        ),
+    ) {
+        let rows: BTreeMap<Vec<u8>, Option<usize>> =
+            rows.into_iter().map(|(r, shared, len)| (r, (!shared).then_some(len))).collect();
+        let shared = Bytes::from(vec![0x5A; 100]);
+        let value = |r: &[u8], len: Option<usize>| match len {
+            Some(n) => Bytes::from((0..n).map(|i| r[0] ^ i as u8).collect::<Vec<_>>()),
+            None => shared.clone(),
+        };
+        let mut s = CfStore::new(SharedBlockCache::new(0), FileIdAllocator::new(), 4 << 10);
+        for (r, &len) in &rows {
+            s.put(hstore::RowKey::new(r.clone()), qual(0), value(r, len));
+        }
+        let file = s.flush().expect("rows were written").file;
+        for (r, &len) in &rows {
+            let (got, stats) =
+                s.try_get(&hstore::RowKey::new(r.clone()), &qual(0)).expect("clean blocks verify");
+            prop_assert_eq!(got, Some(value(r, len)));
+            prop_assert_eq!((stats.cache_hits, stats.blocks_read), (0, 1));
+        }
+
+        prop_assert!(s.corrupt_file_block(file, 0));
+        let first = hstore::RowKey::new(rows.keys().next().expect("non-empty").clone());
+        prop_assert!(s.try_get(&first, &qual(0)).is_err_and(|e| matches!(
+            e,
+            HStoreError::Corruption { cause: CorruptionKind::BlockChecksum, .. }
+        )));
+    }
 }
 
 /// Cell counts on either side of one and two multiples of the HFile search
