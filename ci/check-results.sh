@@ -35,7 +35,7 @@ for name in table1 fig1 fig4 fig5 fig6 table2 ablations chaos latency; do
     fi
     # The committed files come from the default environment: no trace, no
     # fault plan.
-    if ! (cd "$got" && env -u MET_TRACE -u MET_TRACE_LEVEL -u MET_FAULT_PLAN -u MET_PROFILE \
+    if ! (cd "$got" && env -u MET_TRACE -u MET_TRACE_LEVEL -u MET_FAULT_PLAN \
         MET_RESULTS_DIR="$got" "$exe" >"$got/$name.txt" 2>"$got/$name.stderr"); then
         echo "check-results: exp-$name exited non-zero:" >&2
         tail -n 5 "$got/$name.stderr" >&2

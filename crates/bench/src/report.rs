@@ -5,22 +5,24 @@
 //! numbers in EXPERIMENTS.md are regenerable and diffable.
 
 use serde_json::Value;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use telemetry::{MetricsSnapshot, Telemetry};
 
 /// Directory results are written to (created if missing).
 pub fn results_dir() -> PathBuf {
-    std::env::var_os("MET_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
+    simcore::config::env_config().results_dir.clone().unwrap_or_else(|| PathBuf::from("results"))
 }
 
 /// Writes `value` as pretty JSON to `<results_dir>/<name>.json`,
 /// returning the path. IO errors are reported to stderr, not fatal — a
 /// read-only checkout still runs the experiments.
 pub fn write_json(name: &str, value: &Value) -> Option<PathBuf> {
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
+    write_json_in(&results_dir(), name, value)
+}
+
+/// [`write_json`] into an explicit directory.
+fn write_json_in(dir: &Path, name: &str, value: &Value) -> Option<PathBuf> {
+    if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("report: cannot create {}: {e}", dir.display());
         return None;
     }
@@ -138,15 +140,13 @@ mod tests {
     #[test]
     fn writes_and_reads_back() {
         let dir = std::env::temp_dir().join(format!("met-report-{}", std::process::id()));
-        std::env::set_var("MET_RESULTS_DIR", &dir);
         let value = serde_json::json!({"answer": 42, "curve": curve_json(&[(1.0, 2.5)])});
-        let path = write_json("unit-test", &value).expect("writable temp dir");
+        let path = write_json_in(&dir, "unit-test", &value).expect("writable temp dir");
         let read: Value =
             serde_json::from_str(&std::fs::read_to_string(&path).expect("file exists"))
                 .expect("valid json");
         assert_eq!(read["answer"], 42);
         assert_eq!(read["curve"][0][1], 2.5);
-        std::env::remove_var("MET_RESULTS_DIR");
         let _ = std::fs::remove_dir_all(dir);
     }
 

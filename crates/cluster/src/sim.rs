@@ -350,12 +350,9 @@ pub struct SimCluster {
     telemetry: Telemetry,
     faults: FaultInjector,
     rerep_mb_s: f64,
-    // Whether region servers keep a write-ahead log. On (the default, as
-    // in HBase), a crash strands the victim's memstore bytes as WAL
-    // backlog that must be replayed — at `wal_replay_mb_s` — before a
-    // re-homed partition serves again. Off reproduces the pre-WAL model:
-    // crashes are instantaneous hand-offs with no replay cost.
-    wal_durable: bool,
+    // Region servers keep a write-ahead log, as in HBase: a crash strands
+    // the victim's memstore bytes as WAL backlog that must be replayed —
+    // at this rate — before a re-homed partition serves again.
     wal_replay_mb_s: f64,
 }
 
@@ -418,21 +415,8 @@ impl SimCluster {
             telemetry: Telemetry::disabled(),
             faults: FaultInjector::disabled(),
             rerep_mb_s: 50.0,
-            wal_durable: true,
             wal_replay_mb_s: 50.0,
         }
-    }
-
-    /// Enables or disables the WAL durability model. Disabling it restores
-    /// the legacy crash semantics — no replay backlog, no recovery outage —
-    /// and with it byte-identical traces to builds that predate the WAL.
-    pub fn set_wal_durability(&mut self, on: bool) {
-        self.wal_durable = on;
-    }
-
-    /// Whether the WAL durability model is active.
-    pub fn wal_durable(&self) -> bool {
-        self.wal_durable
     }
 
     /// Sets the WAL replay rate (MB/s) a recovering partition's log is
@@ -501,27 +485,19 @@ impl SimCluster {
         s.last_rps = 0.0;
         s.last_p99_ms = 0.0;
         let orphans = self.assignment.values().filter(|sid| **sid == server).count();
-        // With a WAL the victim's memstore contents survive as log backlog:
-        // nothing is acknowledged-then-lost, but every orphaned partition
-        // owes a replay before it serves again. Without one (legacy model)
-        // the unflushed bytes ride along untouched, as if crashes were
-        // graceful hand-offs.
+        // The victim's memstore contents survive as WAL backlog: nothing
+        // is acknowledged-then-lost, but every orphaned partition owes a
+        // replay before it serves again.
         let mut wal_backlog = 0.0;
-        if self.wal_durable {
-            let orphan_ids: Vec<PartitionId> = self
-                .assignment
-                .iter()
-                .filter(|(_, sid)| **sid == server)
-                .map(|(p, _)| *p)
-                .collect();
-            for p in orphan_ids {
-                let part = self.partitions.get_mut(&p).expect("assigned partition exists");
-                wal_backlog += part.unflushed_bytes;
-                part.recovery_backlog += part.unflushed_bytes;
-                part.unflushed_bytes = 0.0;
-            }
-            self.telemetry.counter_add("sim_wal_backlog_bytes_total", &[], wal_backlog as u64);
+        let orphan_ids: Vec<PartitionId> =
+            self.assignment.iter().filter(|(_, sid)| **sid == server).map(|(p, _)| *p).collect();
+        for p in orphan_ids {
+            let part = self.partitions.get_mut(&p).expect("assigned partition exists");
+            wal_backlog += part.unflushed_bytes;
+            part.recovery_backlog += part.unflushed_bytes;
+            part.unflushed_bytes = 0.0;
         }
+        self.telemetry.counter_add("sim_wal_backlog_bytes_total", &[], wal_backlog as u64);
         let _ = self.namenode.fail_datanode(DataNodeId(server.0));
         self.telemetry.counter_add("sim_server_crashes_total", &[], 1);
         self.telemetry.emit(
@@ -529,15 +505,11 @@ impl SimCluster {
             TelemetryEvent::FaultInjected {
                 kind: "server_crash".to_string(),
                 target: Some(server.0),
-                detail: if self.wal_durable {
-                    format!(
-                        "server {server} crashed; {orphans} partitions orphaned, \
-                         {} B of WAL backlog to replay",
-                        wal_backlog as u64
-                    )
-                } else {
-                    format!("server {server} crashed; {orphans} partitions orphaned")
-                },
+                detail: format!(
+                    "server {server} crashed; {orphans} partitions orphaned, \
+                     {} B of WAL backlog to replay",
+                    wal_backlog as u64
+                ),
             },
         );
         true
@@ -845,7 +817,7 @@ impl SimCluster {
         // close/open outage; the replayed records land back in the new
         // host's memstore and flush through the normal path.
         let mut replay: Option<u64> = None;
-        if self.wal_durable && part.recovery_backlog > 0.0 {
+        if part.recovery_backlog > 0.0 {
             let wal_bytes = part.recovery_backlog as u64;
             outage = outage
                 + SimDuration::from_secs_f64(part.recovery_backlog / (self.wal_replay_mb_s * 1e6));
@@ -966,10 +938,10 @@ impl SimCluster {
 
     /// Advances one tick.
     ///
-    /// Wall-clock profiling spans (`sim.*`, gated behind `MET_PROFILE`)
-    /// bracket each phase; they read nothing but the real clock and write
-    /// nothing but the profiler's own buffers, so the simulation below is
-    /// byte-identical with profiling on or off.
+    /// Wall-clock spans (`sim.*`, recorded while `telemetry::span` is
+    /// armed) bracket each phase; they read nothing but the real clock and
+    /// write nothing but the recorder's own buffers, so the simulation
+    /// below is byte-identical with recording on or off.
     pub fn step(&mut self) {
         let _tick_span = wallspan::span("sim.tick");
         let dt = self.tick.as_secs_f64();
@@ -2796,46 +2768,6 @@ mod tests {
                 TelemetryEvent::RecoveryCompleted { region, duration_ms, .. }
                     if region == orphaned[0].0 && duration_ms as f64 >= min_ms)),
             "replay must complete no faster than outage + backlog/rate ({min_ms} ms)"
-        );
-    }
-
-    #[test]
-    fn wal_durability_off_restores_legacy_crash_semantics() {
-        let (mut sim, parts) = basic_cluster(3, 14);
-        let w = 1.0 / parts.len() as f64;
-        sim.add_group(ClientGroup::with_common_weights(
-            "writers",
-            50.0,
-            0.5,
-            None,
-            OpMix::write_only(),
-            parts.iter().map(|p| (*p, w)).collect(),
-            1.0,
-            0.0,
-        ));
-        let telemetry = Telemetry::with_ring(telemetry::Verbosity::Info, 4096);
-        sim.set_telemetry(telemetry.clone());
-        sim.set_wal_durability(false);
-        sim.run_ticks(30);
-        let victim = sim.online_server_ids()[0];
-        let orphaned: Vec<PartitionId> =
-            parts.iter().copied().filter(|p| sim.partition_server(*p) == Some(victim)).collect();
-        assert!(!orphaned.is_empty());
-        assert!(sim.crash_server(victim));
-        let snap = sim.snapshot();
-        assert!(
-            snap.partitions.iter().all(|m| m.wal_backlog_bytes == 0),
-            "legacy model strands no backlog"
-        );
-        let target = sim.online_server_ids()[0];
-        sim.move_partition(orphaned[0], target).unwrap();
-        sim.run_ticks(60);
-        assert!(
-            !telemetry.events().iter().any(|e| matches!(
-                e.data,
-                TelemetryEvent::RecoveryStarted { .. } | TelemetryEvent::RecoveryCompleted { .. }
-            )),
-            "legacy model performs no WAL replay"
         );
     }
 

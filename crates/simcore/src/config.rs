@@ -28,40 +28,12 @@ pub struct EnvConfig {
     pub fault_plan: Option<String>,
     /// `MET_FAULT_SEED` — seed for the `random` fault plan.
     pub fault_seed: u64,
-    /// `MET_PERF_OPS` — `exp-perf` ops per repetition of each store mix.
-    pub perf_ops: Option<u64>,
-    /// `MET_PERF_TICKS` — `exp-perf` measured cluster ticks per repetition.
-    pub perf_ticks: Option<u64>,
-    /// `MET_PERF_WARMUP_TICKS` — `exp-perf` cluster warmup ticks.
-    pub perf_warmup_ticks: Option<u64>,
-    /// `MET_PERF_REPS` — `exp-perf` repetitions (median reported).
-    pub perf_reps: Option<usize>,
-    /// `MET_PERF_CLIENTS` — `exp-perf` client threads for the threaded
-    /// store legs (`1` skips them).
-    pub perf_clients: Option<usize>,
-    /// `MET_PERF_ASSERT_CLIENT_SPEEDUP` — minimum
-    /// point-get-at-N-clients / point-get-at-1-thread ratio `exp-perf`
-    /// exits non-zero below. Meaningful only where real cores exist, so
-    /// armed on multi-core CI, not by default.
-    pub perf_assert_client_speedup: Option<f64>,
-    /// `MET_PERF_COMMIT` — `exp-perf` commit label override.
-    pub perf_commit: Option<String>,
-    /// `MET_BENCH_PATH` — `exp-perf` output path.
-    pub bench_path: Option<PathBuf>,
-    /// `MET_PROFILE` / `MET_SPANS` — arm the wall-clock span profiler
-    /// (`telemetry::span`). Truthy values: `1`, `true`, `on`, `yes`.
-    pub profile: bool,
-    /// `MET_PROFILE_OUT` — directory for `exp-profile` artifacts (Chrome
-    /// traces, phase table).
-    pub profile_out: Option<PathBuf>,
-    /// `MET_PROFILE_MINUTES` — simulated minutes per `exp-profile` leg.
-    pub profile_minutes: Option<u64>,
     /// `MET_CRASH_OPS` — `exp-crash` operations per workload schedule.
     pub crash_ops: Option<usize>,
     /// `MET_CRASH_SEED` — `exp-crash` base seed for its schedules.
     pub crash_seed: Option<u64>,
     /// `MET_CRASH_BG` — run `exp-crash`'s store audit with the background
-    /// maintenance pipeline enabled. Truthy values as for `MET_PROFILE`.
+    /// maintenance pipeline enabled. Truthy values: `1`, `true`, `on`, `yes`.
     pub crash_bg: bool,
     /// `MET_FLUSH_MEMSTORE_BYTES` — background-maintenance flush
     /// threshold (heap bytes in the active memstore).
@@ -80,15 +52,13 @@ pub struct EnvConfig {
     /// `MET_STORE_BLOCKING_FILES` — hard stall limit: writers block while
     /// this many store files exist (HBase's `blockingStoreFiles`).
     pub store_blocking_files: Option<usize>,
-    /// `MET_PERF_ASSERT_WRITER_SPEEDUP` — minimum background-on /
-    /// background-off writer ops/s ratio on `store-put-heavy` below which
-    /// `exp-perf` exits non-zero. Armed on multi-core CI only (cf.
-    /// `MET_PERF_ASSERT_CLIENT_SPEEDUP`).
-    pub perf_assert_writer_speedup: Option<f64>,
+    /// `MET_RESULTS_DIR` — directory the `exp-*` binaries write their
+    /// reports to (default `results`).
+    pub results_dir: Option<PathBuf>,
 }
 
-/// Interprets a profiler-gate string: `1`, `true`, `on`, `yes`
-/// (case-insensitive) arm it, anything else leaves it off.
+/// Interprets an on/off knob: `1`, `true`, `on`, `yes` (case-insensitive)
+/// turn it on, anything else leaves it off.
 fn is_truthy(s: &str) -> bool {
     matches!(s.trim().to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes")
 }
@@ -102,21 +72,6 @@ impl EnvConfig {
             trace_level: get("MET_TRACE_LEVEL"),
             fault_plan: get("MET_FAULT_PLAN"),
             fault_seed: get("MET_FAULT_SEED").and_then(|s| s.trim().parse().ok()).unwrap_or(42),
-            perf_ops: get("MET_PERF_OPS").and_then(|s| s.trim().parse().ok()),
-            perf_ticks: get("MET_PERF_TICKS").and_then(|s| s.trim().parse().ok()),
-            perf_warmup_ticks: get("MET_PERF_WARMUP_TICKS").and_then(|s| s.trim().parse().ok()),
-            perf_reps: get("MET_PERF_REPS").and_then(|s| s.trim().parse().ok()),
-            perf_clients: get("MET_PERF_CLIENTS").and_then(|s| s.trim().parse().ok()),
-            perf_assert_client_speedup: get("MET_PERF_ASSERT_CLIENT_SPEEDUP")
-                .and_then(|s| s.trim().parse().ok()),
-            perf_commit: get("MET_PERF_COMMIT")
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty()),
-            bench_path: get("MET_BENCH_PATH").map(PathBuf::from),
-            profile: get("MET_PROFILE").as_deref().map(is_truthy).unwrap_or(false)
-                || get("MET_SPANS").as_deref().map(is_truthy).unwrap_or(false),
-            profile_out: get("MET_PROFILE_OUT").map(PathBuf::from),
-            profile_minutes: get("MET_PROFILE_MINUTES").and_then(|s| s.trim().parse().ok()),
             crash_ops: get("MET_CRASH_OPS").and_then(|s| s.trim().parse().ok()),
             crash_seed: get("MET_CRASH_SEED").and_then(|s| s.trim().parse().ok()),
             crash_bg: get("MET_CRASH_BG").as_deref().map(is_truthy).unwrap_or(false),
@@ -129,8 +84,7 @@ impl EnvConfig {
                 .and_then(|s| s.trim().parse().ok()),
             store_blocking_files: get("MET_STORE_BLOCKING_FILES")
                 .and_then(|s| s.trim().parse().ok()),
-            perf_assert_writer_speedup: get("MET_PERF_ASSERT_WRITER_SPEEDUP")
-                .and_then(|s| s.trim().parse().ok()),
+            results_dir: get("MET_RESULTS_DIR").map(PathBuf::from),
         }
     }
 
@@ -166,9 +120,6 @@ mod tests {
         assert_eq!(c.trace_level, None);
         assert_eq!(c.fault_plan, None);
         assert_eq!(c.fault_seed, 42);
-        assert!(!c.profile, "profiling is off by default");
-        assert_eq!(c.profile_out, None);
-        assert_eq!(c.profile_minutes, None);
         assert_eq!(c.crash_ops, None);
         assert_eq!(c.crash_seed, None);
         assert!(!c.crash_bg, "crash audit runs inline maintenance by default");
@@ -178,7 +129,7 @@ mod tests {
         assert_eq!(c.compact_workers, None);
         assert_eq!(c.store_throttle_files, None);
         assert_eq!(c.store_blocking_files, None);
-        assert_eq!(c.perf_assert_writer_speedup, None);
+        assert_eq!(c.results_dir, None);
     }
 
     #[test]
@@ -188,17 +139,6 @@ mod tests {
             ("MET_TRACE_LEVEL", "info"),
             ("MET_FAULT_PLAN", "reference"),
             ("MET_FAULT_SEED", "7"),
-            ("MET_PERF_OPS", "5000"),
-            ("MET_PERF_TICKS", "30"),
-            ("MET_PERF_WARMUP_TICKS", "10"),
-            ("MET_PERF_REPS", "3"),
-            ("MET_PERF_CLIENTS", "4"),
-            ("MET_PERF_ASSERT_CLIENT_SPEEDUP", "2.0"),
-            ("MET_PERF_COMMIT", " abc1234 "),
-            ("MET_BENCH_PATH", "/tmp/BENCH_perf.json"),
-            ("MET_PROFILE", "1"),
-            ("MET_PROFILE_OUT", "/tmp/profile"),
-            ("MET_PROFILE_MINUTES", "6"),
             ("MET_CRASH_OPS", "200"),
             ("MET_CRASH_SEED", "9"),
             ("MET_CRASH_BG", "1"),
@@ -208,23 +148,12 @@ mod tests {
             ("MET_COMPACT_WORKERS", "2"),
             ("MET_STORE_THROTTLE_FILES", "10"),
             ("MET_STORE_BLOCKING_FILES", "20"),
-            ("MET_PERF_ASSERT_WRITER_SPEEDUP", "1.1"),
+            ("MET_RESULTS_DIR", "/tmp/results"),
         ]));
         assert_eq!(c.trace_path.as_deref(), Some(std::path::Path::new("/tmp/trail.jsonl")));
         assert_eq!(c.trace_level.as_deref(), Some("info"));
         assert_eq!(c.fault_plan.as_deref(), Some("reference"));
         assert_eq!(c.fault_seed, 7);
-        assert_eq!(c.perf_ops, Some(5000));
-        assert_eq!(c.perf_ticks, Some(30));
-        assert_eq!(c.perf_warmup_ticks, Some(10));
-        assert_eq!(c.perf_reps, Some(3));
-        assert_eq!(c.perf_clients, Some(4));
-        assert_eq!(c.perf_assert_client_speedup, Some(2.0));
-        assert_eq!(c.perf_commit.as_deref(), Some("abc1234"));
-        assert_eq!(c.bench_path.as_deref(), Some(std::path::Path::new("/tmp/BENCH_perf.json")));
-        assert!(c.profile);
-        assert_eq!(c.profile_out.as_deref(), Some(std::path::Path::new("/tmp/profile")));
-        assert_eq!(c.profile_minutes, Some(6));
         assert_eq!(c.crash_ops, Some(200));
         assert_eq!(c.crash_seed, Some(9));
         assert!(c.crash_bg);
@@ -234,17 +163,16 @@ mod tests {
         assert_eq!(c.compact_workers, Some(2));
         assert_eq!(c.store_throttle_files, Some(10));
         assert_eq!(c.store_blocking_files, Some(20));
-        assert_eq!(c.perf_assert_writer_speedup, Some(1.1));
+        assert_eq!(c.results_dir.as_deref(), Some(std::path::Path::new("/tmp/results")));
     }
 
     #[test]
-    fn profile_gate_accepts_either_knob_and_truthy_spellings() {
+    fn on_off_knobs_accept_truthy_spellings() {
         for v in ["1", "true", "ON", "yes"] {
-            assert!(EnvConfig::from_lookup(lookup(&[("MET_PROFILE", v)])).profile, "{v}");
-            assert!(EnvConfig::from_lookup(lookup(&[("MET_SPANS", v)])).profile, "{v}");
+            assert!(EnvConfig::from_lookup(lookup(&[("MET_CRASH_BG", v)])).crash_bg, "{v}");
         }
         for v in ["0", "false", "off", "", "maybe"] {
-            assert!(!EnvConfig::from_lookup(lookup(&[("MET_PROFILE", v)])).profile, "{v:?}");
+            assert!(!EnvConfig::from_lookup(lookup(&[("MET_CRASH_BG", v)])).crash_bg, "{v:?}");
         }
     }
 

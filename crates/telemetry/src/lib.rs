@@ -38,7 +38,7 @@ pub mod span;
 pub use event::{parse_trace, Event, EventKind, Level, TelemetryEvent};
 pub use registry::{HistogramSummary, MetricsBuffer, MetricsRegistry, MetricsSnapshot};
 pub use sink::{JsonlSink, RingBufferSink};
-pub use span::{SpanGuard, SpanRecord, SpanStats};
+pub use span::{SpanGuard, SpanRecord};
 
 use simcore::SimTime;
 use std::sync::{Arc, Mutex};
@@ -266,12 +266,12 @@ impl Telemetry {
         self.metrics().render_prometheus()
     }
 
-    /// Opens a wall-clock profiling span (see [`span`](crate::span)).
+    /// Opens a wall-clock span (see [`span`](crate::span)).
     ///
-    /// This is sugar for [`span::span_labeled`]: the profiler is
-    /// process-global and gated by `MET_PROFILE`/`MET_SPANS`, *not* by this
-    /// handle's enablement — a disabled handle still profiles when the
-    /// profiler is armed, and vice versa, because wall-clock spans must
+    /// This is sugar for [`span::span_labeled`]: the recorder is
+    /// process-global and armed by [`span::set_enabled`], *not* by this
+    /// handle's enablement — a disabled handle still records when the
+    /// recorder is armed, and vice versa, because wall-clock spans must
     /// never influence (or depend on) the deterministic event pipeline.
     pub fn span(&self, name: &'static str, labels: &[(&'static str, &str)]) -> SpanGuard {
         span::span_labeled(name, labels)

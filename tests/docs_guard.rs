@@ -1,7 +1,6 @@
 //! Docs, CI and scripts may only name knobs and binaries that exist: every
-//! `MET_*` token must be read by `EnvConfig` (or `report.rs`, which owns
-//! `MET_RESULTS_DIR`) and every `exp-*` token must have a source file under
-//! `crates/bench/src/bin/`.
+//! `MET_*` token must be read by `EnvConfig` and every `exp-*` token must
+//! have a source file under `crates/bench/src/bin/`.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -56,8 +55,7 @@ fn docs_and_ci_name_only_knobs_and_binaries_that_exist() {
             .filter(|p| p.extension() == Some("sh".as_ref())),
     );
 
-    let mut known_knobs = knobs(&read(&root.join("crates/simcore/src/config.rs")));
-    known_knobs.extend(knobs(&read(&root.join("crates/bench/src/report.rs"))));
+    let known_knobs = knobs(&read(&root.join("crates/simcore/src/config.rs")));
     let known_bins: BTreeSet<String> = std::fs::read_dir(root.join("crates/bench/src/bin"))
         .expect("bench binaries exist")
         .filter_map(|e| Some(e.ok()?.path().file_stem()?.to_str()?.to_string()))
@@ -68,7 +66,7 @@ fn docs_and_ci_name_only_knobs_and_binaries_that_exist() {
     for path in &sources {
         let text = read(path);
         let shown = path.strip_prefix(root).unwrap_or(path).display();
-        // A name ending in `_` is a family (`MET_PERF_*`): some knob must
+        // A name ending in `_` is a family (`MET_CRASH_*`): some knob must
         // carry the prefix.
         stale.extend(
             knobs(&text)
