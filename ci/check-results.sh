@@ -9,7 +9,10 @@
 #
 # With no argument it builds the workspace's release binaries and checks
 # those; pass another checkout's target/release to ask what *that* commit
-# writes. Lists every file that differs and exits 1 if any does.
+# writes. Lists every file that differs and exits 1 if any does. Each
+# same/DIFFERS line also shows the wall seconds its exp-* binary took, so
+# a change to the simulation's speed shows in the gate's output; the
+# timing is printed only and decides nothing.
 set -uo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -35,6 +38,7 @@ for name in table1 fig1 fig4 fig5 fig6 table2 ablations chaos latency; do
     fi
     # The committed files come from the default environment: no trace, no
     # fault plan.
+    t0=$(date +%s.%N)
     if ! (cd "$got" && env -u MET_TRACE -u MET_TRACE_LEVEL -u MET_FAULT_PLAN \
         MET_RESULTS_DIR="$got" "$exe" >"$got/$name.txt" 2>"$got/$name.stderr"); then
         echo "check-results: exp-$name exited non-zero:" >&2
@@ -42,12 +46,13 @@ for name in table1 fig1 fig4 fig5 fig6 table2 ablations chaos latency; do
         differ+=("exp-$name (exit status)")
         continue
     fi
+    secs=$(awk -v a="$t0" -v b="$(date +%s.%N)" 'BEGIN { printf "%.2f", b - a }')
     for ext in txt json; do
         [ -f "$want/$name.$ext" ] || continue
         if cmp -s "$want/$name.$ext" "$got/$name.$ext"; then
-            echo "  same    $name.$ext"
+            printf '  same    %-16s exp-%s %s s\n' "$name.$ext" "$name" "$secs"
         else
-            echo "  DIFFERS $name.$ext"
+            printf '  DIFFERS %-16s exp-%s %s s\n' "$name.$ext" "$name" "$secs"
             diff "$want/$name.$ext" "$got/$name.$ext" | head -n 6
             differ+=("$name.$ext")
         fi

@@ -196,16 +196,40 @@ pub struct ServerEval {
 }
 
 /// Working memory of [`evaluate_server`], owned by the caller so the 49
-/// evaluations a server gets per tick reuse one set of allocations. Holds
-/// nothing between calls: every buffer is cleared before it is filled.
+/// evaluations a server gets per tick reuse one set of allocations.
+///
+/// Between calls it keeps two per-demand memos, by input position: the
+/// write disk cost (one `log2`) and the region count (one `ceil`), each
+/// keyed on the bits of every input it reads — `data_bytes`,
+/// `record_bytes`, the server's effective flush size and the cost
+/// constants. Within a tick those are fixed, so 48 of a server's 49
+/// evaluations reuse them; a key that differs recomputes, so a hit returns
+/// the bits a fresh computation would. Every other buffer is cleared
+/// before it is filled.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
-    // Cache-fill segments: (partition index, bytes, rank, read rate).
+    // Cache-fill segments: (partition index, bytes, density, read rate).
     segments: Vec<(usize, f64, f64, f64)>,
     // Read rate the cache covers, per partition.
     covered: Vec<f64>,
     // `(read_hit, scan_hit)` per partition, in input order.
     hits: Vec<(f64, f64)>,
+    // Per demand: the memoised write disk cost and region count.
+    write_disk: Vec<Option<([u64; 6], f64)>>,
+    regions: Vec<Option<([u64; 2], f64)>>,
+}
+
+/// `f(key)` memoised in `slot` on the bits of `key`.
+fn memo<const N: usize>(
+    slot: &mut Option<([u64; N], f64)>,
+    key: [f64; N],
+    f: impl FnOnce() -> f64,
+) -> f64 {
+    let bits = key.map(f64::to_bits);
+    match slot {
+        Some((k, v)) if *k == bits => *v,
+        _ => slot.insert((bits, f())).1,
+    }
 }
 
 /// Per-partition cache hit ratios `(read_hit, scan_hit)`, written to
@@ -223,7 +247,7 @@ fn cache_hit_ratios(cache_bytes: f64, parts: &[PartitionDemand], work: &mut Eval
     // segment's residency rank too: a freshly written row is readable from
     // the memstore and its block re-enters the cache on flush, so
     // read-after-write working sets (e.g. TPC-C stock) stay resident.
-    let EvalScratch { segments, covered, hits } = work;
+    let EvalScratch { segments, covered, hits, .. } = work;
     segments.clear();
     for (i, p) in parts.iter().enumerate() {
         if p.read_rps <= 0.0 || p.data_bytes <= 0.0 {
@@ -233,20 +257,19 @@ fn cache_hit_ratios(cache_bytes: f64, parts: &[PartitionDemand], work: &mut Eval
         let cold_bytes = (p.data_bytes - hot_bytes).max(0.0);
         let rank_hot = (p.read_rps + p.write_rps) * p.hot_ops_fraction;
         let rank_cold = (p.read_rps + p.write_rps) * (1.0 - p.hot_ops_fraction);
-        segments.push((i, hot_bytes, rank_hot, p.read_rps * p.hot_ops_fraction));
+        segments.push((i, hot_bytes, rank_hot / hot_bytes, p.read_rps * p.hot_ops_fraction));
         if cold_bytes > 0.0 {
-            segments.push((i, cold_bytes, rank_cold, p.read_rps * (1.0 - p.hot_ops_fraction)));
+            let read_rate = p.read_rps * (1.0 - p.hot_ops_fraction);
+            segments.push((i, cold_bytes, rank_cold / cold_bytes, read_rate));
         }
     }
-    segments.sort_by(|a, b| {
-        let da = a.2 / a.1;
-        let db = b.2 / b.1;
-        db.partial_cmp(&da).expect("non-finite density")
-    });
+    // Each segment carries its density (rank / bytes), taken once; the
+    // stable sort on it orders exactly as recomputing it per compare did.
+    segments.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("non-finite density"));
     covered.clear();
     covered.resize(parts.len(), 0.0);
     let mut remaining = cache_bytes.max(0.0);
-    for &(idx, bytes, _rank, read_rate) in segments.iter() {
+    for &(idx, bytes, _density, read_rate) in segments.iter() {
         if remaining <= 0.0 {
             break;
         }
@@ -333,10 +356,17 @@ pub fn evaluate_server(
     // memstore watermark forces flushes long before the per-region
     // threshold; the budget is shared by every write-active region (we
     // estimate the region count from data volume).
+    work.regions.resize(parts.len(), None);
+    work.write_disk.resize(parts.len(), None);
     let write_regions: f64 = parts
         .iter()
-        .filter(|p| p.write_rps > 1.0)
-        .map(|p| (p.data_bytes / params.region_equiv_bytes).ceil().max(1.0))
+        .zip(&mut work.regions)
+        .filter(|(p, _)| p.write_rps > 1.0)
+        .map(|(p, slot)| {
+            memo(slot, [p.data_bytes, params.region_equiv_bytes], || {
+                (p.data_bytes / params.region_equiv_bytes).ceil().max(1.0)
+            })
+        })
         .sum::<f64>()
         .max(1.0);
     let effective_flush = (config.memstore_bytes() as f64 * 0.5 / write_regions)
@@ -353,7 +383,9 @@ pub fn evaluate_server(
     let mut total_rps = 0.0;
     let mut write_byte_rate = 0.0;
 
-    for (p, &(hit, scan_hit)) in parts.iter().zip(&work.hits) {
+    for ((p, &(hit, scan_hit)), write_slot) in
+        parts.iter().zip(&work.hits).zip(&mut work.write_disk)
+    {
         let miss = 1.0 - hit;
         let scan_miss = 1.0 - scan_hit;
         let remote_frac = 1.0 - p.locality.clamp(0.0, 1.0);
@@ -364,8 +396,13 @@ pub fn evaluate_server(
 
         // Write: memstore insert (CPU, amortized by client batching) +
         // amortized flush/compaction IO.
-        let wa = write_amplification(params, p.data_bytes, effective_flush);
-        let write_disk = wa * (p.record_bytes / 1e6) / params.disk_bw_mb_s * 1_000.0;
+        let (base, factor, bw) =
+            (params.write_amp_base, params.write_amp_factor, params.disk_bw_mb_s);
+        let key = [p.data_bytes, p.record_bytes, effective_flush, base, factor, bw];
+        let write_disk = memo(write_slot, key, || {
+            let wa = write_amplification(params, p.data_bytes, effective_flush);
+            wa * (p.record_bytes / 1e6) / params.disk_bw_mb_s * 1_000.0
+        });
         let write = (params.cpu_write_ms * p.write_cpu_factor.clamp(0.05, 1.0), write_disk);
 
         // Scan: per-row CPU; on miss, one discounted seek per block spanned

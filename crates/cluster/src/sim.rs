@@ -37,6 +37,7 @@ use dfs::{DataNodeId, DfsFileId, Namenode};
 use hstore::StoreConfig;
 use simcore::timeseries::TimeSeries;
 use simcore::{FaultInjector, FaultOp, ProvisionFault, SimDuration, SimRng, SimTime};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, VecDeque};
 use telemetry::{span as wallspan, MetricsBuffer, Telemetry, TelemetryEvent};
 
@@ -340,6 +341,8 @@ pub struct SimCluster {
     // Solver state, one per entry of `servers` in ID order (see
     // `ServerSlot`), and the tick's staged per-server metrics.
     slots: Vec<ServerSlot>,
+    // `partition_localities`' table, cleared by every write to its inputs.
+    localities: OnceCell<BTreeMap<PartitionId, f64>>,
     metrics: MetricsBuffer,
     total_series: TimeSeries,
     group_series: BTreeMap<String, TimeSeries>,
@@ -405,6 +408,7 @@ impl SimCluster {
             rng,
             rng_streams: SimRng::new(seed).derive("server-streams"),
             slots: Vec::new(),
+            localities: OnceCell::new(),
             metrics: MetricsBuffer::default(),
             total_series: TimeSeries::new("total ops/s"),
             group_series: BTreeMap::new(),
@@ -498,6 +502,7 @@ impl SimCluster {
             part.unflushed_bytes = 0.0;
         }
         self.telemetry.counter_add("sim_wal_backlog_bytes_total", &[], wal_backlog as u64);
+        self.localities.take();
         let _ = self.namenode.fail_datanode(DataNodeId(server.0));
         self.telemetry.counter_add("sim_server_crashes_total", &[], 1);
         self.telemetry.emit(
@@ -536,6 +541,7 @@ impl SimCluster {
                 continue;
             }
             let victim = online[index % online.len()];
+            self.localities.take();
             if self.namenode.fail_datanode(DataNodeId(victim.0)).is_ok() {
                 self.telemetry.counter_add("sim_datanode_losses_total", &[], 1);
                 self.telemetry.emit(
@@ -662,6 +668,7 @@ impl SimCluster {
         let rng = self.rng_streams.fork(&format!("server-{}", id.0));
         self.servers.insert(id, SimServer::new(id, config, ServerState::Online, 0.3, rng));
         self.namenode.add_datanode(DataNodeId(id.0));
+        self.localities.take();
         id
     }
 
@@ -669,6 +676,7 @@ impl SimCluster {
     pub fn create_partition(&mut self, spec: PartitionSpec) -> PartitionId {
         let id = PartitionId(self.next_partition);
         self.next_partition += 1;
+        self.localities.take();
         self.partitions.insert(
             id,
             SimPartition {
@@ -700,6 +708,7 @@ impl SimCluster {
             return Err(AdminError::ServerUnavailable(s));
         }
         self.assignment.insert(p, s);
+        self.localities.take();
         let part = self.partitions.get_mut(&p).expect("checked above");
         if part.files.is_empty() && part.size_bytes > 0.0 {
             let mut remaining = part.size_bytes;
@@ -811,6 +820,7 @@ impl SimCluster {
 
     fn do_move(&mut self, p: PartitionId, to: ServerId) {
         self.assignment.insert(p, to);
+        self.localities.take();
         let mut outage = SimDuration::from_secs_f64(self.params.move_outage_s);
         let part = self.partitions.get_mut(&p).expect("moving unknown partition");
         // A crash-orphaned partition pays for WAL replay on top of the
@@ -952,7 +962,9 @@ impl SimCluster {
         {
             let _s = wallspan::span("sim.faults");
             self.apply_injected_faults();
-            self.namenode.rereplicate_step((self.rerep_mb_s * 1e6 * dt) as u64);
+            if self.namenode.rereplicate_step((self.rerep_mb_s * 1e6 * dt) as u64) > 0 {
+                self.localities.take();
+            }
         }
 
         let lifecycle_span = wallspan::span("sim.lifecycle");
@@ -1072,6 +1084,7 @@ impl SimCluster {
         for (p, sid, bytes) in new_files {
             let fid = DfsFileId(self.next_file);
             self.next_file += 1;
+            self.localities.take();
             if self.namenode.create_file(fid, bytes as u64, DataNodeId(sid.0)).is_ok() {
                 self.partitions
                     .get_mut(&p)
@@ -1248,6 +1261,7 @@ impl SimCluster {
 
     fn finish_compaction(&mut self, p: PartitionId, sid: ServerId) {
         let Some(part) = self.partitions.get_mut(&p) else { return };
+        self.localities.take();
         // Replace all files with one local rewrite.
         for (fid, _) in part.files.drain(..) {
             let _ = self.namenode.delete_file(fid);
@@ -1277,6 +1291,7 @@ impl SimCluster {
     pub fn split_partition(&mut self, p: PartitionId) -> Option<PartitionId> {
         let sid = *self.assignment.get(&p)?;
         let q = PartitionId(self.next_partition);
+        self.localities.take();
         {
             let part = self.partitions.get_mut(&p)?;
             part.size_bytes /= 2.0;
@@ -1346,9 +1361,23 @@ impl SimCluster {
     }
 
     /// Locality index of every assigned partition on its current server,
-    /// in partition-ID order. Computed once per tick (the namenode does
-    /// not change during the equilibrium solve).
-    fn partition_localities(&self) -> BTreeMap<PartitionId, f64> {
+    /// in partition-ID order. Cached: built by the first read after its
+    /// inputs last changed, so the solve and `snapshot()` (MeT's heal pass
+    /// and its monitor) share one table until a move, flush, compaction,
+    /// split or DFS change clears it. Every write to `assignment`, to a
+    /// partition's `files` or to the namenode's placement must clear it.
+    fn partition_localities(&self) -> &BTreeMap<PartitionId, f64> {
+        let table = self.localities.get_or_init(|| self.fresh_localities());
+        // Unit tests hold every read, mid-tick ones included, to a fresh
+        // table: a write that forgets to clear the cache fails there.
+        #[cfg(test)]
+        tests::assert_same_localities(table, &self.fresh_localities(), "a read");
+        table
+    }
+
+    /// [`SimCluster::partition_localities`] computed afresh: one batched
+    /// namenode pass.
+    fn fresh_localities(&self) -> BTreeMap<PartitionId, f64> {
         let queries: Vec<(DataNodeId, &[(DfsFileId, u64)])> = self
             .assignment
             .iter()
@@ -1363,9 +1392,7 @@ impl SimCluster {
     /// splits, crashes, restarts, group switches, the balancer and
     /// provisioning all change it — and never inside a solve, where none of
     /// them can happen.
-    /// `locality` is the per-tick table from
-    /// [`SimCluster::partition_localities`].
-    fn plan_solve(&mut self, locality: &BTreeMap<PartitionId, f64>) -> SolvePlan {
+    fn plan_solve(&mut self) -> SolvePlan {
         let tables: Vec<BTreeMap<PartitionId, (f64, f64, f64)>> = self
             .groups
             .iter()
@@ -1394,11 +1421,17 @@ impl SimCluster {
             .collect();
 
         let ids: Vec<ServerId> = self.servers.keys().copied().collect();
-        self.slots.resize_with(ids.len(), ServerSlot::default);
-        for slot in &mut self.slots {
+        // Out of `self` while the locality table borrows it.
+        let mut slots = std::mem::take(&mut self.slots);
+        slots.resize_with(ids.len(), ServerSlot::default);
+        for slot in &mut slots {
             slot.demands.clear();
             slot.index.clear();
         }
+        let locality = {
+            let _s = wallspan::span("sim.locality");
+            self.partition_localities()
+        };
         // Ascending partition order, so each slot's demands come out
         // ascending too. Unassigned partitions get no demand anywhere:
         // their clients pay the unavailability penalty.
@@ -1408,7 +1441,7 @@ impl SimCluster {
                 continue;
             };
             // The host's rank among the fleet's ascending ids is its slot.
-            let Some(slot) = ids.binary_search(sid).ok().and_then(|k| self.slots.get_mut(k)) else {
+            let Some(slot) = ids.binary_search(sid).ok().and_then(|k| slots.get_mut(k)) else {
                 continue;
             };
             slot.index.push(pi);
@@ -1427,6 +1460,7 @@ impl SimCluster {
                 write_cpu_factor: 1.0,
             });
         }
+        self.slots = slots;
         SolvePlan { pids, rates, weights }
     }
 
@@ -1481,13 +1515,7 @@ impl SimCluster {
 
         let mut avg: Vec<f64> = vec![0.0; x.len()];
         let mut group_r_ms: Vec<f64> = vec![0.0; x.len()];
-        // Locality does not change during the solve: compute the table once
-        // instead of per iteration.
-        let localities = {
-            let _s = wallspan::span("sim.locality");
-            self.partition_localities()
-        };
-        let plan = self.plan_solve(&localities);
+        let plan = self.plan_solve();
         let mut loads: Vec<PartitionLoad> = vec![(0.0, 0.0, 0.0, 0.0, 1.0); plan.pids.len()];
         // `(read, write, scan)` response time per plan index, ms. `None`: no
         // server answers for the partition (unassigned). Each index belongs
@@ -1674,8 +1702,8 @@ impl ElasticCluster for SimCluster {
         for (p, s) in &self.assignment {
             by_server.entry(*s).or_default().push(*p);
         }
-        // One batched locality pass reused for both the per-server
-        // byte-weighted aggregate and the per-partition metric below.
+        // One locality table for both the per-server byte-weighted
+        // aggregate and the per-partition metric below.
         let localities = self.partition_localities();
         let servers = self
             .servers
@@ -1768,6 +1796,7 @@ impl ElasticCluster for SimCluster {
         s.state = ServerState::Restarting { until };
         s.warmth = 0.0;
         s.compaction_backlog.clear();
+        self.localities.take();
         Ok(())
     }
 
@@ -1788,6 +1817,7 @@ impl ElasticCluster for SimCluster {
         }
         // Read + write the whole partition.
         server.compaction_backlog.push_back((partition, 2.0 * bytes as f64));
+        self.localities.take();
         Ok(())
     }
 
@@ -1831,6 +1861,7 @@ impl ElasticCluster for SimCluster {
         let rng = self.rng_streams.fork(&format!("server-{}", id.0));
         self.servers.insert(id, SimServer::new(id, config, state, 0.05, rng));
         self.namenode.add_datanode(DataNodeId(id.0));
+        self.localities.take();
         Ok(id)
     }
 
@@ -1857,6 +1888,7 @@ impl ElasticCluster for SimCluster {
         let s = self.servers.get_mut(&server).expect("checked");
         s.rng = stream;
         s.state = ServerState::Stopped;
+        self.localities.take();
         let _ = self.namenode.remove_datanode(DataNodeId(server.0));
         Ok(())
     }
@@ -1990,7 +2022,7 @@ mod tests {
                 let mut server_evals: BTreeMap<ServerId, ServerEval> = BTreeMap::new();
                 let mut avg: Vec<f64> = vec![0.0; x.len()];
                 let mut group_r_ms: Vec<f64> = vec![0.0; x.len()];
-                let localities = self.partition_localities();
+                let localities = self.fresh_localities();
                 let group_rates = self.group_rate_tables();
                 let params = &self.params;
                 let mut response: BTreeMap<PartitionId, (f64, f64, f64)> = BTreeMap::new();
@@ -2261,6 +2293,97 @@ mod tests {
                 }
                 assert_dense_solve_matches_oracle(&mut sim);
                 sim.step();
+            }
+        }
+    }
+
+    /// Holds a cached locality table to a fresh one, bit for bit.
+    pub(super) fn assert_same_localities(
+        cached: &BTreeMap<PartitionId, f64>,
+        fresh: &BTreeMap<PartitionId, f64>,
+        after: &str,
+    ) {
+        let bits = |t: &BTreeMap<PartitionId, f64>| -> Vec<(PartitionId, u64)> {
+            t.iter().map(|(p, v)| (*p, v.to_bits())).collect()
+        };
+        assert_eq!(bits(cached), bits(fresh), "stale locality table after {after}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(16))]
+
+        /// Random sequences of ticks and of every call that moves the
+        /// locality table's inputs — moves, splits, crashes, compactions,
+        /// restarts, provisioning, decommissioning — under a fault plan
+        /// that loses datanodes and tears a WAL write. After each call the
+        /// cached table must equal a fresh one; reads inside `step` (the
+        /// solve's) are held to the same by `partition_localities` itself.
+        #[test]
+        fn locality_cache_never_goes_stale(seed in proptest::any::<u64>()) {
+            let mut sim = random_topology(seed, 5, 14, 3);
+            // A heavy writer, so memstores flush new files every few ticks.
+            let hot: Vec<(PartitionId, f64)> =
+                sim.partitions.keys().take(4).map(|p| (*p, 0.25)).collect();
+            let mix = OpMix::write_only();
+            let writer =
+                ClientGroup::with_common_weights("writer", 400.0, 0.1, None, mix, hot, 1.0, 0.5);
+            sim.add_group(writer);
+            let plan = simcore::FaultPlan::parse("9s:dn-loss@1,31s:dn-loss@0,52s:torn-write@3")
+                .expect("valid plan");
+            sim.set_fault_injector(plan.injector());
+            let mut rng = SimRng::new(seed).derive("locality-cache");
+            for _ in 0..160 {
+                let online = sim.online_server_ids();
+                // Unassigned ones too: moving one assigns it.
+                let known: Vec<PartitionId> = sim.partitions.keys().copied().collect();
+                let p = known[rng.next_below(known.len() as u64) as usize];
+                let server = (!online.is_empty())
+                    .then(|| online[rng.next_below(online.len() as u64) as usize]);
+                let config = StoreConfig::default_homogeneous();
+                let what = match (rng.next_below(16), server) {
+                    // A first assignment writes the partition's files at
+                    // the host, which needs its datanode alive.
+                    (0, Some(s))
+                        if sim.assignment.contains_key(&p)
+                            || sim.namenode.datanodes().contains(&DataNodeId(s.0)) =>
+                    {
+                        let _ = sim.move_partition(p, s);
+                        "move"
+                    }
+                    (1, _) => {
+                        sim.split_partition(p);
+                        "split"
+                    }
+                    (2, Some(s)) if online.len() > 2 => {
+                        sim.crash_server(s);
+                        "crash"
+                    }
+                    (3, _) => {
+                        let _ = sim.major_compact(p);
+                        "major_compact"
+                    }
+                    (4, Some(s)) if online.len() > 1 => {
+                        let _ = sim.restart_server(s, config);
+                        "restart"
+                    }
+                    (5, _) => {
+                        let _ = sim.provision_server(config);
+                        "provision"
+                    }
+                    (6, Some(s)) if online.len() > 2 => {
+                        let _ = sim.decommission_server(s);
+                        "decommission"
+                    }
+                    _ => {
+                        sim.step();
+                        "step"
+                    }
+                };
+                if let Some(cached) = sim.localities.get() {
+                    assert_same_localities(cached, &sim.fresh_localities(), what);
+                }
+                // Fill the cache, so the next call's writes must clear it.
+                sim.partition_localities();
             }
         }
     }
