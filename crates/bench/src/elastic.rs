@@ -77,17 +77,7 @@ pub struct ElasticRun {
     pub final_nodes: f64,
 }
 
-/// Debug accessor for the experiment scenario builder.
-pub fn build_cloud_dbg(seed: u64) -> (CloudCluster, Vec<DeployedWorkload>) {
-    build_cloud_delayed(seed, boot_delay())
-}
-
-/// The paper's OpenStack boot delay as a duration.
-fn boot_delay() -> SimDuration {
-    SimDuration::from_secs(BOOT_DELAY_S)
-}
-
-fn build_cloud_delayed(seed: u64, boot: SimDuration) -> (CloudCluster, Vec<DeployedWorkload>) {
+fn build_cloud(seed: u64, boot: SimDuration) -> (CloudCluster, Vec<DeployedWorkload>) {
     let mut sim = SimCluster::new(paper_params(), seed);
     // The §6.4 workload set with thread counts that overload the initial
     // six nodes. The paper switches off E+F, then B, then A, "leaving only
@@ -182,8 +172,10 @@ pub(crate) fn run_spec(spec: crate::ScenarioSpec) -> crate::ScenarioRun {
         unreachable!("elastic::run_spec only handles the Elastic strategy");
     };
     let telemetry = spec.telemetry.clone();
-    let (mut cloud, deployments) =
-        build_cloud_delayed(spec.seed, spec.provision_delay.unwrap_or(boot_delay()));
+    let (mut cloud, deployments) = build_cloud(
+        spec.seed,
+        spec.provision_delay.unwrap_or(SimDuration::from_secs(BOOT_DELAY_S)),
+    );
     cloud.set_telemetry(telemetry.clone());
     let injector = (!spec.faults.is_empty()).then(|| spec.faults.injector());
     if let Some(inj) = &injector {

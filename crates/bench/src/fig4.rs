@@ -6,7 +6,7 @@
 //! compactions dominate the cost; throughput floors around 7 500 ops/s and
 //! recovers to 20 000 by minute 5), then tracks Manual-Heterogeneous.
 
-use crate::fig1::{run_once, Strategy};
+use crate::fig1::Strategy;
 use simcore::timeseries::TimeSeries;
 use simcore::SimTime;
 use std::collections::BTreeMap;
@@ -68,17 +68,6 @@ pub fn run_manual_curve(strategy: Strategy, seed: u64, minutes: u64) -> TimeSeri
     crate::ScenarioSpec::new(crate::ScenarioStrategy::Manual(strategy), seed, minutes)
         .run()
         .total_series
-}
-
-/// Picks the best-throughput seed out of `candidates` for a manual curve
-/// (§6.2 compares against "the run with the best throughput from both
-/// strategies").
-pub fn best_seed(strategy: Strategy, candidates: u64, minutes: u64) -> u64 {
-    (0..candidates)
-        .map(|s| (s + 1_000, run_once(strategy, s + 1_000, minutes).total))
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite totals"))
-        .map(|(s, _)| s)
-        .expect("at least one candidate")
 }
 
 /// Runs the full Figure 4 experiment.

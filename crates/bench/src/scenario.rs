@@ -2,7 +2,7 @@
 //! the strategy builders used across figures.
 
 use baselines::manual::LoadedPartition;
-use cluster::{CostParams, PartitionId, SimCluster};
+use cluster::{CostParams, SimCluster};
 use met::classify::{classify, PartitionRates};
 use met::profiles::ProfileKind;
 use simcore::SimRng;
@@ -91,15 +91,6 @@ impl YcsbScenario {
             }
         }
         out
-    }
-
-    /// Partition ids of one workload by name ("A".."F").
-    pub fn partitions_of(&self, name: &str) -> Vec<PartitionId> {
-        self.deployments
-            .iter()
-            .find(|d| d.spec.name == name)
-            .map(|d| d.partitions.clone())
-            .unwrap_or_default()
     }
 }
 

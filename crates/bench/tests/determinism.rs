@@ -1,8 +1,7 @@
 //! Determinism gate for the experiment runners: the Fig-4 convergence run,
 //! the chaos run (reference fault plan, and with disk faults on top) and
 //! the SLO-gated latency run must each produce byte-identical telemetry
-//! traces and final partition layouts when run twice at one seed, and the
-//! span profiler must be invisible to both.
+//! traces and final partition layouts when run twice at one seed.
 //!
 //! The trace is the full debug-level event stream serialized as JSONL; the
 //! layout is the `Debug` rendering of the final cluster snapshot, whose
@@ -110,35 +109,6 @@ fn chaos_trace_is_byte_identical_across_runs() {
     // failures, and metrics drop (7:00) plus recovery.
     let plan = FaultPlan::reference();
     assert_identical("chaos", &traced_chaos(1_000, 10, &plan), &traced_chaos(1_000, 10, &plan));
-}
-
-#[test]
-fn fig4_trace_is_unchanged_by_profiling() {
-    // The span profiler is wall-clock and must be trace-invisible: arming
-    // it changes nothing in the JSONL trace or the final layout. (Profiled
-    // runs share this process with the gates above; spans never touch
-    // telemetry sinks, so coexistence is safe — the drained records are
-    // simply discarded.)
-    let baseline = traced_fig4(1_000, 4);
-    telemetry::span::set_enabled(true);
-    let profiled = traced_fig4(1_000, 4);
-    telemetry::span::set_enabled(false);
-    let spans = telemetry::span::drain();
-    assert!(!spans.is_empty(), "profiled runs must actually record spans");
-    assert_identical("fig4 profiled", &baseline, &profiled);
-}
-
-#[test]
-fn chaos_trace_is_unchanged_by_profiling() {
-    // Same invisibility claim under faults: crashes, provision failures
-    // and the healer's re-homing all run with spans armed.
-    let plan = FaultPlan::reference();
-    let baseline = traced_chaos(1_000, 6, &plan);
-    telemetry::span::set_enabled(true);
-    let profiled = traced_chaos(1_000, 6, &plan);
-    telemetry::span::set_enabled(false);
-    let _ = telemetry::span::drain();
-    assert_identical("chaos profiled", &baseline, &profiled);
 }
 
 #[test]

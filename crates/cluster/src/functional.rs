@@ -68,7 +68,6 @@ struct FunctionalServer {
 }
 
 struct TableMeta {
-    families: Vec<Family>,
     // Region start key (None = table start) → region id, sorted so the
     // region covering a row is the last entry with start ≤ row.
     regions: BTreeMap<Option<RowKey>, RegionId>,
@@ -137,7 +136,7 @@ impl FunctionalCluster {
         let mut bounds: Vec<Option<RowKey>> = vec![None];
         bounds.extend(sorted.into_iter().map(Some));
         let mut region_ids = Vec::new();
-        let mut meta = TableMeta { families: families.to_vec(), regions: BTreeMap::new() };
+        let mut meta = TableMeta { regions: BTreeMap::new() };
 
         // Randomized even placement: shuffle server order, round-robin.
         let mut order: Vec<ServerId> = self.servers.keys().copied().collect();
@@ -525,11 +524,6 @@ impl FunctionalCluster {
     /// The server currently holding a region.
     pub fn region_server(&self, rid: RegionId) -> Option<ServerId> {
         self.assignment.get(&rid).copied()
-    }
-
-    /// The declared column families of a table.
-    pub fn table_families(&self, table: &str) -> Vec<Family> {
-        self.tables.get(table).map(|m| m.families.clone()).unwrap_or_default()
     }
 
     /// Major-compacts every family of a region in place.

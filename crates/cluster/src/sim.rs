@@ -39,7 +39,7 @@ use simcore::timeseries::TimeSeries;
 use simcore::{FaultInjector, FaultOp, ProvisionFault, SimDuration, SimRng, SimTime};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, VecDeque};
-use telemetry::{span as wallspan, MetricsBuffer, Telemetry, TelemetryEvent};
+use telemetry::{MetricsBuffer, Telemetry, TelemetryEvent};
 
 /// Fixed-point iterations per tick.
 const SOLVER_ITERS: usize = 48;
@@ -51,6 +51,9 @@ const SOLVER_AVG_WINDOW: usize = 12;
 const FLUSH_FILE_BYTES: f64 = 64e6;
 /// Size of the initial files created when a partition is first assigned.
 const INITIAL_FILE_BYTES: f64 = 256e6;
+/// Background re-replication rate (MB/s) at which blocks left
+/// under-replicated by a datanode *failure* are repaired.
+const REREPLICATE_MB_S: f64 = 50.0;
 
 /// Specification for creating a simulated partition.
 #[derive(Debug, Clone)]
@@ -352,7 +355,6 @@ pub struct SimCluster {
     splits: u64,
     telemetry: Telemetry,
     faults: FaultInjector,
-    rerep_mb_s: f64,
     // Region servers keep a write-ahead log, as in HBase: a crash strands
     // the victim's memstore bytes as WAL backlog that must be replayed —
     // at this rate — before a re-homed partition serves again.
@@ -418,7 +420,6 @@ impl SimCluster {
             splits: 0,
             telemetry: Telemetry::disabled(),
             faults: FaultInjector::disabled(),
-            rerep_mb_s: 50.0,
             wal_replay_mb_s: 50.0,
         }
     }
@@ -455,12 +456,6 @@ impl SimCluster {
     /// is a no-op and behaviour is identical to a build without them.
     pub fn set_fault_injector(&mut self, faults: FaultInjector) {
         self.faults = faults;
-    }
-
-    /// Sets the background re-replication rate (MB/s) at which blocks
-    /// left under-replicated by a datanode *failure* are repaired.
-    pub fn set_rereplication_rate_mb_s(&mut self, mb_s: f64) {
-        self.rerep_mb_s = mb_s;
     }
 
     /// Bytes still waiting for background DFS repair after a failure.
@@ -698,7 +693,9 @@ impl SimCluster {
 
     /// Assigns a partition to a server. On first assignment the partition's
     /// initial files are written at that server (100 % locality, the
-    /// elasticity experiment's initial state, §6.4).
+    /// elasticity experiment's initial state, §6.4) — unless its datanode
+    /// was lost, in which case none is written and the partition's next
+    /// assignment writes them, as a flush on such a server writes nothing.
     pub fn assign_partition(&mut self, p: PartitionId, s: ServerId) -> Result<(), AdminError> {
         if !self.partitions.contains_key(&p) {
             return Err(AdminError::UnknownPartition(p));
@@ -716,9 +713,9 @@ impl SimCluster {
                 let sz = remaining.min(INITIAL_FILE_BYTES);
                 let fid = DfsFileId(self.next_file);
                 self.next_file += 1;
-                self.namenode
-                    .create_file(fid, sz as u64, DataNodeId(s.0))
-                    .expect("datanode registered with server");
+                if self.namenode.create_file(fid, sz as u64, DataNodeId(s.0)).is_err() {
+                    break;
+                }
                 part.files.push((fid, sz as u64));
                 remaining -= sz;
             }
@@ -907,11 +904,6 @@ impl SimCluster {
         self.now
     }
 
-    /// Tick length.
-    pub fn tick_len(&self) -> SimDuration {
-        self.tick
-    }
-
     /// Total-throughput series (one point per tick, ops/s).
     pub fn total_series(&self) -> &TimeSeries {
         &self.total_series
@@ -947,27 +939,17 @@ impl SimCluster {
     }
 
     /// Advances one tick.
-    ///
-    /// Wall-clock spans (`sim.*`, recorded while `telemetry::span` is
-    /// armed) bracket each phase; they read nothing but the real clock and
-    /// write nothing but the recorder's own buffers, so the simulation
-    /// below is byte-identical with recording on or off.
     pub fn step(&mut self) {
-        let _tick_span = wallspan::span("sim.tick");
         let dt = self.tick.as_secs_f64();
         self.now += self.tick;
 
         // 0. Scripted faults fire first: a crash at tick t is visible to
         // everything else that happens at t.
-        {
-            let _s = wallspan::span("sim.faults");
-            self.apply_injected_faults();
-            if self.namenode.rereplicate_step((self.rerep_mb_s * 1e6 * dt) as u64) > 0 {
-                self.localities.take();
-            }
+        self.apply_injected_faults();
+        if self.namenode.rereplicate_step((REREPLICATE_MB_S * 1e6 * dt) as u64) > 0 {
+            self.localities.take();
         }
 
-        let lifecycle_span = wallspan::span("sim.lifecycle");
         // 1. Server lifecycle transitions.
         for (sid, server) in self.servers.iter_mut() {
             match server.state {
@@ -1038,12 +1020,9 @@ impl SimCluster {
             }
         }
 
-        drop(lifecycle_span);
-
         // 3. Solve the closed-loop equilibrium.
         let solution = self.solve_equilibrium();
 
-        let integrate_span = wallspan::span("sim.integrate");
         // 4. Integrate: counters, growth, flushes, warmth, compactions.
         let mut per_partition: BTreeMap<PartitionId, (f64, f64, f64, f64)> = BTreeMap::new();
         for ((g, x), rows) in self.groups.iter().zip(&solution.group_x).zip(&solution.plan.rates) {
@@ -1103,12 +1082,9 @@ impl SimCluster {
             }
         }
 
-        drop(integrate_span);
-
         // 5. Compaction backlog drain and completion, server by server in
         // ID order. `finish_compaction` needs `&mut self`, hence the copied
         // list of the servers that have something to drain (usually none).
-        let compact_span = wallspan::span("sim.compaction");
         let compact_step = self.params.compact_mb_s * 1e6 * dt;
         let draining: Vec<ServerId> = self
             .servers
@@ -1137,7 +1113,6 @@ impl SimCluster {
                 self.finish_compaction(p, sid);
             }
         }
-        drop(compact_span);
 
         // 5b. Automatic region splits (§2.1): a partition that outgrew the
         // configured region size splits into two daughters on the same
@@ -1155,7 +1130,6 @@ impl SimCluster {
         }
 
         // 6. Warmth evolution.
-        let warmth_span = wallspan::span("sim.warmth");
         let warmup_s = self.params.warmup_s;
         for server in self.servers.values_mut() {
             if server.state == ServerState::Online {
@@ -1163,10 +1137,8 @@ impl SimCluster {
                 server.warmth = server.warmth.clamp(0.0, 1.0);
             }
         }
-        drop(warmth_span);
 
         // 7. Record series and stash metrics.
-        let series_span = wallspan::span("sim.series");
         let total: f64 = solution
             .group_x
             .iter()
@@ -1202,14 +1174,12 @@ impl SimCluster {
                 server.last_p99_ms = 0.0;
             }
         }
-        drop(series_span);
         // Cache and latency metrics of every online server with demand, in
         // server-ID order. Registry updates are staged and flushed once,
         // under a single registry lock, after the per-server fields are
         // applied. The p99 is what `snapshot()` reports and is taken every
         // tick; the mean, p50 and p95 only feed gauges and histograms, so
         // they are taken only while somebody records those.
-        let _cache_span = wallspan::span("sim.cache_metrics");
         let telemetry_on = self.telemetry.is_enabled();
         let buf = &mut self.metrics;
         buf.clear();
@@ -1428,10 +1398,7 @@ impl SimCluster {
             slot.demands.clear();
             slot.index.clear();
         }
-        let locality = {
-            let _s = wallspan::span("sim.locality");
-            self.partition_localities()
-        };
+        let locality = self.partition_localities();
         // Ascending partition order, so each slot's demands come out
         // ascending too. Unassigned partitions get no demand anywhere:
         // their clients pay the unavailability penalty.
@@ -1497,7 +1464,6 @@ impl SimCluster {
     /// `settled` (the last iteration's evaluation) and `mixture` (the
     /// reporting pass's response-time distribution).
     fn solve_equilibrium(&mut self) -> Equilibrium {
-        let _solver_span = wallspan::span("sim.solver");
         let mut x: Vec<f64> = self
             .group_x
             .iter()
@@ -1525,18 +1491,12 @@ impl SimCluster {
         for iter in 0..SOLVER_ITERS {
             // Heavier damping once roughly settled, to kill limit cycles.
             let damping = if iter < SOLVER_ITERS / 2 { 0.35 } else { 0.15 };
-            {
-                let _s = wallspan::span("solver.demands");
-                self.partition_loads(&plan, &x, &mut loads);
-            }
+            self.partition_loads(&plan, &x, &mut loads);
             // Evaluate each server under the current demand, in ID order.
-            let evaluate_span = wallspan::span("solver.servers");
             for (slot, server) in self.slots.iter_mut().zip(self.servers.values()) {
                 if slot.demands.is_empty() {
                     continue;
                 }
-                let _eval_span =
-                    wallspan::span_labeled("solver.evaluate", &[("server", server.label.as_str())]);
                 if server.state != ServerState::Online {
                     for pi in &slot.index {
                         if let Some(e) = response.get_mut(*pi) {
@@ -1559,10 +1519,8 @@ impl SimCluster {
                     }
                 }
             }
-            drop(evaluate_span);
 
             // Update each group's throughput.
-            let _groups_span = wallspan::span("solver.groups");
             let answer = |pi: usize| response.get(pi).copied().flatten().unwrap_or((pen, pen, pen));
             for (gi, (g, [reads, writes, scans])) in
                 self.groups.iter().zip(&plan.weights).enumerate()
@@ -1602,14 +1560,11 @@ impl SimCluster {
         // so group throughputs are exactly what they were without it. The
         // utilisation `step()` publishes is the *last iteration's*, not
         // this pass's: park it in `settled` before `eval` is overwritten.
-        let _latency_span = wallspan::span("sim.latency");
         self.partition_loads(&plan, &x, &mut loads);
         for (slot, server) in self.slots.iter_mut().zip(self.servers.values()) {
             if slot.demands.is_empty() || server.state != ServerState::Online {
                 continue;
             }
-            let _eval_span =
-                wallspan::span_labeled("latency.evaluate", &[("server", server.label.as_str())]);
             std::mem::swap(&mut slot.eval, &mut slot.settled);
             let inflations = slot.evaluate(&self.params, server, &loads);
             server_mixture(&self.params, &slot.demands, &slot.eval, inflations, &mut slot.mixture);
@@ -2341,12 +2296,7 @@ mod tests {
                     .then(|| online[rng.next_below(online.len() as u64) as usize]);
                 let config = StoreConfig::default_homogeneous();
                 let what = match (rng.next_below(16), server) {
-                    // A first assignment writes the partition's files at
-                    // the host, which needs its datanode alive.
-                    (0, Some(s))
-                        if sim.assignment.contains_key(&p)
-                            || sim.namenode.datanodes().contains(&DataNodeId(s.0)) =>
-                    {
+                    (0, Some(s)) => {
                         let _ = sim.move_partition(p, s);
                         "move"
                     }
@@ -2958,6 +2908,38 @@ mod tests {
         assert!(matches!(err, Err(AdminError::ProvisioningFailed(_))), "{err:?}");
         sim.provision_server(StoreConfig::default_homogeneous()).unwrap();
         assert_eq!(injector.injected(), 2);
+    }
+
+    #[test]
+    fn first_move_onto_a_server_without_its_datanode_writes_no_files() {
+        use simcore::fault::{FaultSpec, ScheduledFault};
+        use simcore::FaultPlan;
+        let (mut sim, _) = basic_cluster(3, 16);
+        let fresh = sim.create_partition(PartitionSpec {
+            table: "t".into(),
+            size_bytes: 1.5e9,
+            record_bytes: 1_000.0,
+            hot_set_fraction: 0.4,
+            hot_ops_fraction: 0.5,
+        });
+        let plan = FaultPlan::new(vec![ScheduledFault {
+            at: SimTime::from_secs(2),
+            spec: FaultSpec::DatanodeLoss { online_index: 0 },
+        }]);
+        sim.set_fault_injector(plan.injector());
+        sim.run_ticks(4);
+        let victim = sim.online_server_ids()[0];
+        assert!(!sim.namenode.datanodes().contains(&DataNodeId(victim.0)));
+        sim.move_partition(fresh, victim).unwrap();
+        assert_eq!(sim.assignment.get(&fresh), Some(&victim));
+        assert!(sim.partitions[&fresh].files.is_empty());
+        sim.run_ticks(2);
+        // The next assignment, to a server that still has its datanode,
+        // writes the initial files there.
+        let other = sim.online_server_ids()[1];
+        sim.assign_partition(fresh, other).unwrap();
+        let files = &sim.partitions[&fresh].files;
+        assert_eq!(files.iter().map(|(_, b)| b).sum::<u64>(), 1_500_000_000);
     }
 
     #[test]

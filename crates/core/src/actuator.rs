@@ -21,7 +21,7 @@
 //!
 //! Management calls against a real cluster fail: VM boots abort, RPCs get
 //! lost, RegionServers crash mid-drain. Every step therefore carries a
-//! retry budget with exponential backoff ([`RetryPolicy`]); a step whose
+//! retry budget with exponential backoff (`RETRY`); a step whose
 //! target server vanished is abandoned immediately with a typed
 //! [`ActuatorError`] instead of being retried into the void. When the
 //! step queue drains, a bounded reconciliation pass re-diffs the intended
@@ -61,8 +61,7 @@ pub struct ActuatorStats {
 }
 
 /// Retry/backoff budget applied to every actuator step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
+struct RetryPolicy {
     /// Attempts before a step is abandoned (the first try counts).
     pub max_attempts: u32,
     /// Backoff after the first failure; doubles (by `multiplier`) after
@@ -75,16 +74,13 @@ pub struct RetryPolicy {
     pub step_timeout: SimDuration,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: SimDuration::from_secs(2),
-            multiplier: 2.0,
-            step_timeout: SimDuration::from_secs(600),
-        }
-    }
-}
+/// The budget every step runs under.
+const RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 4,
+    base_backoff: SimDuration::from_secs(2),
+    multiplier: 2.0,
+    step_timeout: SimDuration::from_secs(600),
+};
 
 /// Why a step was abandoned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,7 +244,6 @@ pub struct Actuator {
     slots: Vec<Slot>,
     steps: VecDeque<StepState>,
     stats: ActuatorStats,
-    retry: RetryPolicy,
     log: Vec<String>,
     outcomes: Vec<StepOutcome>,
     errors: Vec<ActuatorError>,
@@ -268,7 +263,6 @@ impl Actuator {
             slots: Vec::new(),
             steps: VecDeque::new(),
             stats: ActuatorStats::default(),
-            retry: RetryPolicy::default(),
             log: Vec::new(),
             outcomes: Vec::new(),
             errors: Vec::new(),
@@ -283,16 +277,6 @@ impl Actuator {
     /// decommissions, retries) to `telemetry`.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Replaces the per-step retry/backoff budget.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
-    /// The per-step retry/backoff budget in force.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Emits `ActionStarted` once per (slot, action), remembering the start
@@ -445,8 +429,8 @@ impl Actuator {
 
     /// Backoff before attempt `attempt + 1`, growing geometrically.
     fn backoff_for(&self, attempt: u32) -> SimDuration {
-        let factor = self.retry.multiplier.powi(attempt.saturating_sub(1) as i32);
-        SimDuration::from_secs_f64(self.retry.base_backoff.as_secs_f64() * factor)
+        let factor = RETRY.multiplier.powi(attempt.saturating_sub(1) as i32);
+        SimDuration::from_secs_f64(RETRY.base_backoff.as_secs_f64() * factor)
     }
 
     /// Records the front step as completed and pops it.
@@ -520,7 +504,7 @@ impl Actuator {
         cause: String,
     ) -> bool {
         let attempts = self.steps.front().expect("failing the front step").attempts + 1;
-        if attempts >= self.retry.max_attempts {
+        if attempts >= RETRY.max_attempts {
             self.abandon_step(now, kind, action, server, partition, cause);
             return true;
         }
@@ -559,7 +543,6 @@ impl Actuator {
 
     /// Executes ready steps; returns `true` when the plan has completed.
     pub fn advance(&mut self, cluster: &mut dyn ElasticCluster) -> bool {
-        let _span = telemetry::span::span("actuator.advance");
         let now = cluster.now();
         loop {
             let Some(front) = self.steps.front() else {
@@ -633,7 +616,7 @@ impl Actuator {
                         Some(ServerHealth::Provisioning) => {
                             let deadline = {
                                 let st = self.steps.front_mut().expect("front checked");
-                                *st.deadline.get_or_insert(now + self.retry.step_timeout)
+                                *st.deadline.get_or_insert(now + RETRY.step_timeout)
                             };
                             if now >= deadline {
                                 self.abandon_step(
@@ -785,7 +768,7 @@ impl Actuator {
                         Some(ServerHealth::Restarting) => {
                             let deadline = {
                                 let st = self.steps.front_mut().expect("front checked");
-                                *st.deadline.get_or_insert(now + self.retry.step_timeout)
+                                *st.deadline.get_or_insert(now + RETRY.step_timeout)
                             };
                             if now >= deadline {
                                 self.abandon_step(

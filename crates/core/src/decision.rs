@@ -59,16 +59,6 @@ impl HealthAssessment {
     pub fn remove(&self) -> bool {
         self.overloaded == 0 && self.online > 1 && self.underloaded * 2 > self.online
     }
-
-    /// Fraction of nodes in a sub-optimal state.
-    pub fn suboptimal_fraction(&self) -> f64 {
-        if self.online == 0 {
-            0.0
-        } else {
-            (self.overloaded + if self.remove() { self.underloaded } else { 0 }) as f64
-                / self.online as f64
-        }
-    }
 }
 
 /// The stateful decision maker.
@@ -101,11 +91,6 @@ impl DecisionMaker {
     /// verdicts, computed plans) to `telemetry`.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// True until the InitialReconfiguration has happened.
-    pub fn is_first_time(&self) -> bool {
-        self.first_time
     }
 
     /// True while the decision maker is in degraded mode (monitoring data

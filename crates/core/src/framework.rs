@@ -323,20 +323,15 @@ impl Met {
 
     /// Drives MeT for one simulation tick.
     pub fn tick(&mut self, cluster: &mut dyn ElasticCluster) {
-        let _tick_span = telemetry::span::span("met.tick");
         let now = cluster.now();
 
         // Self-healing first: detect crashed servers, drive replacement
         // provisioning, and re-home orphaned partitions. Fault-free this
         // is a pure read (no events, no mutations).
-        {
-            let _s = telemetry::span::span("met.heal");
-            self.heal(now, cluster);
-        }
+        self.heal(now, cluster);
 
         // A running plan takes priority; the monitor pauses meanwhile.
         if self.actuator.busy() {
-            let _s = telemetry::span::span("met.actuator");
             if self.actuator.advance(cluster) {
                 self.reconfigurations += 1;
                 self.events.push(MetEvent {
@@ -364,7 +359,6 @@ impl Met {
             return;
         }
         self.last_sample = Some(now);
-        let sample_span = telemetry::span::span("met.monitor.sample");
         let snapshot = cluster.snapshot();
         if self.faults.take_metrics_drop(now) {
             // A scripted Ganglia loss: this round's samples never arrive.
@@ -384,7 +378,6 @@ impl Met {
         } else {
             self.monitor.observe(&snapshot);
         }
-        drop(sample_span);
 
         if self.monitor.samples() < self.cfg.min_samples {
             return;
@@ -398,10 +391,7 @@ impl Met {
             );
         }
         self.last_decision_at = Some(now);
-        let decide_span = telemetry::span::span("met.decide");
-        let decision = self.decision.decide(now, &report, &snapshot);
-        drop(decide_span);
-        match decision {
+        match self.decision.decide(now, &report, &snapshot) {
             Decision::Healthy => {
                 // Stay in StageA; keep the sliding window of samples.
             }
@@ -438,7 +428,6 @@ impl Met {
                 // Remember deliberate removals so the healer does not
                 // mistake them for crashes.
                 self.expected_gone.extend(plan.decommission.iter().copied());
-                let _s = telemetry::span::span("met.actuator");
                 self.actuator.start(plan, &snapshot);
                 // Begin executing immediately.
                 if self.actuator.advance(cluster) {

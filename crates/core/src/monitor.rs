@@ -164,7 +164,6 @@ impl Monitor {
 
     /// Feeds one snapshot (called every monitoring interval).
     pub fn observe(&mut self, snapshot: &ClusterSnapshot) {
-        let _span = telemetry::span::span("monitor.observe");
         let alpha = self.alpha;
         for s in &snapshot.servers {
             if s.health != ServerHealth::Online {

@@ -242,7 +242,6 @@ impl Namenode {
     /// (the locality accounting in `cluster::sim`) clones no file list just
     /// to ask about it.
     pub fn locality_indices(&self, queries: &[(DataNodeId, &[(DfsFileId, u64)])]) -> Vec<f64> {
-        let _span = telemetry::span::span("dfs.locality_batch");
         queries.iter().map(|(node, served)| self.locality_index(*node, served)).collect()
     }
 

@@ -314,7 +314,6 @@ impl Inner {
             while let Ok(next) = rx.try_recv() {
                 jobs.push(next);
             }
-            let _span = telemetry::span::span("hstore.flush");
             let frozen: Vec<&Arc<MemStore>> = jobs.iter().map(|j| &j.frozen).collect();
             let file = write_merged(&frozen, &[], self.ids.next(), self.block_size, false);
             let bytes = file.total_bytes();

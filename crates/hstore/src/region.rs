@@ -491,17 +491,6 @@ impl Region {
         self.counters.snapshot()
     }
 
-    /// Exports every cell version of one family within `range`, in key
-    /// order (newest version of each coordinate first). Used by splits and
-    /// region moves.
-    pub fn export_family_range(
-        &self,
-        family: &Family,
-        range: &KeyRange,
-    ) -> Vec<crate::types::CellVersion> {
-        self.families.get(family).map(|s| s.export_range(range)).unwrap_or_default()
-    }
-
     /// A suitable split row near the byte-midpoint, if the region has enough
     /// data to split.
     pub fn split_point(&self) -> Option<RowKey> {

@@ -290,7 +290,6 @@ impl StoreShared {
         row_limit: usize,
         counter: Option<&AccessCounter>,
     ) -> (ScanRows, bool) {
-        let _span = telemetry::span::span("hstore.scan");
         let active = self.active.read();
         let view = self.view.read().clone();
         let memstore = !active.is_empty() || view.frozen.iter().any(|m| !m.is_empty());
@@ -795,7 +794,6 @@ impl CfStore {
         if self.shared.active.read().is_empty() {
             return None;
         }
-        let _span = telemetry::span::span("hstore.flush");
         if let Some(wal) = &mut self.wal {
             if wal.rotate().is_err() {
                 return None;
@@ -1051,10 +1049,6 @@ pub(crate) fn write_merged(
     block_size: u64,
     drop_tombstones: bool,
 ) -> HFile {
-    let _span = (!files.is_empty()).then(|| {
-        let kind = if drop_tombstones { "major" } else { "minor" };
-        telemetry::span::span_labeled("hstore.compact", &[("kind", kind)])
-    });
     // Compaction reads bypass the block cache (HBase does not pollute
     // the cache with compaction IO): scan through a zero-capacity
     // scratch cache that admits nothing, merging by reference so only

@@ -67,7 +67,7 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Builds a duration from whole seconds.
-    pub fn from_secs(secs: u64) -> Self {
+    pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs * 1_000)
     }
 

@@ -12,7 +12,8 @@
 //!
 //! * [`registry`] — counters, gauges and fixed-bucket histograms (with
 //!   p50/p95/p99) keyed by static metric names plus label pairs. Lock
-//!   cost is one uncontended mutex acquisition per update.
+//!   cost is one uncontended mutex acquisition per update;
+//!   [`Telemetry::render_prometheus`] exports it as Prometheus text.
 //! * [`event`] — the [`TelemetryEvent`] taxonomy: monitor samples,
 //!   health assessments, per-partition classification verdicts, computed
 //!   plans, rule firings and actuator actions, each carrying the observed
@@ -20,6 +21,8 @@
 //! * [`sink`] — where events go: an in-memory ring buffer (for tests and
 //!   the report layer) and a JSONL exporter (one event per line) so any
 //!   `exp-*` binary can dump a full trace per run.
+//! * [`span`] — an empty `set_enabled` kept for one external caller; it
+//!   records nothing.
 //!
 //! Everything is deterministic under the simulation clock: event
 //! timestamps are [`SimTime`] values supplied by the caller and
@@ -38,7 +41,6 @@ pub mod span;
 pub use event::{parse_trace, Event, EventKind, Level, TelemetryEvent};
 pub use registry::{HistogramSummary, MetricsBuffer, MetricsRegistry, MetricsSnapshot};
 pub use sink::{JsonlSink, RingBufferSink};
-pub use span::{SpanGuard, SpanRecord};
 
 use simcore::SimTime;
 use std::sync::{Arc, Mutex};
@@ -219,14 +221,6 @@ impl Telemetry {
         }
     }
 
-    /// Current value of one labelled counter (0 when absent or disabled).
-    pub fn counter_value(&self, name: &'static str, labels: &[(&str, &str)]) -> u64 {
-        match &self.inner {
-            None => 0,
-            Some(inner) => inner.lock().unwrap().registry.counter(name, labels),
-        }
-    }
-
     /// Current value of one labelled gauge.
     pub fn gauge_value(&self, name: &'static str, labels: &[(&str, &str)]) -> Option<f64> {
         self.inner.as_ref().and_then(|inner| inner.lock().unwrap().registry.gauge(name, labels))
@@ -264,17 +258,6 @@ impl Telemetry {
     /// [`MetricsSnapshot::render_prometheus`]). Empty string when disabled.
     pub fn render_prometheus(&self) -> String {
         self.metrics().render_prometheus()
-    }
-
-    /// Opens a wall-clock span (see [`span`](crate::span)).
-    ///
-    /// This is sugar for [`span::span_labeled`]: the recorder is
-    /// process-global and armed by [`span::set_enabled`], *not* by this
-    /// handle's enablement — a disabled handle still records when the
-    /// recorder is armed, and vice versa, because wall-clock spans must
-    /// never influence (or depend on) the deterministic event pipeline.
-    pub fn span(&self, name: &'static str, labels: &[(&'static str, &str)]) -> SpanGuard {
-        span::span_labeled(name, labels)
     }
 }
 

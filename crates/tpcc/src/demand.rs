@@ -70,18 +70,6 @@ pub struct TpccDeployment {
 }
 
 impl TpccDeployment {
-    /// Every partition, in creation order.
-    pub fn all_partitions(&self) -> Vec<PartitionId> {
-        let mut out = self.item_partitions.clone();
-        for (a, b, c, d) in &self.slices {
-            out.push(*a);
-            out.push(*b);
-            out.push(*c);
-            out.push(*d);
-        }
-        out
-    }
-
     /// The closed-loop terminal pool (the paper runs 300 clients, §6.3).
     pub fn client_group(&self, clients: f64, think_ms: f64) -> ClientGroup {
         let (r_item, r_stock, r_cust, w_stock, w_orders, w_cust, s_orders) = weighted_footprint();

@@ -1,8 +1,9 @@
-//! Docs, CI and scripts may only name knobs and binaries that exist: every
-//! `MET_*` token must be read by `EnvConfig` and every `exp-*` token must
-//! have a source file under `crates/bench/src/bin/`.
+//! Docs, CI and scripts may only name knobs, binaries and test targets that
+//! exist: every `MET_*` token must be read by `EnvConfig`, every `exp-*`
+//! token must have a source file under `crates/bench/src/bin/`, and every
+//! `--test <name>` must have a `tests/<name>.rs` in its package.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// Every maximal run of `tail` characters that follows `prefix` at a word
@@ -28,6 +29,48 @@ fn knobs(text: &str) -> BTreeSet<String> {
 
 fn binaries(text: &str) -> BTreeSet<String> {
     tokens(text, "exp-", |c| c.is_ascii_lowercase() || c.is_ascii_digit())
+}
+
+/// Every `--test <name>` with the package a `-p` / `--package` before it on
+/// its line names (`None`: the root package). Where prose wraps a command,
+/// the name or the package may sit on the next line. A placeholder such as
+/// `<name>` is not a name.
+fn test_targets(text: &str) -> BTreeSet<(Option<String>, String)> {
+    let words: Vec<(usize, &str)> = text
+        .lines()
+        .enumerate()
+        .flat_map(|(n, line)| line.split_whitespace().map(move |w| (n, w)))
+        .map(|(n, w)| (n, w.trim_matches(|c: char| "`'\"(),.;:".contains(c))))
+        .collect();
+    let mut out = BTreeSet::new();
+    let mut package: Option<(usize, &str)> = None;
+    for pair in words.windows(2) {
+        let &[(line, flag), (arg_line, arg)] = pair else { continue };
+        match flag {
+            "-p" | "--package" => package = Some((arg_line, arg)),
+            "--test" if arg.chars().all(|c| c.is_ascii_alphanumeric() || "_-".contains(c)) => {
+                let package = package.filter(|(l, _)| *l == line).map(|(_, p)| p.to_string());
+                out.insert((package, arg.to_string()));
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The directory of every workspace package: the root and each crate under
+/// `crates/`.
+fn packages(root: &Path) -> BTreeMap<String, PathBuf> {
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/ exists");
+    let dirs = crates.map(|e| e.expect("crates/ entry").path());
+    std::iter::once(root.to_path_buf())
+        .chain(dirs)
+        .filter_map(|dir| {
+            let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).ok()?;
+            let name = manifest.lines().find_map(|l| l.strip_prefix("name = "))?;
+            Some((name.trim_matches('"').to_string(), dir))
+        })
+        .collect()
 }
 
 fn read(path: &Path) -> String {
@@ -60,7 +103,9 @@ fn docs_and_ci_name_only_knobs_and_binaries_that_exist() {
         .expect("bench binaries exist")
         .filter_map(|e| Some(e.ok()?.path().file_stem()?.to_str()?.to_string()))
         .collect();
-    assert!(known_knobs.contains("MET_TRACE") && known_bins.contains("exp-fig4"), "scan is broken");
+    let packages = packages(root);
+    let found = known_knobs.contains("MET_TRACE") && known_bins.contains("exp-fig4");
+    assert!(found && packages.contains_key("met-repro"), "scan is broken");
 
     let mut stale = Vec::new();
     for path in &sources {
@@ -83,6 +128,14 @@ fn docs_and_ci_name_only_knobs_and_binaries_that_exist() {
                 .filter(|b| !known_bins.contains(b))
                 .map(|b| format!("{shown}: no crates/bench/src/bin/{b}.rs")),
         );
+        for (package, test) in test_targets(&text) {
+            let name = package.as_deref().unwrap_or("met-repro");
+            match packages.get(name) {
+                Some(dir) if dir.join("tests").join(format!("{test}.rs")).is_file() => {}
+                Some(_) => stale.push(format!("{shown}: package {name} has no tests/{test}.rs")),
+                None => stale.push(format!("{shown}: --test {test} names unknown package {name}")),
+            }
+        }
     }
     assert!(stale.is_empty(), "stale names:\n{}", stale.join("\n"));
 }
