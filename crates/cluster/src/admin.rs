@@ -115,6 +115,61 @@ impl ClusterSnapshot {
     }
 }
 
+/// One server as the self-healing pass sees it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServerStatus {
+    /// Server identity.
+    pub server: ServerId,
+    /// Operational state.
+    pub health: ServerHealth,
+    /// The storage configuration the server is running.
+    pub config: StoreConfig,
+    /// Number of partitions currently assigned.
+    pub partitions: usize,
+}
+
+/// What a control plane reads when it only needs liveness — the
+/// self-healing pass every tick, the actuator while it waits on a server:
+/// which servers are live, in what state, and which partitions a dead
+/// server left behind — a [`ClusterSnapshot`] without the metrics.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HealthView {
+    /// Every server a snapshot would list, in snapshot order.
+    pub servers: Vec<ServerStatus>,
+    /// Every partition assigned to a server that is not in `servers`
+    /// (crashed or gone), in snapshot order, with its WAL backlog bytes.
+    pub orphans: Vec<(PartitionId, u64)>,
+}
+
+impl HealthView {
+    /// The status of one server, if listed.
+    pub fn server(&self, id: ServerId) -> Option<&ServerStatus> {
+        self.servers.iter().find(|s| s.server == id)
+    }
+
+    /// The view a snapshot implies.
+    pub fn of(snapshot: &ClusterSnapshot) -> Self {
+        let servers: Vec<ServerStatus> = snapshot
+            .servers
+            .iter()
+            .map(|s| ServerStatus {
+                server: s.server,
+                health: s.health,
+                config: s.config.clone(),
+                partitions: s.partitions.len(),
+            })
+            .collect();
+        let live = |id: ServerId| servers.iter().any(|s| s.server == id);
+        let orphans = snapshot
+            .partitions
+            .iter()
+            .filter(|p| p.assigned_to.is_some_and(|s| !live(s)))
+            .map(|p| (p.partition, p.wal_backlog_bytes))
+            .collect();
+        HealthView { servers, orphans }
+    }
+}
+
 /// Errors from management operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdminError {
@@ -151,13 +206,25 @@ impl fmt::Display for AdminError {
 
 impl std::error::Error for AdminError {}
 
-/// The full management surface a control plane needs.
+/// The full management surface a control plane needs: two reads — a
+/// full [`ClusterSnapshot`] for the monitor and the decision maker, and
+/// the cheaper [`HealthView`] for liveness checks — and the mutations the
+/// actuator invokes.
 pub trait ElasticCluster {
     /// Current simulated time.
     fn now(&self) -> SimTime;
 
     /// A full metrics snapshot.
     fn snapshot(&self) -> ClusterSnapshot;
+
+    /// The servers' health and the orphaned partitions, for checks that
+    /// run every tick (self-healing, the actuator's waits on a server's
+    /// state) and need no metric. The default derives it from
+    /// [`ElasticCluster::snapshot`]; a cluster that can list them without
+    /// building every metric should override it with the same answer.
+    fn health_view(&self) -> HealthView {
+        HealthView::of(&self.snapshot())
+    }
 
     /// Moves a partition to another online server. The partition is briefly
     /// unavailable (region close/open); its files do not move, so locality

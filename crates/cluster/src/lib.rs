@@ -26,7 +26,8 @@ pub mod sim;
 pub mod types;
 
 pub use admin::{
-    AdminError, ClusterSnapshot, ElasticCluster, PartitionMetrics, ServerHealth, ServerMetrics,
+    AdminError, ClusterSnapshot, ElasticCluster, HealthView, PartitionMetrics, ServerHealth,
+    ServerMetrics, ServerStatus,
 };
 pub use functional_elastic::FunctionalElastic;
 pub use latency::{op_service_ms, LatencyMixture, LatencySummary};

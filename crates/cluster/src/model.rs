@@ -198,42 +198,103 @@ pub struct ServerEval {
 /// Working memory of [`evaluate_server`], owned by the caller so the 49
 /// evaluations a server gets per tick reuse one set of allocations.
 ///
-/// Between calls it keeps two per-demand memos, by input position: the
-/// write disk cost (one `log2`) and the region count (one `ceil`), each
-/// keyed on the bits of every input it reads — `data_bytes`,
-/// `record_bytes`, the server's effective flush size and the cost
-/// constants. Within a tick those are fixed, so 48 of a server's 49
-/// evaluations reuse them; a key that differs recomputes, so a hit returns
-/// the bits a fresh computation would. Every other buffer is cleared
-/// before it is filled.
+/// It holds two kinds of value. *Per tick*, written by
+/// [`EvalScratch::plan`] once per solve: the server's populated cache,
+/// block and memory sizes, and per demand every term that reads only the
+/// demand's static fields — hot and cold bytes, the scan working set, the
+/// remote fraction, the read-miss IO term and the region count. Each is
+/// the expression a pass would otherwise evaluate, so it has the same
+/// bits. *Per pass*, cached on the one per-pass input each reads besides
+/// static ones: the write disk cost (one `log2`) on the bits of the
+/// effective flush size, and the scan disk cost on the bits of the scan
+/// length. A key that differs recomputes, so a hit returns what a fresh
+/// computation would. The other buffers are cleared before they are
+/// filled.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
+    // The populated block cache (configured × usable × warmth), half the
+    // global memstore, the flush threshold, the whole memstore, the heap
+    // and the block size, bytes.
+    cache_bytes: f64,
+    flush_budget: f64,
+    flush_bytes: f64,
+    memstore_bytes: f64,
+    heap_bytes: f64,
+    block_bytes: f64,
+    // Per demand, in input order.
+    demands: Vec<DemandTerms>,
     // Cache-fill segments: (partition index, bytes, density, read rate).
     segments: Vec<(usize, f64, f64, f64)>,
     // Read rate the cache covers, per partition.
     covered: Vec<f64>,
     // `(read_hit, scan_hit)` per partition, in input order.
     hits: Vec<(f64, f64)>,
-    // Per demand: the memoised write disk cost and region count.
-    write_disk: Vec<Option<([u64; 6], f64)>>,
-    regions: Vec<Option<([u64; 2], f64)>>,
 }
 
-/// `f(key)` memoised in `slot` on the bits of `key`.
-fn memo<const N: usize>(
-    slot: &mut Option<([u64; N], f64)>,
-    key: [f64; N],
-    f: impl FnOnce() -> f64,
-) -> f64 {
-    let bits = key.map(f64::to_bits);
-    match slot {
-        Some((k, v)) if *k == bits => *v,
-        _ => slot.insert((bits, f())).1,
+/// One demand's per-tick terms and its two per-pass caches.
+#[derive(Debug, Clone, Copy)]
+struct DemandTerms {
+    hot_bytes: f64,
+    cold_bytes: f64,
+    cold_ops_fraction: f64,
+    scan_working_set: f64,
+    remote_frac: f64,
+    // A read miss: one block IO plus the remote share of a network fetch, ms.
+    read_miss_ms: f64,
+    regions: f64,
+    // (effective flush bits, write disk ms).
+    write_disk: Option<(u64, f64)>,
+    // (scan length bits, disk ms of a scan that misses).
+    scan_disk: Option<(u64, f64)>,
+}
+
+impl EvalScratch {
+    /// Lays out one server's per-tick terms under `parts`. Call it once per
+    /// solve, before the first [`evaluate_server`]; the evaluations after it
+    /// must pass the same `params` and the same demands in the same order,
+    /// with only the rates and `scan_rows` changed.
+    pub fn plan(
+        &mut self,
+        params: &CostParams,
+        config: &StoreConfig,
+        warmth: f64,
+        parts: &[PartitionDemand],
+    ) {
+        // Only ~85 % of the configured cache holds data blocks (eviction
+        // watermark, index/bloom blocks).
+        const USABLE_CACHE_FRACTION: f64 = 0.85;
+        self.cache_bytes =
+            config.block_cache_bytes() as f64 * USABLE_CACHE_FRACTION * warmth.clamp(0.0, 1.0);
+        self.flush_budget = config.memstore_bytes() as f64 * 0.5;
+        self.flush_bytes = config.memstore_flush_bytes as f64;
+        self.memstore_bytes = config.memstore_bytes() as f64;
+        self.heap_bytes = config.heap_bytes as f64;
+        self.block_bytes = config.block_size as f64;
+        let block_mb = config.block_size as f64 / 1e6;
+        let block_io_ms = params.disk_seek_ms + block_mb / params.disk_bw_mb_s * 1_000.0;
+        let remote_ms = params.net_lat_ms + block_mb / params.net_bw_mb_s * 1_000.0;
+        self.demands.clear();
+        self.demands.extend(parts.iter().map(|p| {
+            let hot_bytes = (p.data_bytes * p.hot_set_fraction).max(1.0);
+            let remote_frac = 1.0 - p.locality.clamp(0.0, 1.0);
+            DemandTerms {
+                hot_bytes,
+                cold_bytes: (p.data_bytes - hot_bytes).max(0.0),
+                cold_ops_fraction: 1.0 - p.hot_ops_fraction,
+                scan_working_set: (p.data_bytes * p.hot_set_fraction.max(0.05)).max(1.0),
+                remote_frac,
+                read_miss_ms: block_io_ms + remote_frac * remote_ms,
+                regions: (p.data_bytes / params.region_equiv_bytes).ceil().max(1.0),
+                write_disk: None,
+                scan_disk: None,
+            }
+        }));
     }
 }
 
-/// Per-partition cache hit ratios `(read_hit, scan_hit)`, written to
-/// `work.hits` in input order.
+/// Per-partition cache hit ratios `(read_hit, scan_hit)` with `cache_bytes`
+/// of populated cache, written to `work.hits` in input order; `work` must be
+/// planned for `parts`.
 ///
 /// Point-read working sets fill the cache first, greedily by access
 /// density (the LRU steady state). Scan data is kept only in what is left:
@@ -247,20 +308,19 @@ fn cache_hit_ratios(cache_bytes: f64, parts: &[PartitionDemand], work: &mut Eval
     // segment's residency rank too: a freshly written row is readable from
     // the memstore and its block re-enters the cache on flush, so
     // read-after-write working sets (e.g. TPC-C stock) stay resident.
-    let EvalScratch { segments, covered, hits, .. } = work;
+    let EvalScratch { demands, segments, covered, hits, .. } = work;
     segments.clear();
-    for (i, p) in parts.iter().enumerate() {
+    for (i, (p, t)) in parts.iter().zip(demands.iter()).enumerate() {
         if p.read_rps <= 0.0 || p.data_bytes <= 0.0 {
             continue;
         }
-        let hot_bytes = (p.data_bytes * p.hot_set_fraction).max(1.0);
-        let cold_bytes = (p.data_bytes - hot_bytes).max(0.0);
         let rank_hot = (p.read_rps + p.write_rps) * p.hot_ops_fraction;
-        let rank_cold = (p.read_rps + p.write_rps) * (1.0 - p.hot_ops_fraction);
-        segments.push((i, hot_bytes, rank_hot / hot_bytes, p.read_rps * p.hot_ops_fraction));
-        if cold_bytes > 0.0 {
-            let read_rate = p.read_rps * (1.0 - p.hot_ops_fraction);
-            segments.push((i, cold_bytes, rank_cold / cold_bytes, read_rate));
+        let rank_cold = (p.read_rps + p.write_rps) * t.cold_ops_fraction;
+        let hot_read_rate = p.read_rps * p.hot_ops_fraction;
+        segments.push((i, t.hot_bytes, rank_hot / t.hot_bytes, hot_read_rate));
+        if t.cold_bytes > 0.0 {
+            let read_rate = p.read_rps * t.cold_ops_fraction;
+            segments.push((i, t.cold_bytes, rank_cold / t.cold_bytes, read_rate));
         }
     }
     // Each segment carries its density (rank / bytes), taken once; the
@@ -282,8 +342,9 @@ fn cache_hit_ratios(cache_bytes: f64, parts: &[PartitionDemand], work: &mut Eval
     // its hot bytes (scan start keys follow the partition's skew).
     let scan_ws: f64 = parts
         .iter()
-        .filter(|p| p.scan_rps > 0.0)
-        .map(|p| (p.data_bytes * p.hot_set_fraction.max(0.05)).max(1.0))
+        .zip(demands.iter())
+        .filter(|(p, _)| p.scan_rps > 0.0)
+        .map(|(_, t)| t.scan_working_set)
         .sum();
     let coverage = if scan_ws > 0.0 { (remaining / scan_ws).min(1.0) } else { 1.0 };
     // Churn makes partial coverage much worse than proportional: blocks
@@ -314,24 +375,21 @@ pub fn queue_inflation(params: &CostParams, rho: f64) -> f64 {
 /// Evaluates one online server: per-partition service times, utilizations
 /// and memory estimate.
 ///
-/// `warmth ∈ [0, 1]` scales the cache capacity that is actually populated
-/// (cold after restarts / invalidated by compactions); `background_mb_s` is
-/// compaction / re-replication IO sharing the disk. The result overwrites
-/// `eval` (its `per_partition` keeps its allocation); `work` is scratch.
+/// The server — its configuration, its cache warmth `∈ [0, 1]` (cold after
+/// restarts / invalidated by compactions) — and the demands' static fields
+/// come from the last [`EvalScratch::plan`] of `work`; `parts` supplies the
+/// rates. `background_mb_s` is compaction / re-replication IO sharing the
+/// disk. The result overwrites `eval` (its `per_partition` keeps its
+/// allocation).
 pub fn evaluate_server(
     params: &CostParams,
-    config: &StoreConfig,
-    warmth: f64,
     background_mb_s: f64,
     parts: &[PartitionDemand],
     work: &mut EvalScratch,
     eval: &mut ServerEval,
 ) {
-    // Only ~85 % of the configured cache holds data blocks (eviction
-    // watermark, index/bloom blocks).
-    const USABLE_CACHE_FRACTION: f64 = 0.85;
-    let cache_bytes =
-        config.block_cache_bytes() as f64 * USABLE_CACHE_FRACTION * warmth.clamp(0.0, 1.0);
+    debug_assert_eq!(parts.len(), work.demands.len(), "`work` planned for other demands");
+    let cache_bytes = work.cache_bytes;
     // Write churn: flushes and compactions continuously invalidate cached
     // blocks and put the heap under pressure, degrading the cache from its
     // ideal (density-ordered) residency toward an indiscriminate one.
@@ -348,33 +406,21 @@ pub fn evaluate_server(
         *sc *= calm + (1.0 - calm) * uniform_coverage;
     }
 
-    let block_mb = config.block_size as f64 / 1e6;
-    let block_io_ms = params.disk_seek_ms + block_mb / params.disk_bw_mb_s * 1_000.0;
-    let remote_ms = params.net_lat_ms + block_mb / params.net_bw_mb_s * 1_000.0;
-
     // Effective flush size: under sustained write pressure the global
     // memstore watermark forces flushes long before the per-region
     // threshold; the budget is shared by every write-active region (we
     // estimate the region count from data volume).
-    work.regions.resize(parts.len(), None);
-    work.write_disk.resize(parts.len(), None);
     let write_regions: f64 = parts
         .iter()
-        .zip(&mut work.regions)
+        .zip(&work.demands)
         .filter(|(p, _)| p.write_rps > 1.0)
-        .map(|(p, slot)| {
-            memo(slot, [p.data_bytes, params.region_equiv_bytes], || {
-                (p.data_bytes / params.region_equiv_bytes).ceil().max(1.0)
-            })
-        })
+        .map(|(_, t)| t.regions)
         .sum::<f64>()
         .max(1.0);
-    let effective_flush = (config.memstore_bytes() as f64 * 0.5 / write_regions)
-        .min(config.memstore_flush_bytes as f64);
+    let effective_flush = (work.flush_budget / write_regions).min(work.flush_bytes);
     // Flush-storm stall: latency per write grows with the shortfall
     // between the configured flush size and what pressure allows.
-    let stall_ms = params.write_stall_ms
-        * (config.memstore_flush_bytes as f64 / effective_flush - 1.0).max(0.0);
+    let stall_ms = params.write_stall_ms * (work.flush_bytes / effective_flush - 1.0).max(0.0);
 
     let per_partition = &mut eval.per_partition;
     per_partition.clear();
@@ -383,38 +429,44 @@ pub fn evaluate_server(
     let mut total_rps = 0.0;
     let mut write_byte_rate = 0.0;
 
-    for ((p, &(hit, scan_hit)), write_slot) in
-        parts.iter().zip(&work.hits).zip(&mut work.write_disk)
-    {
+    let (block_bytes, flush_bits) = (work.block_bytes, effective_flush.to_bits());
+    for ((p, &(hit, scan_hit)), t) in parts.iter().zip(&work.hits).zip(&mut work.demands) {
         let miss = 1.0 - hit;
         let scan_miss = 1.0 - scan_hit;
-        let remote_frac = 1.0 - p.locality.clamp(0.0, 1.0);
 
         // Point read: one block IO on miss, plus network when non-local.
-        let read_disk = miss * (block_io_ms + remote_frac * remote_ms);
-        let read = (params.cpu_read_ms, read_disk);
+        let read = (params.cpu_read_ms, miss * t.read_miss_ms);
 
         // Write: memstore insert (CPU, amortized by client batching) +
         // amortized flush/compaction IO.
-        let (base, factor, bw) =
-            (params.write_amp_base, params.write_amp_factor, params.disk_bw_mb_s);
-        let key = [p.data_bytes, p.record_bytes, effective_flush, base, factor, bw];
-        let write_disk = memo(write_slot, key, || {
-            let wa = write_amplification(params, p.data_bytes, effective_flush);
-            wa * (p.record_bytes / 1e6) / params.disk_bw_mb_s * 1_000.0
-        });
+        let write_disk = match t.write_disk {
+            Some((key, v)) if key == flush_bits => v,
+            _ => {
+                let wa = write_amplification(params, p.data_bytes, effective_flush);
+                let v = wa * (p.record_bytes / 1e6) / params.disk_bw_mb_s * 1_000.0;
+                t.write_disk = Some((flush_bits, v));
+                v
+            }
+        };
         let write = (params.cpu_write_ms * p.write_cpu_factor.clamp(0.05, 1.0), write_disk);
 
         // Scan: per-row CPU; on miss, one discounted seek per block spanned
         // plus the sequential transfer (remote adds network transfer).
-        let scan_bytes = p.scan_rows.max(1.0) * p.record_bytes;
-        let blocks = (scan_bytes / config.block_size as f64).max(1.0);
-        let scan_disk = scan_miss
-            * (blocks * params.disk_seek_ms * params.scan_seek_discount
-                + scan_bytes / 1e6 / params.disk_bw_mb_s * 1_000.0
-                + remote_frac
-                    * (params.net_lat_ms + scan_bytes / 1e6 / params.net_bw_mb_s * 1_000.0));
-        let scan = (p.scan_rows.max(1.0) * params.cpu_scan_row_ms, scan_disk);
+        let rows = p.scan_rows.max(1.0);
+        let scan_io = match t.scan_disk {
+            Some((key, v)) if key == rows.to_bits() => v,
+            _ => {
+                let scan_bytes = rows * p.record_bytes;
+                let blocks = (scan_bytes / block_bytes).max(1.0);
+                let v = blocks * params.disk_seek_ms * params.scan_seek_discount
+                    + scan_bytes / 1e6 / params.disk_bw_mb_s * 1_000.0
+                    + t.remote_frac
+                        * (params.net_lat_ms + scan_bytes / 1e6 / params.net_bw_mb_s * 1_000.0);
+                t.scan_disk = Some((rows.to_bits(), v));
+                v
+            }
+        };
+        let scan = (rows * params.cpu_scan_row_ms, scan_miss * scan_io);
 
         cpu_ms_per_s += p.read_rps * read.0 + p.write_rps * write.0 + p.scan_rps * scan.0;
         disk_ms_per_s += p.read_rps * read.1 + p.write_rps * write.1 + p.scan_rps * scan.1;
@@ -437,8 +489,8 @@ pub fn evaluate_server(
 
     // Memory: populated cache plus memstore fill pressure (30 s of writes,
     // capped at the memstore budget), over the heap.
-    let memstore_fill = (write_byte_rate * 30.0).min(config.memstore_bytes() as f64);
-    let mem_util = ((cache_bytes + memstore_fill) / config.heap_bytes as f64).min(1.0);
+    let memstore_fill = (write_byte_rate * 30.0).min(work.memstore_bytes);
+    let mem_util = ((cache_bytes + memstore_fill) / work.heap_bytes).min(1.0);
 
     eval.rho_cpu = rho_cpu;
     eval.rho_disk = rho_disk;
@@ -658,6 +710,7 @@ mod tests {
 
     fn hit_ratios(cache_bytes: f64, parts: &[PartitionDemand]) -> Vec<(f64, f64)> {
         let mut work = EvalScratch::default();
+        work.plan(&CostParams::default(), &cfg(), 1.0, parts);
         cache_hit_ratios(cache_bytes, parts, &mut work);
         work.hits
     }
@@ -669,39 +722,140 @@ mod tests {
         background_mb_s: f64,
         parts: &[PartitionDemand],
     ) -> ServerEval {
-        let mut eval = ServerEval::default();
-        evaluate_server(
-            params,
-            config,
-            warmth,
-            background_mb_s,
-            parts,
-            &mut EvalScratch::default(),
-            &mut eval,
-        );
+        let (mut work, mut eval) = (EvalScratch::default(), ServerEval::default());
+        work.plan(params, config, warmth, parts);
+        evaluate_server(params, background_mb_s, parts, &mut work, &mut eval);
         eval
+    }
+
+    fn eval_bits(e: &ServerEval) -> Vec<u64> {
+        let mut v = vec![e.rho_cpu, e.rho_disk, e.mem_util, e.total_rps];
+        for t in &e.per_partition {
+            v.extend([t.read.0, t.read.1, t.write.0, t.write.1, t.scan.0, t.scan.1]);
+            v.extend([t.write_stall_ms, t.hit_ratio, t.scan_hit_ratio]);
+        }
+        v.into_iter().map(f64::to_bits).collect()
+    }
+
+    /// One solve on a dirty `work` and `eval`: plans for the first pass,
+    /// then evaluates every pass (same partitions, new rates and scan
+    /// lengths) and holds each, and its cache fill with the planned cache,
+    /// to the allocating oracle bit for bit.
+    fn solve_matches_oracle(
+        work: &mut EvalScratch,
+        eval: &mut ServerEval,
+        warmth: f64,
+        passes: &[Vec<PartitionDemand>],
+    ) {
+        let (params, config) = (CostParams::default(), cfg());
+        work.plan(&params, &config, warmth, &passes[0]);
+        for parts in passes {
+            evaluate_server(&params, 0.0, parts, work, eval);
+            let want = oracle::evaluate_server(&params, &config, warmth, 0.0, parts);
+            assert_eq!(eval_bits(eval), eval_bits(&want));
+            let cache_bytes = work.cache_bytes;
+            cache_hit_ratios(cache_bytes, parts, work);
+            assert_eq!(
+                format!("{:?}", work.hits),
+                format!("{:?}", oracle::cache_hit_ratios(cache_bytes, parts))
+            );
+        }
+    }
+
+    /// `n` copies of `d` with distinct ids.
+    fn copies(d: &PartitionDemand, n: u64) -> Vec<PartitionDemand> {
+        (0..n).map(|i| PartitionDemand { partition: PartitionId(i), ..d.clone() }).collect()
+    }
+
+    /// Solves at the cache fill's and the read hit's boundaries, and ones
+    /// whose answers turn on the caches: each holds `work` to the oracle
+    /// where a wrong cache key or a plan that leaks across solves would
+    /// show.
+    fn edge_solves(work: &mut EvalScratch, eval: &mut ServerEval) {
+        let mut probe = EvalScratch::default();
+        probe.plan(&CostParams::default(), &cfg(), 1.0, &[]);
+        let cache = probe.cache_bytes;
+
+        // `remaining == bytes`: a segment exactly the size of the cache,
+        // and one exactly the size of what a denser one left; then ones a
+        // hair larger (a partial fill).
+        let mut whole = demand(100.0, 0.0, 0.0);
+        (whole.hot_set_fraction, whole.hot_ops_fraction) = (1.0, 1.0);
+        for data in [cache, cache * (1.0 + 1e-9), f64::from_bits(cache.to_bits() + 1)] {
+            whole.data_bytes = data;
+            solve_matches_oracle(work, eval, 1.0, &[vec![whole.clone()]]);
+        }
+        let mut dense = whole.clone();
+        (dense.read_rps, dense.data_bytes) = (1_000.0, 0.3 * cache);
+        for extra in [0.0, 1e-9] {
+            let mut rest = whole.clone();
+            rest.partition = PartitionId(2);
+            rest.data_bytes = (cache - dense.data_bytes) * (1.0 + extra);
+            solve_matches_oracle(work, eval, 1.0, &[vec![dense.clone(), rest]]);
+        }
+
+        // `covered == read_rps`: every segment of a partition cached, its
+        // two read rates summing to the rate exactly, above it by rounding,
+        // or (a hair too little cache) below it.
+        let mut split = demand(700.0, 0.0, 0.0);
+        split.hot_ops_fraction = 0.3;
+        for data in [0.5 * cache, cache, cache * (1.0 + 1e-9)] {
+            split.data_bytes = data;
+            whole.data_bytes = 0.1 * cache;
+            solve_matches_oracle(work, eval, 1.0, &[vec![whole.clone(), split.clone()]]);
+        }
+
+        // Tied densities: three identical partitions and room for one and
+        // a half of their hot sets; the stable order decides who is cached.
+        let mut tied = demand(400.0, 50.0, 0.0);
+        tied.data_bytes = cache / (1.5 * tied.hot_set_fraction);
+        solve_matches_oracle(work, eval, 1.0, &[copies(&tied, 3)]);
+
+        // Passes that change the scan length and, by a writer crossing the
+        // write-active threshold, the effective flush size.
+        let mut passes = vec![copies(&demand(300.0, 0.5, 40.0), 3)];
+        for (rows, writes) in [(10.0, 0.5), (10.0, 0.5), (60.0, 0.5), (60.0, 300.0), (7.0, 300.0)] {
+            let mut next = passes[0].clone();
+            next[1].scan_rows = rows;
+            next[2].write_rps = writes;
+            passes.push(next);
+        }
+        solve_matches_oracle(work, eval, 0.7, &passes);
+
+        // A second solve over the same partitions with other data sizes but
+        // the same region count, so the same effective flush size: any
+        // per-tick term or cache that survives the new plan shows.
+        let mut writer = demand(200.0, 300.0, 20.0);
+        for data in [0.9e9, 1.0e9] {
+            writer.data_bytes = data;
+            solve_matches_oracle(work, eval, 0.6, &[copies(&writer, 2)]);
+        }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
         /// One `EvalScratch` and one `ServerEval` carried dirty through a
-        /// sequence of demand lists of different lengths give, call for
-        /// call, the bits the allocating oracle gives from fresh `Vec`s.
+        /// sequence of solves over demand lists of different lengths, two
+        /// passes each, then through the edge solves above, give pass for
+        /// pass the bits the allocating oracle gives from fresh `Vec`s.
         #[test]
         fn reused_buffers_match_the_allocating_oracle(
             calls in proptest::collection::vec(
-                proptest::collection::vec(
-                    (0.0f64..3_000.0, 0.0f64..2_000.0, 0.0f64..200.0, 0.05f64..3.0, 0.0f64..1.0),
-                    0..9,
+                (
+                    proptest::collection::vec(
+                        (0.0f64..3_000.0, 0.0f64..2_000.0, 0.0f64..200.0, 0.05f64..3.0, 0.0f64..1.0),
+                        0..9,
+                    ),
+                    0.5f64..2.0,
+                    1.0f64..90.0,
                 ),
                 1..6,
             ),
             warmth in 0.0f64..1.0,
         ) {
-            let params = CostParams::default();
             let (mut work, mut eval) = (EvalScratch::default(), ServerEval::default());
-            for call in calls {
+            for (call, scale, rows) in calls {
                 let parts: Vec<PartitionDemand> = call
                     .into_iter()
                     .enumerate()
@@ -720,24 +874,20 @@ mod tests {
                         d
                     })
                     .collect();
-                evaluate_server(&params, &cfg(), warmth, 0.0, &parts, &mut work, &mut eval);
-                let want = oracle::evaluate_server(&params, &cfg(), warmth, 0.0, &parts);
-                let flat = |e: &ServerEval| -> Vec<u64> {
-                    let mut v = vec![e.rho_cpu, e.rho_disk, e.mem_util, e.total_rps];
-                    for t in &e.per_partition {
-                        v.extend([t.read.0, t.read.1, t.write.0, t.write.1, t.scan.0, t.scan.1]);
-                        v.extend([t.write_stall_ms, t.hit_ratio, t.scan_hit_ratio]);
-                    }
-                    v.into_iter().map(f64::to_bits).collect()
-                };
-                proptest::prop_assert_eq!(flat(&eval), flat(&want));
-                let cache_bytes = warmth * 2e9;
-                cache_hit_ratios(cache_bytes, &parts, &mut work);
-                proptest::prop_assert_eq!(
-                    format!("{:?}", work.hits),
-                    format!("{:?}", oracle::cache_hit_ratios(cache_bytes, &parts))
-                );
+                // The second pass: every rate scaled, a new scan length.
+                let second: Vec<PartitionDemand> = parts
+                    .iter()
+                    .map(|d| PartitionDemand {
+                        read_rps: d.read_rps * scale,
+                        write_rps: d.write_rps * scale,
+                        scan_rps: d.scan_rps * scale,
+                        scan_rows: rows,
+                        ..d.clone()
+                    })
+                    .collect();
+                solve_matches_oracle(&mut work, &mut eval, warmth, &[parts, second]);
             }
+            edge_solves(&mut work, &mut eval);
         }
     }
 

@@ -26,7 +26,8 @@
 //! there is no parallel engine and what measurement would justify one.
 
 use crate::admin::{
-    AdminError, ClusterSnapshot, ElasticCluster, PartitionMetrics, ServerHealth, ServerMetrics,
+    AdminError, ClusterSnapshot, ElasticCluster, HealthView, PartitionMetrics, ServerHealth,
+    ServerMetrics, ServerStatus,
 };
 use crate::latency::{profile_label, LatencyMixture};
 use crate::model::{
@@ -218,8 +219,10 @@ struct SimServer {
     last_io: f64,
     last_mem: f64,
     last_rps: f64,
-    // p99 of the response-time distribution of the last completed tick.
-    last_p99_ms: f64,
+    // Response-time distribution of the last tick that published one, or
+    // empty (a p99 of zero); `snapshot()` takes its p99 on demand. Kept
+    // here, not in a `ServerSlot`: slots are re-laid by rank every tick.
+    mixture: LatencyMixture,
     // Cumulative modelled block-cache accesses (hit fraction ≈ warmth).
     cache_hits: u64,
     cache_misses: u64,
@@ -244,7 +247,7 @@ impl SimServer {
             last_io: 0.0,
             last_mem: 0.0,
             last_rps: 0.0,
-            last_p99_ms: 0.0,
+            mixture: LatencyMixture::new(),
             cache_hits: 0,
             cache_misses: 0,
         }
@@ -266,8 +269,12 @@ impl SimServer {
 /// slot with its server. A slot whose `demands` is empty belongs to a
 /// server no active group reaches this tick and is skipped everywhere.
 /// [`SimCluster::plan_solve`] resizes the vector to the fleet and rewrites
-/// the topology half once per tick; the 48 solver iterations and the
-/// reporting pass then only overwrite rates and results in place.
+/// the per-tick half once per tick — the topology, and through
+/// [`EvalScratch::plan`] every model term that reads only it; the 48
+/// solver iterations and the reporting pass then only overwrite rates and
+/// results in place. Nothing in a slot is read after the tick publishes:
+/// the response-time mixture `snapshot()` reads later is the server's
+/// (`SimServer::mixture`).
 #[derive(Default)]
 struct ServerSlot {
     /// Hosted partitions with demand, ascending `PartitionId`: the static
@@ -277,14 +284,13 @@ struct ServerSlot {
     index: Vec<usize>,
     /// Scratch evaluation, overwritten by every pass.
     eval: ServerEval,
+    /// The model's per-tick terms for `demands`, and its per-pass caches.
     work: EvalScratch,
     /// The last solver iteration's evaluation — the utilisation `step()`
     /// publishes. Swapped out of `eval` before the reporting pass reuses it.
+    /// Only current for an online server with demand, the only kind
+    /// `step()` publishes anything for.
     settled: ServerEval,
-    /// Response-time mixture from the reporting pass. Like `settled`, only
-    /// current for an online server with demand — the only kind `step()`
-    /// publishes anything for.
-    mixture: LatencyMixture,
 }
 
 impl ServerSlot {
@@ -307,15 +313,7 @@ impl ServerSlot {
         }
         let background =
             if server.compaction_backlog.is_empty() { 0.0 } else { params.compact_mb_s };
-        evaluate_server(
-            params,
-            &server.config,
-            server.warmth,
-            background,
-            &self.demands,
-            &mut self.work,
-            &mut self.eval,
-        );
+        evaluate_server(params, background, &self.demands, &mut self.work, &mut self.eval);
         inflation_factors(params, &server.config, &self.demands, &self.eval)
     }
 }
@@ -482,7 +480,7 @@ impl SimCluster {
         s.last_io = 0.0;
         s.last_mem = 0.0;
         s.last_rps = 0.0;
-        s.last_p99_ms = 0.0;
+        s.mixture.clear();
         let orphans = self.assignment.values().filter(|sid| **sid == server).count();
         // The victim's memstore contents survive as WAL backlog: nothing
         // is acknowledged-then-lost, but every orphaned partition owes a
@@ -1047,7 +1045,7 @@ impl SimCluster {
         }
         let mut new_files: Vec<(PartitionId, ServerId, f64)> = Vec::new();
         for (p, (r, w, s, ins)) in &per_partition {
-            let part = self.partitions.get_mut(p).expect("demand for unknown partition");
+            let Some(part) = self.partitions.get_mut(p) else { continue };
             part.counters.reads += (r * dt).round() as u64;
             part.counters.writes += (w * dt).round() as u64;
             part.counters.scans += (s * dt).round() as u64;
@@ -1065,11 +1063,8 @@ impl SimCluster {
             self.next_file += 1;
             self.localities.take();
             if self.namenode.create_file(fid, bytes as u64, DataNodeId(sid.0)).is_ok() {
-                self.partitions
-                    .get_mut(&p)
-                    .expect("flushed unknown partition")
-                    .files
-                    .push((fid, bytes as u64));
+                let Some(part) = self.partitions.get_mut(&p) else { continue };
+                part.files.push((fid, bytes as u64));
                 self.telemetry.counter_add("sim_memstore_flushes_total", &[], 1);
                 self.telemetry.emit(
                     self.now,
@@ -1149,37 +1144,37 @@ impl SimCluster {
         self.total_series.record(self.now, total);
         for (gi, g) in self.groups.iter().enumerate() {
             let x = if g.active { solution.group_x[gi] } else { 0.0 };
-            self.group_series
-                .get_mut(&g.name)
-                .expect("series created with group")
-                .record(self.now, x);
-            if g.active {
-                self.latency_series
-                    .get_mut(&g.name)
-                    .expect("series created with group")
-                    .record(self.now, solution.group_r_ms[gi]);
+            if let Some(series) = self.group_series.get_mut(&g.name) {
+                series.record(self.now, x);
+            }
+            if let (true, Some(series)) = (g.active, self.latency_series.get_mut(&g.name)) {
+                series.record(self.now, solution.group_r_ms[gi]);
             }
         }
         self.node_series.record(self.now, self.online_server_ids().len() as f64);
         // Servers without any demand this tick idle at zero — otherwise a
         // server whose groups went quiet would report stale utilization
         // forever. Offline servers keep reporting zero too (their clients'
-        // penalty is already in the group response times).
-        for server in self.servers.values_mut() {
+        // penalty is already in the group response times). An online
+        // server's mixture is the reporting pass's if it had demand, and
+        // is emptied (a p99 of zero) here if not.
+        for (slot, server) in self.slots.iter().zip(self.servers.values_mut()) {
             if server.state == ServerState::Online {
                 server.last_cpu = 0.0;
                 server.last_io = 0.0;
                 server.last_mem = 0.0;
                 server.last_rps = 0.0;
-                server.last_p99_ms = 0.0;
+                if slot.demands.is_empty() {
+                    server.mixture.clear();
+                }
             }
         }
         // Cache and latency metrics of every online server with demand, in
         // server-ID order. Registry updates are staged and flushed once,
         // under a single registry lock, after the per-server fields are
-        // applied. The p99 is what `snapshot()` reports and is taken every
-        // tick; the mean, p50 and p95 only feed gauges and histograms, so
-        // they are taken only while somebody records those.
+        // applied. The quantiles only feed gauges and histograms here, so
+        // they are taken only while somebody records those; `snapshot()`
+        // takes the p99 it reports from the same mixture when asked.
         let telemetry_on = self.telemetry.is_enabled();
         let buf = &mut self.metrics;
         buf.clear();
@@ -1194,8 +1189,9 @@ impl SimCluster {
             let hits = ((served as f64) * server.warmth).round() as u64;
             let cache_hits = server.cache_hits + hits.min(served);
             let cache_misses = server.cache_misses + served.saturating_sub(hits);
-            let p99_ms = slot.mixture.quantile_ms(0.99);
             if telemetry_on {
+                let mixture = &server.mixture;
+                let p99_ms = mixture.quantile_ms(0.99);
                 let labels = [("server", server.label.as_str())];
                 buf.gauge_set("sim_block_cache_hits", &labels, cache_hits as f64);
                 buf.gauge_set("sim_block_cache_misses", &labels, cache_misses as f64);
@@ -1210,10 +1206,10 @@ impl SimCluster {
                 // Latency digests: current quantiles as gauges, and per-tick
                 // observations into per-server / per-profile histograms
                 // whose summaries give the run's p50/p95/p99.
-                buf.gauge_set("sim_latency_p50_ms", &labels, slot.mixture.quantile_ms(0.50));
-                buf.gauge_set("sim_latency_p95_ms", &labels, slot.mixture.quantile_ms(0.95));
+                buf.gauge_set("sim_latency_p50_ms", &labels, mixture.quantile_ms(0.50));
+                buf.gauge_set("sim_latency_p95_ms", &labels, mixture.quantile_ms(0.95));
                 buf.gauge_set("sim_latency_p99_ms", &labels, p99_ms);
-                buf.observe("sim_server_latency_ms", &labels, slot.mixture.mean_ms());
+                buf.observe("sim_server_latency_ms", &labels, mixture.mean_ms());
                 buf.observe("sim_server_p99_ms", &labels, p99_ms);
                 let profile = [("profile", profile_label(&server.config))];
                 buf.observe("sim_profile_p99_ms", &profile, p99_ms);
@@ -1222,7 +1218,6 @@ impl SimCluster {
             server.last_io = eval.rho_disk.min(1.0);
             server.last_mem = eval.mem_util;
             server.last_rps = eval.total_rps;
-            server.last_p99_ms = p99_ms;
             server.cache_hits = cache_hits;
             server.cache_misses = cache_misses;
         }
@@ -1427,6 +1422,11 @@ impl SimCluster {
                 write_cpu_factor: 1.0,
             });
         }
+        for (slot, server) in slots.iter_mut().zip(self.servers.values()) {
+            if !slot.demands.is_empty() {
+                slot.work.plan(&self.params, &server.config, server.warmth, &slot.demands);
+            }
+        }
         self.slots = slots;
         SolvePlan { pids, rates, weights }
     }
@@ -1460,9 +1460,9 @@ impl SimCluster {
     }
 
     /// Damped fixed-point solve of the closed-loop equilibrium. Per-server
-    /// results stay in the [`ServerSlot`]s for `step()` to publish:
-    /// `settled` (the last iteration's evaluation) and `mixture` (the
-    /// reporting pass's response-time distribution).
+    /// results stay for `step()` to publish: the slot's `settled` (the last
+    /// iteration's evaluation) and the server's `mixture` (the reporting
+    /// pass's response-time distribution).
     fn solve_equilibrium(&mut self) -> Equilibrium {
         let mut x: Vec<f64> = self
             .group_x
@@ -1561,13 +1561,19 @@ impl SimCluster {
         // utilisation `step()` publishes is the *last iteration's*, not
         // this pass's: park it in `settled` before `eval` is overwritten.
         self.partition_loads(&plan, &x, &mut loads);
-        for (slot, server) in self.slots.iter_mut().zip(self.servers.values()) {
+        for (slot, server) in self.slots.iter_mut().zip(self.servers.values_mut()) {
             if slot.demands.is_empty() || server.state != ServerState::Online {
                 continue;
             }
             std::mem::swap(&mut slot.eval, &mut slot.settled);
             let inflations = slot.evaluate(&self.params, server, &loads);
-            server_mixture(&self.params, &slot.demands, &slot.eval, inflations, &mut slot.mixture);
+            server_mixture(
+                &self.params,
+                &slot.demands,
+                &slot.eval,
+                inflations,
+                &mut server.mixture,
+            );
         }
         Equilibrium { group_x: x, group_r_ms, plan }
     }
@@ -1670,11 +1676,15 @@ impl ElasticCluster for SimCluster {
                 let mut total = 0.0;
                 let mut local = 0.0;
                 for p in &parts {
-                    let part = &self.partitions[p];
+                    // Every assigned partition has both; one without is
+                    // left out of the aggregate.
+                    let (Some(part), Some(locality)) = (self.partitions.get(p), localities.get(p))
+                    else {
+                        continue;
+                    };
                     let bytes: u64 = part.files.iter().map(|(_, b)| *b).sum();
                     total += bytes as f64;
-                    local += bytes as f64
-                        * localities.get(p).copied().expect("assigned partition has locality");
+                    local += bytes as f64 * locality;
                 }
                 let locality = if total > 0.0 { local / total } else { 1.0 };
                 ServerMetrics {
@@ -1684,7 +1694,7 @@ impl ElasticCluster for SimCluster {
                     io_wait: s.last_io,
                     mem_util: s.last_mem,
                     requests_per_sec: s.last_rps,
-                    p99_latency_ms: s.last_p99_ms,
+                    p99_latency_ms: s.mixture.quantile_ms(0.99),
                     locality,
                     partitions: parts,
                     config: s.config.clone(),
@@ -1710,6 +1720,33 @@ impl ElasticCluster for SimCluster {
             })
             .collect();
         ClusterSnapshot { at: self.now, servers, partitions }
+    }
+
+    /// What [`HealthView::of`] would make of `snapshot()`, read off the
+    /// maps: no locality table, no latency quantile, no metric.
+    fn health_view(&self) -> HealthView {
+        let mut hosted: BTreeMap<ServerId, usize> = BTreeMap::new();
+        for s in self.assignment.values() {
+            *hosted.entry(*s).or_default() += 1;
+        }
+        let servers: Vec<ServerStatus> = self
+            .servers
+            .iter()
+            .filter(|(_, s)| s.state != ServerState::Stopped)
+            .map(|(id, s)| ServerStatus {
+                server: *id,
+                health: s.health(),
+                config: s.config.clone(),
+                partitions: hosted.get(id).copied().unwrap_or(0),
+            })
+            .collect();
+        let orphans = self
+            .assignment
+            .iter()
+            .filter(|(_, s)| self.servers.get(s).is_none_or(|s| s.state == ServerState::Stopped))
+            .filter_map(|(p, _)| Some((*p, self.partitions.get(p)?.recovery_backlog as u64)))
+            .collect();
+        HealthView { servers, orphans }
     }
 
     fn move_partition(&mut self, partition: PartitionId, to: ServerId) -> Result<(), AdminError> {
@@ -2121,7 +2158,7 @@ mod tests {
             }
             evals += 1;
             assert_eq!(eval_bits(&slot.settled), eval_bits(&want.server_evals[sid]), "{sid}");
-            let (lat, want_lat) = (slot.mixture.summary(), want.server_latency[sid]);
+            let (lat, want_lat) = (server.mixture.summary(), want.server_latency[sid]);
             assert_eq!(
                 bits(&[lat.mean_ms, lat.p50_ms, lat.p95_ms, lat.p99_ms]),
                 bits(&[want_lat.mean_ms, want_lat.p50_ms, want_lat.p95_ms, want_lat.p99_ms]),
@@ -2264,78 +2301,161 @@ mod tests {
         assert_eq!(bits(cached), bits(fresh), "stale locality table after {after}");
     }
 
+    /// A random lifecycle: 160 random ticks and calls on a churning random
+    /// cluster — moves, splits, crashes, compactions, restarts,
+    /// provisioning, decommissioning — under a fault plan that loses
+    /// datanodes and crashes a server by a torn WAL write; a heavy writer
+    /// makes memstores flush new files every few ticks. `check` runs after
+    /// each tick or call, with its name. Returns the cluster at the end.
+    fn random_lifecycle(seed: u64, mut check: impl FnMut(&mut SimCluster, &str)) -> SimCluster {
+        let mut sim = random_topology(seed, 5, 14, 3);
+        let hot: Vec<(PartitionId, f64)> =
+            sim.partitions.keys().take(4).map(|p| (*p, 0.25)).collect();
+        let mix = OpMix::write_only();
+        let writer =
+            ClientGroup::with_common_weights("writer", 400.0, 0.1, None, mix, hot, 1.0, 0.5);
+        sim.add_group(writer);
+        let plan = simcore::FaultPlan::parse("9s:dn-loss@1,31s:dn-loss@0,52s:torn-write@3")
+            .expect("valid plan");
+        sim.set_fault_injector(plan.injector());
+        let mut rng = SimRng::new(seed).derive("locality-cache");
+        for _ in 0..160 {
+            let online = sim.online_server_ids();
+            // Unassigned ones too: moving one assigns it.
+            let known: Vec<PartitionId> = sim.partitions.keys().copied().collect();
+            let p = known[rng.next_below(known.len() as u64) as usize];
+            let server =
+                (!online.is_empty()).then(|| online[rng.next_below(online.len() as u64) as usize]);
+            let config = StoreConfig::default_homogeneous();
+            let what = match (rng.next_below(16), server) {
+                (0, Some(s)) => {
+                    let _ = sim.move_partition(p, s);
+                    "move"
+                }
+                (1, _) => {
+                    sim.split_partition(p);
+                    "split"
+                }
+                (2, Some(s)) if online.len() > 2 => {
+                    sim.crash_server(s);
+                    "crash"
+                }
+                (3, _) => {
+                    let _ = sim.major_compact(p);
+                    "major_compact"
+                }
+                (4, Some(s)) if online.len() > 1 => {
+                    let _ = sim.restart_server(s, config);
+                    "restart"
+                }
+                (5, _) => {
+                    let _ = sim.provision_server(config);
+                    "provision"
+                }
+                (6, Some(s)) if online.len() > 2 => {
+                    let _ = sim.decommission_server(s);
+                    "decommission"
+                }
+                _ => {
+                    sim.step();
+                    "step"
+                }
+            };
+            check(&mut sim, what);
+        }
+        sim
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(16))]
 
-        /// Random sequences of ticks and of every call that moves the
-        /// locality table's inputs — moves, splits, crashes, compactions,
-        /// restarts, provisioning, decommissioning — under a fault plan
-        /// that loses datanodes and tears a WAL write. After each call the
-        /// cached table must equal a fresh one; reads inside `step` (the
-        /// solve's) are held to the same by `partition_localities` itself.
+        /// After each call of a random lifecycle the cached locality table
+        /// must equal a fresh one; reads inside `step` (the solve's) are
+        /// held to the same by `partition_localities` itself.
         #[test]
         fn locality_cache_never_goes_stale(seed in proptest::any::<u64>()) {
-            let mut sim = random_topology(seed, 5, 14, 3);
-            // A heavy writer, so memstores flush new files every few ticks.
-            let hot: Vec<(PartitionId, f64)> =
-                sim.partitions.keys().take(4).map(|p| (*p, 0.25)).collect();
-            let mix = OpMix::write_only();
-            let writer =
-                ClientGroup::with_common_weights("writer", 400.0, 0.1, None, mix, hot, 1.0, 0.5);
-            sim.add_group(writer);
-            let plan = simcore::FaultPlan::parse("9s:dn-loss@1,31s:dn-loss@0,52s:torn-write@3")
-                .expect("valid plan");
-            sim.set_fault_injector(plan.injector());
-            let mut rng = SimRng::new(seed).derive("locality-cache");
-            for _ in 0..160 {
-                let online = sim.online_server_ids();
-                // Unassigned ones too: moving one assigns it.
-                let known: Vec<PartitionId> = sim.partitions.keys().copied().collect();
-                let p = known[rng.next_below(known.len() as u64) as usize];
-                let server = (!online.is_empty())
-                    .then(|| online[rng.next_below(online.len() as u64) as usize]);
-                let config = StoreConfig::default_homogeneous();
-                let what = match (rng.next_below(16), server) {
-                    (0, Some(s)) => {
-                        let _ = sim.move_partition(p, s);
-                        "move"
-                    }
-                    (1, _) => {
-                        sim.split_partition(p);
-                        "split"
-                    }
-                    (2, Some(s)) if online.len() > 2 => {
-                        sim.crash_server(s);
-                        "crash"
-                    }
-                    (3, _) => {
-                        let _ = sim.major_compact(p);
-                        "major_compact"
-                    }
-                    (4, Some(s)) if online.len() > 1 => {
-                        let _ = sim.restart_server(s, config);
-                        "restart"
-                    }
-                    (5, _) => {
-                        let _ = sim.provision_server(config);
-                        "provision"
-                    }
-                    (6, Some(s)) if online.len() > 2 => {
-                        let _ = sim.decommission_server(s);
-                        "decommission"
-                    }
-                    _ => {
-                        sim.step();
-                        "step"
-                    }
-                };
+            random_lifecycle(seed, |sim, what| {
                 if let Some(cached) = sim.localities.get() {
                     assert_same_localities(cached, &sim.fresh_localities(), what);
                 }
                 // Fill the cache, so the next call's writes must clear it.
                 sim.partition_localities();
-            }
+            });
         }
+
+        /// The self-healing view read off the maps is, after every call of
+        /// a random lifecycle, the one the snapshot implies.
+        #[test]
+        fn health_view_is_the_snapshots(seed in proptest::any::<u64>()) {
+            random_lifecycle(seed, |sim, what| {
+                assert_eq!(sim.health_view(), HealthView::of(&sim.snapshot()), "after {what}");
+            });
+        }
+    }
+
+    /// The p99 `snapshot()` reports, taken on demand, against the eager
+    /// bookkeeping it replaced: at each publication an online server's p99
+    /// is its mixture's, taken then, or zero without demand; a crash zeroes
+    /// it; a restart, a decommission and every call between ticks keep it.
+    /// Checked for every server, listed or not, after every tick and call
+    /// of random lifecycles, and then after a server loses all its demand.
+    #[test]
+    fn snapshot_p99_is_the_one_taken_at_publication() {
+        let (mut restarts_kept, mut crashes_zeroed, mut drained) = (0, 0, 0);
+        for seed in 0..8 {
+            let mut eager: BTreeMap<ServerId, f64> = BTreeMap::new();
+            let mut stopped: std::collections::BTreeSet<ServerId> = Default::default();
+            let mut check = |sim: &mut SimCluster, what: &str| {
+                // A server provisioned since the last tick has no slot yet.
+                for (k, (sid, server)) in sim.servers.iter().enumerate() {
+                    let last = eager.get(sid).copied().unwrap_or(0.0);
+                    let now_stopped = server.state == ServerState::Stopped;
+                    let p99 = if now_stopped && stopped.insert(*sid) && what != "decommission" {
+                        crashes_zeroed += usize::from(last > 0.0);
+                        0.0
+                    } else if what == "step" && server.state == ServerState::Online {
+                        let published = sim.slots.get(k).is_some_and(|s| !s.demands.is_empty());
+                        if published {
+                            server.mixture.quantile_ms(0.99)
+                        } else {
+                            0.0
+                        }
+                    } else {
+                        if what == "restart" && server.state != ServerState::Online {
+                            restarts_kept += usize::from(last > 0.0);
+                        }
+                        last
+                    };
+                    eager.insert(*sid, p99);
+                    let got = server.mixture.quantile_ms(0.99);
+                    assert_eq!(got.to_bits(), p99.to_bits(), "{sid} after {what}");
+                }
+                for s in sim.snapshot().servers {
+                    let want = eager[&s.server];
+                    assert_eq!(s.p99_latency_ms.to_bits(), want.to_bits(), "{} snapshot", s.server);
+                }
+            };
+            let mut sim = random_lifecycle(seed, &mut check);
+            // Move everything off a server that published a p99: the next
+            // tick finds it online without demand.
+            let online = sim.online_server_ids();
+            let busy = online.iter().find(|s| sim.servers[s].mixture.quantile_ms(0.99) > 0.0);
+            let (Some(&from), Some(&to)) = (busy, online.iter().find(|s| busy != Some(s))) else {
+                continue;
+            };
+            let hosted: Vec<PartitionId> =
+                sim.assignment.iter().filter(|(_, s)| **s == from).map(|(p, _)| *p).collect();
+            for p in hosted {
+                sim.move_partition(p, to).unwrap();
+                check(&mut sim, "move");
+            }
+            sim.step();
+            check(&mut sim, "step");
+            drained += usize::from(sim.servers[&from].mixture.quantile_ms(0.99) == 0.0);
+        }
+        assert!(restarts_kept > 0, "no restart of a server with a p99");
+        assert!(crashes_zeroed > 0, "no crash of a server with a p99");
+        assert!(drained > 0, "no server drained of its demand");
     }
 
     fn basic_cluster(servers: usize, seed: u64) -> (SimCluster, Vec<PartitionId>) {

@@ -607,8 +607,7 @@ impl Actuator {
                         self.steps.pop_front();
                         continue;
                     };
-                    let snap = cluster.snapshot();
-                    match snap.server(server).map(|s| s.health) {
+                    match cluster.health_view().server(server).map(|s| s.health) {
                         Some(ServerHealth::Online) => {
                             self.finish_action(now, slot, "provision", server, None);
                             self.complete_step(now, "await_online", Some(server), None);
@@ -731,7 +730,7 @@ impl Actuator {
                             self.complete_step(now, "restart", Some(server), None);
                         }
                         Err(e) => {
-                            if cluster.snapshot().server(server).is_none() {
+                            if cluster.health_view().server(server).is_none() {
                                 self.abandon_step(
                                     now,
                                     ActuatorErrorKind::ServerLost,
@@ -759,8 +758,7 @@ impl Actuator {
                         self.steps.pop_front();
                         continue;
                     };
-                    let snap = cluster.snapshot();
-                    match snap.server(server).map(|s| s.health) {
+                    match cluster.health_view().server(server).map(|s| s.health) {
                         Some(ServerHealth::Online) => {
                             self.finish_action(now, slot, "restart", server, None);
                             self.complete_step(now, "await_restart", Some(server), None);
@@ -954,7 +952,7 @@ impl Actuator {
                             self.complete_step(now, "decommission", Some(server), None);
                         }
                         Err(e) => {
-                            if cluster.snapshot().server(server).is_none() {
+                            if cluster.health_view().server(server).is_none() {
                                 // Already gone (crashed): the goal is met.
                                 self.note(format!("decommission target {server} already gone"));
                                 self.complete_step(now, "decommission", Some(server), None);

@@ -157,10 +157,14 @@ impl Met {
     /// 3. When the actuator is idle, partitions still assigned to a dead
     ///    server are re-homed onto the least-loaded online server (while a
     ///    plan runs, the actuator's own reconciliation pass covers them).
+    ///
+    /// It reads [`ElasticCluster::health_view`], not a full snapshot: the
+    /// monitor wants metrics once per interval, the healer only server
+    /// health and orphans, every tick.
     fn heal(&mut self, now: SimTime, cluster: &mut dyn ElasticCluster) {
-        let snapshot = cluster.snapshot();
-        let present: BTreeSet<ServerId> = snapshot.servers.iter().map(|s| s.server).collect();
-        for s in &snapshot.servers {
+        let view = cluster.health_view();
+        let present: BTreeSet<ServerId> = view.servers.iter().map(|s| s.server).collect();
+        for s in &view.servers {
             if s.health == ServerHealth::Online {
                 self.fleet.insert(s.server, s.config.clone());
             }
@@ -271,22 +275,16 @@ impl Met {
         if self.actuator.busy() {
             return;
         }
-        let orphans: Vec<_> = snapshot
-            .partitions
-            .iter()
-            .filter(|p| p.assigned_to.is_some_and(|s| !present.contains(&s)))
-            .map(|p| (p.partition, p.wal_backlog_bytes))
-            .collect();
-        if orphans.is_empty() {
+        if view.orphans.is_empty() {
             return;
         }
-        let mut load: BTreeMap<ServerId, usize> = snapshot
+        let mut load: BTreeMap<ServerId, usize> = view
             .servers
             .iter()
             .filter(|s| s.health == ServerHealth::Online)
-            .map(|s| (s.server, s.partitions.len()))
+            .map(|s| (s.server, s.partitions))
             .collect();
-        for (partition, wal_backlog) in orphans {
+        for (partition, wal_backlog) in view.orphans {
             let Some(target) = load.iter().min_by_key(|(id, n)| (**n, id.0)).map(|(id, _)| *id)
             else {
                 break;

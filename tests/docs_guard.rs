@@ -1,7 +1,8 @@
 //! Docs, CI and scripts may only name knobs, binaries and test targets that
 //! exist: every `MET_*` token must be read by `EnvConfig`, every `exp-*`
 //! token must have a source file under `crates/bench/src/bin/`, and every
-//! `--test <name>` must have a `tests/<name>.rs` in its package.
+//! `--test <name>` must have a `tests/<name>.rs` in its package. The CI
+//! workflow and `ci/run.sh` must name the same jobs.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -138,4 +139,42 @@ fn docs_and_ci_name_only_knobs_and_binaries_that_exist() {
         }
     }
     assert!(stale.is_empty(), "stale names:\n{}", stale.join("\n"));
+}
+
+/// A job name: lowercase letters, digits and `-`.
+fn job_char(c: char) -> bool {
+    c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'
+}
+
+/// The jobs `ci/run.sh` defines: its `case` arms, each a line `<job>)`.
+fn script_jobs(text: &str) -> BTreeSet<String> {
+    text.lines()
+        .filter_map(|line| line.trim().strip_suffix(')'))
+        .filter(|job| !job.is_empty() && job.chars().all(job_char))
+        .map(str::to_string)
+        .collect()
+}
+
+/// The jobs a workflow calls: every `ci/run.sh <job>`.
+fn called_jobs(text: &str) -> BTreeSet<String> {
+    let call = "ci/run.sh ";
+    text.match_indices(call)
+        .map(|(at, _)| &text[at + call.len()..])
+        .map(|rest| &rest[..rest.find(|c| !job_char(c)).unwrap_or(rest.len())])
+        .filter(|job| !job.is_empty())
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn ci_workflow_calls_exactly_the_jobs_run_sh_defines() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let defined = script_jobs(&read(&root.join("ci/run.sh")));
+    let called = called_jobs(&read(&root.join(".github/workflows/ci.yml")));
+    let found = defined.contains("build-test") && called.contains("build-test");
+    assert!(found, "scan is broken: defined {defined:?}, called {called:?}");
+    let lacking: Vec<&String> = called.difference(&defined).collect();
+    let uncalled: Vec<&String> = defined.difference(&called).collect();
+    assert!(lacking.is_empty(), "ci.yml calls jobs ci/run.sh lacks: {lacking:?}");
+    assert!(uncalled.is_empty(), "ci/run.sh defines jobs ci.yml never calls: {uncalled:?}");
 }
