@@ -11,11 +11,9 @@
 //!   Figure 5/6 experiments: homogeneous nodes, add/remove only, no
 //!   reconfiguration, removal only when every node idles.
 
-pub mod autoscaling;
 pub mod manual;
 pub mod tiramola;
 
-pub use autoscaling::{Aggregate, AutoScaler, Comparison, Metric, Rule, ScalingAction};
 pub use manual::{
     build_manual_heterogeneous, build_manual_homogeneous, build_random_homogeneous,
     search_balanced_placement, MANUAL_SEARCH_CANDIDATES,

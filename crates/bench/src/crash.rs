@@ -97,22 +97,17 @@ pub fn model_state(model: &BTreeMap<(String, String), String>) -> State {
     rows.into_iter().collect()
 }
 
-/// Maintenance knobs for the background-pipeline audit: the `MET_FLUSH_*`
-/// / `MET_COMPACT_*` / `MET_STORE_*` environment knobs, defaulting to a
-/// freeze threshold small enough that the tiny crash schedule actually
-/// drives background flushes (and, through them, WAL rotations, deferred
+/// Maintenance settings for the background-pipeline audit: a freeze
+/// threshold small enough that the tiny crash schedule actually drives
+/// background flushes (and, through them, WAL rotations, deferred
 /// truncations, and compactions) between crash points, instead of never
 /// reaching one.
 fn crash_maintenance_cfg() -> MaintenanceConfig {
-    let env = simcore::config::env_config();
-    let mut cfg = MaintenanceConfig::from_env(env);
-    if env.flush_memstore_bytes.is_none() {
-        cfg.memstore_flush_bytes = 256;
+    MaintenanceConfig {
+        memstore_flush_bytes: 256,
+        compact_min_files: 3,
+        ..MaintenanceConfig::default()
     }
-    if env.compact_min_files.is_none() {
-        cfg.compact_min_files = 3;
-    }
-    cfg
 }
 
 fn fresh_store(group_commit_bytes: usize, bg: bool) -> CfStore {

@@ -23,9 +23,9 @@
 //!   micro-sleep per write — from [`MaintenanceConfig::throttle_files`] up.
 //!
 //! Stall time, queue depths and maintenance debt are all counted in
-//! [`MaintenanceStats`] and surfaced via [`MaintenanceSnapshot`], which the
-//! region layer converts into telemetry events, counters and gauges so the
-//! decision maker can see maintenance pressure per region.
+//! [`MaintenanceStats`] and surfaced via [`MaintenanceSnapshot`]; the
+//! functional cluster copies each region's snapshot into its partition
+//! metrics, and the monitor publishes those as telemetry.
 //!
 //! Correctness contract with the WAL: the writer rotates the log *before*
 //! freezing, hands the sealed-segment index to the flusher with the frozen
@@ -46,8 +46,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Tuning for the background maintenance pipeline. All thresholds mirror
-/// their HBase counterparts; see the README knob table for the `MET_*`
-/// environment routes.
+/// their HBase counterparts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MaintenanceConfig {
     /// Freeze + enqueue the active memstore once it holds this many heap
@@ -89,25 +88,6 @@ impl Default for MaintenanceConfig {
             throttle_micros: 100,
             max_stall_ms: 10_000,
             compactors: 2,
-        }
-    }
-}
-
-impl MaintenanceConfig {
-    /// The defaults with every `MET_FLUSH_*` / `MET_COMPACT_*` /
-    /// `MET_STORE_*` knob from the environment applied on top.
-    pub fn from_env(env: &simcore::config::EnvConfig) -> Self {
-        let d = MaintenanceConfig::default();
-        MaintenanceConfig {
-            memstore_flush_bytes: env.flush_memstore_bytes.unwrap_or(d.memstore_flush_bytes),
-            max_frozen_memstores: env.flush_max_frozen.unwrap_or(d.max_frozen_memstores),
-            compact_min_files: env.compact_min_files.unwrap_or(d.compact_min_files),
-            compact_max_files: d.compact_max_files.max(env.compact_min_files.unwrap_or(0) * 2),
-            throttle_files: env.store_throttle_files.unwrap_or(d.throttle_files),
-            blocking_files: env.store_blocking_files.unwrap_or(d.blocking_files),
-            throttle_micros: d.throttle_micros,
-            max_stall_ms: d.max_stall_ms,
-            compactors: env.compact_workers.unwrap_or(d.compactors),
         }
     }
 }
@@ -519,12 +499,6 @@ impl MaintenanceHandle {
         self.inner.wait_for_progress(done, Duration::from_secs(60));
     }
 
-    /// Clean stop: closes both channels and joins every worker. Call
-    /// [`MaintenanceHandle::drain`] first if queued work must publish.
-    pub(crate) fn shutdown(mut self) {
-        self.close_and_join();
-    }
-
     /// Process death: workers stop picking up queued jobs; whatever is
     /// mid-publish finishes (a real crash would land on one side of the
     /// atomic swap anyway), then every thread is joined.
@@ -645,41 +619,5 @@ mod tests {
         let wal = s.wal().unwrap();
         assert!(wal.stats().truncated_bytes > 0, "published flushes reclaimed their segments");
         assert_eq!(wal.sealed_segments(), 0, "no sealed segment outlives its flush");
-    }
-
-    #[test]
-    fn stop_maintenance_reverts_to_inline_flushes() {
-        let mut s = bg_store(small_cfg());
-        for i in 0..200 {
-            s.put(format!("row{i:04}").into(), "c".into(), Bytes::from(vec![b'x'; 30]));
-        }
-        s.stop_maintenance();
-        assert!(!s.maintenance_enabled());
-        assert!(s.maintenance_snapshot().is_none());
-        // Inline flush still works.
-        s.put("r".into(), "c".into(), Bytes::from_static(b"v"));
-        assert!(s.flush().is_some());
-        assert_eq!(s.scan_range(&KeyRange::all(), usize::MAX).len(), 201);
-    }
-
-    #[test]
-    fn from_env_routes_the_knobs() {
-        let env = simcore::config::EnvConfig::from_lookup(|k| match k {
-            "MET_FLUSH_MEMSTORE_BYTES" => Some("8192".into()),
-            "MET_FLUSH_MAX_FROZEN" => Some("7".into()),
-            "MET_COMPACT_MIN_FILES" => Some("5".into()),
-            "MET_COMPACT_WORKERS" => Some("3".into()),
-            "MET_STORE_THROTTLE_FILES" => Some("9".into()),
-            "MET_STORE_BLOCKING_FILES" => Some("33".into()),
-            _ => None,
-        });
-        let cfg = MaintenanceConfig::from_env(&env);
-        assert_eq!(cfg.memstore_flush_bytes, 8192);
-        assert_eq!(cfg.max_frozen_memstores, 7);
-        assert_eq!(cfg.compact_min_files, 5);
-        assert_eq!(cfg.compactors, 3);
-        assert_eq!(cfg.throttle_files, 9);
-        assert_eq!(cfg.blocking_files, 33);
-        assert_eq!(cfg.compact_max_files, 10, "derived cap stays at the default floor");
     }
 }

@@ -90,10 +90,6 @@ pub struct Region {
     counters: CounterCells,
     memstore_flush_bytes: u64,
     telemetry: telemetry::Telemetry,
-    /// Aggregated maintenance counters as of the last
-    /// [`Region::record_maintenance_pressure`], so cumulative snapshot
-    /// values can be turned into monotonic counter increments.
-    last_maintenance: MaintenanceSnapshot,
 }
 
 impl Region {
@@ -124,7 +120,6 @@ impl Region {
             counters: CounterCells::default(),
             memstore_flush_bytes,
             telemetry: telemetry::Telemetry::disabled(),
-            last_maintenance: MaintenanceSnapshot::default(),
         }
     }
 
@@ -340,14 +335,6 @@ impl Region {
         }
     }
 
-    /// Drains and stops every family's background pipeline; the region
-    /// reverts to inline maintenance.
-    pub fn disable_background_maintenance(&mut self) {
-        for s in self.families.values_mut() {
-            s.stop_maintenance();
-        }
-    }
-
     /// Whether any family runs the background maintenance pipeline.
     pub fn background_maintenance_enabled(&self) -> bool {
         self.families.values().any(CfStore::maintenance_enabled)
@@ -374,38 +361,6 @@ impl Region {
             }
         }
         any.then_some(agg)
-    }
-
-    /// Publishes the current maintenance pressure to telemetry — monotonic
-    /// counters get the delta since the previous call, gauges the level —
-    /// and returns the snapshot. The monitor calls this once per interval.
-    pub fn record_maintenance_pressure(&mut self) -> Option<MaintenanceSnapshot> {
-        let snap = self.maintenance_pressure()?;
-        let prev = std::mem::replace(&mut self.last_maintenance, snap);
-        let delta = |now: u64, before: u64| now.saturating_sub(before);
-        self.telemetry.counter_add(
-            "met_store_stall_ms_total",
-            &[],
-            delta(snap.stall_ms_total(), prev.stall_ms_total()),
-        );
-        self.telemetry.counter_add(
-            "met_store_writer_stalls_total",
-            &[],
-            delta(snap.writer_stalls, prev.writer_stalls),
-        );
-        self.telemetry.counter_add(
-            "met_store_bg_flushes_total",
-            &[],
-            delta(snap.flushes_completed, prev.flushes_completed),
-        );
-        self.telemetry.counter_add(
-            "met_store_bg_compactions_total",
-            &[],
-            delta(snap.compactions_completed, prev.compactions_completed),
-        );
-        self.telemetry.gauge_set("met_store_frozen_memstores", &[], snap.frozen_memstores as f64);
-        self.telemetry.gauge_set("met_store_maintenance_debt_bytes", &[], snap.debt_bytes as f64);
-        Some(snap)
     }
 
     /// Flushes any family whose memstore exceeds the per-region flush
@@ -558,7 +513,6 @@ impl Region {
             counters: CounterCells::from_snapshot(half),
             memstore_flush_bytes: flush,
             telemetry: self.telemetry.clone(),
-            last_maintenance: MaintenanceSnapshot::default(),
         };
         let hi = Region {
             id: hi_id,
@@ -568,7 +522,6 @@ impl Region {
             counters: CounterCells::from_snapshot(half),
             memstore_flush_bytes: flush,
             telemetry: self.telemetry,
-            last_maintenance: MaintenanceSnapshot::default(),
         };
         Ok((lo, hi))
     }
@@ -697,8 +650,7 @@ mod tests {
     #[test]
     fn background_maintenance_covers_every_family_and_reports_pressure() {
         let mut r = region(KeyRange::all());
-        let t = telemetry::Telemetry::new(telemetry::Verbosity::Off);
-        r.set_telemetry(t.clone());
+        assert!(r.maintenance_pressure().is_none());
         r.enable_background_maintenance(MaintenanceConfig {
             memstore_flush_bytes: 1_000,
             ..MaintenanceConfig::default()
@@ -712,18 +664,9 @@ mod tests {
         // Inline maintenance stands down while the pipeline owns the family.
         assert!(r.maybe_flush().is_empty());
         assert!(r.maybe_compact(1).is_empty());
-        let snap = r.record_maintenance_pressure().unwrap();
+        let snap = r.maintenance_pressure().unwrap();
         assert!(snap.flushes_completed > 0, "background flushes published: {snap:?}");
         assert_eq!(snap.frozen_memstores, 0, "drained");
-        assert_eq!(t.counter_total("met_store_bg_flushes_total"), snap.flushes_completed);
-        assert_eq!(t.gauge_value("met_store_frozen_memstores", &[]), Some(0.0));
-        // Counter publishing is delta-based: a second call with no new
-        // work adds nothing.
-        r.record_maintenance_pressure().unwrap();
-        assert_eq!(t.counter_total("met_store_bg_flushes_total"), snap.flushes_completed);
-        r.disable_background_maintenance();
-        assert!(!r.background_maintenance_enabled());
-        assert!(r.maintenance_pressure().is_none());
         assert_eq!(r.scan(&"cf".into(), &"row000".into(), 1_000).unwrap().len(), 300);
     }
 

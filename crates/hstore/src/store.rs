@@ -490,7 +490,8 @@ impl CfStore {
     /// background compactor pool. Backpressure (a bounded frozen queue and
     /// a blocking-store-files limit) first throttles, then stalls the
     /// writer — see [`crate::maintenance::MaintenanceConfig`]. No-op if
-    /// already started.
+    /// already started. The pipeline runs until the store is dropped,
+    /// which closes and joins its workers, or [`CfStore::crash`]ed.
     pub fn start_maintenance(&mut self, cfg: MaintenanceConfig) {
         if self.maintenance.is_none() {
             self.maintenance = Some(MaintenanceHandle::start(
@@ -523,18 +524,6 @@ impl CfStore {
             if let (Some(wal), Some(through)) = (&mut self.wal, m.take_pending_truncation()) {
                 wal.truncate_sealed_through(through);
             }
-        }
-    }
-
-    /// Drains and stops the background pipeline, joining its threads. The
-    /// store reverts to inline maintenance.
-    pub fn stop_maintenance(&mut self) {
-        if let Some(m) = self.maintenance.take() {
-            m.drain();
-            if let (Some(wal), Some(through)) = (&mut self.wal, m.take_pending_truncation()) {
-                wal.truncate_sealed_through(through);
-            }
-            m.shutdown();
         }
     }
 

@@ -4,11 +4,12 @@
 //! An OpenStack-like IaaS simulation.
 //!
 //! MeT's prototype drives OpenStack to start and stop the virtual machines
-//! that host RegionServers (§5 of the paper), and reads system metrics
-//! (CPU, memory, I/O wait) through Ganglia (§4.1). This crate wraps a
+//! that host RegionServers (§5 of the paper). This crate wraps a
 //! [`cluster::SimCluster`] with exactly that surface: named flavors, an
-//! instance quota, asynchronous boot with a provisioning delay, VM
-//! termination, and a Ganglia-style system-metrics view.
+//! instance quota, asynchronous boot with a provisioning delay and VM
+//! termination. The system metrics MeT reads through Ganglia (§4.1) are
+//! the per-server rows of the wrapped cluster's
+//! [`cluster::admin::ClusterSnapshot`].
 //!
 //! The wrapper itself implements [`cluster::ElasticCluster`], so a control
 //! plane is oblivious to whether it manages the database directly (zero
@@ -17,7 +18,5 @@
 //! database").
 
 pub mod cloud;
-pub mod ganglia;
 
 pub use cloud::{CloudCluster, CloudError, Flavor, Quota, VmId, VmRecord, VmState};
-pub use ganglia::{GangliaReport, SystemMetrics};

@@ -289,11 +289,6 @@ impl ExponentialDist {
         let gamma = -(1.0 - percentile).ln() / frac;
         ExponentialDist { items, gamma }
     }
-
-    /// The YCSB default: 10 % of keys receive 90 % of accesses.
-    pub fn ycsb_default(items: u64) -> Self {
-        ExponentialDist::new(items, 0.1, 0.9)
-    }
 }
 
 impl KeyDistribution for ExponentialDist {
@@ -483,7 +478,7 @@ mod tests {
 
     #[test]
     fn exponential_concentrates_on_the_head() {
-        let mut d = ExponentialDist::ycsb_default(100_000);
+        let mut d = ExponentialDist::new(100_000, 0.1, 0.9);
         let mut rng = SimRng::new(4);
         let draws = 50_000;
         let head = (0..draws)

@@ -117,12 +117,6 @@ impl SimRng {
         &items[self.next_below(items.len() as u64) as usize]
     }
 
-    /// A draw from the exponential distribution with the given mean.
-    pub fn next_exp(&mut self, mean: f64) -> f64 {
-        let u = 1.0 - self.next_f64(); // in (0, 1]
-        -mean * u.ln()
-    }
-
     /// An approximately normal draw via the sum of 12 uniforms
     /// (Irwin–Hall); ample accuracy for service-time jitter.
     pub fn next_gaussian(&mut self, mean: f64, stddev: f64) -> f64 {
@@ -252,15 +246,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn exponential_mean_is_close() {
-        let mut r = SimRng::new(11);
-        let n = 100_000;
-        let total: f64 = (0..n).map(|_| r.next_exp(5.0)).sum();
-        let mean = total / n as f64;
-        assert!((mean - 5.0).abs() < 0.1, "mean {mean}");
     }
 
     #[test]

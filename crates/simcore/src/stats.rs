@@ -1,76 +1,10 @@
-//! Online statistics and percentile summaries.
+//! Percentile summaries.
 //!
 //! Figure 1 of the paper reports per-workload throughput as CDF percentile
 //! bars (5th/25th/50th/75th/90th over five runs); [`PercentileSummary`]
-//! produces exactly those rows. [`OnlineStats`] (Welford) backs utilization
-//! accounting and test assertions.
+//! produces exactly those rows.
 
 use serde::{Deserialize, Serialize};
-
-/// Numerically stable online mean/variance (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 for an empty accumulator).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-}
 
 /// The CDF observation points reported in Figure 1.
 pub const FIG1_PERCENTILES: [f64; 5] = [5.0, 25.0, 50.0, 75.0, 90.0];
@@ -88,11 +22,6 @@ impl PercentileSummary {
     /// Creates an empty summary.
     pub fn new() -> Self {
         PercentileSummary { samples: Vec::new() }
-    }
-
-    /// Builds a summary from a slice of samples.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        PercentileSummary { samples: samples.to_vec() }
     }
 
     /// Adds one sample.
@@ -145,32 +74,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn welford_matches_direct_computation() {
-        let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut s = OnlineStats::new();
-        for x in data {
+    fn percentiles_interpolate() {
+        let mut s = PercentileSummary::new();
+        for x in [10.0, 20.0, 30.0, 40.0] {
             s.push(x);
         }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn empty_stats_are_sane() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn percentiles_interpolate() {
-        let s = PercentileSummary::from_samples(&[10.0, 20.0, 30.0, 40.0]);
         assert_eq!(s.percentile(0.0), Some(10.0));
         assert_eq!(s.percentile(100.0), Some(40.0));
         assert_eq!(s.percentile(50.0), Some(25.0));

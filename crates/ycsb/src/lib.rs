@@ -15,11 +15,9 @@
 
 pub mod client;
 pub mod demand;
-pub mod measurement;
 pub mod presets;
 pub mod workload;
 
 pub use client::{FunctionalClient, OpStats};
 pub use demand::{deploy, partition_heat, DeployedWorkload};
-pub use measurement::{LatencyStats, WorkloadReport};
 pub use workload::{Proportions, RequestDistribution, WorkloadSpec};

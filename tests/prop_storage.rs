@@ -118,7 +118,6 @@ fn background_maintenance_reclaims_overwritten_versions() {
     for i in 0..KEYS {
         assert_eq!(s.get(&key(i), &qual(0)), Some(Bytes::from(vec![49u8; VALUE_BYTES])));
     }
-    s.stop_maintenance();
 }
 
 proptest! {
