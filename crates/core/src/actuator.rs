@@ -22,8 +22,10 @@
 //! Management calls against a real cluster fail: VM boots abort, RPCs get
 //! lost, RegionServers crash mid-drain. Every step therefore carries a
 //! retry budget with exponential backoff (`RETRY`); a step whose
-//! target server vanished is abandoned immediately with a typed
-//! [`ActuatorError`] instead of being retried into the void. When the
+//! target server vanished is abandoned immediately instead of being
+//! retried into the void. Every retry and abandonment is booked on the
+//! telemetry trail (`RetryScheduled`, `StepFailed` and their counters),
+//! the control plane's one record of what it did. When the
 //! step queue drains, a bounded reconciliation pass re-diffs the intended
 //! plan against the actual cluster: partitions stranded on dead or
 //! never-provisioned slots are redistributed to the surviving ones, and
@@ -38,7 +40,6 @@ use cluster::{PartitionId, ServerId};
 use hstore::StoreConfig;
 use simcore::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
 use telemetry::{Telemetry, TelemetryEvent};
 
 /// Cumulative actuator statistics (observable in experiments).
@@ -60,119 +61,91 @@ pub struct ActuatorStats {
     pub retries: u64,
 }
 
-/// Retry/backoff budget applied to every actuator step.
-struct RetryPolicy {
+/// Retry/backoff budget for a management step (the actuator's steps and
+/// the framework's crash replacements).
+pub(crate) struct RetryPolicy {
     /// Attempts before a step is abandoned (the first try counts).
-    pub max_attempts: u32,
+    pub(crate) max_attempts: u32,
     /// Backoff after the first failure; doubles (by `multiplier`) after
     /// each subsequent one.
-    pub base_backoff: SimDuration,
+    pub(crate) base_backoff: SimDuration,
     /// Backoff growth factor per failed attempt.
-    pub multiplier: f64,
+    pub(crate) multiplier: f64,
     /// Wall-clock budget for asynchronous waits (VM boots, restarts);
     /// a wait still pending past this is abandoned as a timeout.
-    pub step_timeout: SimDuration,
+    pub(crate) step_timeout: SimDuration,
 }
 
-/// The budget every step runs under.
-const RETRY: RetryPolicy = RetryPolicy {
+/// The budget every actuator step runs under.
+pub(crate) const RETRY: RetryPolicy = RetryPolicy {
     max_attempts: 4,
     base_backoff: SimDuration::from_secs(2),
     multiplier: 2.0,
     step_timeout: SimDuration::from_secs(600),
 };
 
-/// Why a step was abandoned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActuatorErrorKind {
-    /// Provisioning failed on every attempt (VM boot failures, quota).
-    ProvisionFailed,
-    /// A provisioned or restarting node never came online within the
-    /// step timeout.
-    BootTimeout,
-    /// The step's target server vanished from the cluster (crash).
-    ServerLost,
-    /// A management call kept failing until the retry budget ran out.
-    CallFailed,
-}
-
-impl ActuatorErrorKind {
-    /// Stable lower-case name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ActuatorErrorKind::ProvisionFailed => "provision_failed",
-            ActuatorErrorKind::BootTimeout => "boot_timeout",
-            ActuatorErrorKind::ServerLost => "server_lost",
-            ActuatorErrorKind::CallFailed => "call_failed",
-        }
-    }
-}
-
-/// A step the actuator gave up on, with everything needed to audit it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ActuatorError {
-    /// Failure classification.
-    pub kind: ActuatorErrorKind,
+/// One failed attempt at a step, as the audit trail records it.
+pub(crate) struct Failure {
     /// Step kind (`provision`, `drain`, `restart`, `move_in`, `compact`,
-    /// `decommission`).
-    pub action: &'static str,
+    /// `decommission`, `replace_node`).
+    pub(crate) action: &'static str,
     /// Server the step targeted, when known.
-    pub server: Option<ServerId>,
+    pub(crate) server: Option<ServerId>,
     /// Partition involved, when the step was partition-scoped.
-    pub partition: Option<PartitionId>,
-    /// Attempts made before giving up.
-    pub attempts: u32,
-    /// The final underlying error.
-    pub cause: String,
+    pub(crate) partition: Option<PartitionId>,
+    /// Failures so far, this one included.
+    pub(crate) attempt: u32,
+    /// The underlying error.
+    pub(crate) cause: String,
 }
 
-impl fmt::Display for ActuatorError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} abandoned ({}) after {} attempt(s): {}",
-            self.action,
-            self.kind.as_str(),
-            self.attempts,
-            self.cause
-        )
+impl RetryPolicy {
+    /// Books `failure` on the trail: while the budget lasts, a
+    /// `RetryScheduled` and the backoff before the next attempt (doubling
+    /// from `base_backoff`); once it is spent, a `StepFailed` and `None`.
+    pub(crate) fn retry_or_abandon(
+        &self,
+        telemetry: &Telemetry,
+        now: SimTime,
+        failure: Failure,
+    ) -> Option<SimDuration> {
+        if failure.attempt >= self.max_attempts {
+            abandon(telemetry, now, failure);
+            return None;
+        }
+        let factor = self.multiplier.powi(failure.attempt.saturating_sub(1) as i32);
+        let backoff = SimDuration::from_secs_f64(self.base_backoff.as_secs_f64() * factor);
+        let Failure { action, server, partition, attempt, cause } = failure;
+        telemetry.counter_add("met_step_retries_total", &[("action", action)], 1);
+        telemetry.emit(
+            now,
+            TelemetryEvent::RetryScheduled {
+                action: action.to_string(),
+                server: server.map(|s| s.0),
+                partition: partition.map(|p| p.0),
+                attempt: attempt as u64,
+                backoff_ms: backoff.as_millis(),
+                error: cause,
+            },
+        );
+        Some(backoff)
     }
 }
 
-impl std::error::Error for ActuatorError {}
-
-/// How one processed step ended.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StepStatus {
-    /// The step finished.
-    Completed,
-    /// The step failed transiently and was re-scheduled.
-    Retrying {
-        /// Failure count so far (1 = first retry pending).
-        attempt: u32,
-        /// Wait before the next attempt.
-        backoff: SimDuration,
-        /// The error that triggered the retry.
-        error: String,
-    },
-    /// The step was given up on.
-    Abandoned(ActuatorError),
-}
-
-/// Typed record of a step outcome, kept alongside the human-readable
-/// note log so tests and reports need not parse strings.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StepOutcome {
-    /// When the outcome was recorded.
-    pub at: SimTime,
-    /// Step kind (same vocabulary as [`ActuatorError::action`]).
-    pub action: &'static str,
-    /// Server the step targets, when known.
-    pub server: Option<ServerId>,
-    /// Partition involved, when partition-scoped.
-    pub partition: Option<PartitionId>,
-    /// How the step ended.
-    pub status: StepStatus,
+/// Books a step given up on: the abandonment counter and a `StepFailed`.
+fn abandon(telemetry: &Telemetry, now: SimTime, failure: Failure) {
+    let Failure { action, server, partition, attempt, cause } = failure;
+    telemetry.counter_add("met_steps_abandoned_total", &[("action", action)], 1);
+    telemetry.emit(
+        now,
+        TelemetryEvent::StepFailed {
+            action: action.to_string(),
+            server: server.map(|s| s.0),
+            partition: partition.map(|p| p.0),
+            attempts: attempt as u64,
+            error: cause,
+        },
+    );
 }
 
 #[derive(Debug, Clone)]
@@ -244,9 +217,6 @@ pub struct Actuator {
     slots: Vec<Slot>,
     steps: VecDeque<StepState>,
     stats: ActuatorStats,
-    log: Vec<String>,
-    outcomes: Vec<StepOutcome>,
-    errors: Vec<ActuatorError>,
     decommission: Vec<ServerId>,
     reconcile_rounds: u32,
     telemetry: Telemetry,
@@ -263,9 +233,6 @@ impl Actuator {
             slots: Vec::new(),
             steps: VecDeque::new(),
             stats: ActuatorStats::default(),
-            log: Vec::new(),
-            outcomes: Vec::new(),
-            errors: Vec::new(),
             decommission: Vec::new(),
             reconcile_rounds: 0,
             telemetry: Telemetry::disabled(),
@@ -340,22 +307,6 @@ impl Actuator {
         self.stats
     }
 
-    /// Human-readable action log.
-    pub fn log(&self) -> &[String] {
-        &self.log
-    }
-
-    /// Typed step outcomes, oldest first (completions, retries,
-    /// abandonments), across all plans this actuator has run.
-    pub fn outcomes(&self) -> &[StepOutcome] {
-        &self.outcomes
-    }
-
-    /// Steps abandoned so far, oldest first, across all plans.
-    pub fn errors(&self) -> &[ActuatorError] {
-        &self.errors
-    }
-
     /// Compiles a plan into the step queue.
     ///
     /// # Panics
@@ -398,7 +349,6 @@ impl Actuator {
             if slot.server.is_none() {
                 self.steps.push_back(StepState::new(Step::AwaitOnline { slot: i }));
             }
-            let _ = slot;
         }
         // Reconfigure existing nodes one at a time (incremental, §5).
         for (i, slot) in self.slots.iter().enumerate() {
@@ -423,122 +373,48 @@ impl Actuator {
         }
     }
 
-    fn note(&mut self, msg: String) {
-        self.log.push(msg);
-    }
-
-    /// Backoff before attempt `attempt + 1`, growing geometrically.
-    fn backoff_for(&self, attempt: u32) -> SimDuration {
-        let factor = RETRY.multiplier.powi(attempt.saturating_sub(1) as i32);
-        SimDuration::from_secs_f64(RETRY.base_backoff.as_secs_f64() * factor)
-    }
-
-    /// Records the front step as completed and pops it.
-    fn complete_step(
-        &mut self,
-        now: SimTime,
-        action: &'static str,
-        server: Option<ServerId>,
-        partition: Option<PartitionId>,
-    ) {
-        self.outcomes.push(StepOutcome {
-            at: now,
-            action,
-            server,
-            partition,
-            status: StepStatus::Completed,
-        });
-        self.steps.pop_front();
-    }
-
-    /// Gives up on the front step with a typed error and pops it.
+    /// Gives up on the front step at once (its target is gone or its wait
+    /// timed out) and pops it.
     fn abandon_step(
         &mut self,
         now: SimTime,
-        kind: ActuatorErrorKind,
         action: &'static str,
-        server: Option<ServerId>,
-        partition: Option<PartitionId>,
+        server: ServerId,
         cause: String,
     ) {
-        let attempts = {
-            let st = self.steps.front_mut().expect("abandoning the front step");
-            st.attempts += 1;
-            st.attempts
-        };
+        let st = self.steps.pop_front().expect("abandoning the front step");
         self.stats.errors += 1;
-        self.telemetry.counter_add("met_steps_abandoned_total", &[("action", action)], 1);
-        self.telemetry.emit(
-            now,
-            TelemetryEvent::StepFailed {
-                action: action.to_string(),
-                server: server.map(|s| s.0),
-                partition: partition.map(|p| p.0),
-                attempts: attempts as u64,
-                error: cause.clone(),
-            },
-        );
-        self.note(format!("{action} abandoned after {attempts} attempt(s): {cause}"));
-        let err = ActuatorError { kind, action, server, partition, attempts, cause };
-        self.outcomes.push(StepOutcome {
-            at: now,
-            action,
-            server,
-            partition,
-            status: StepStatus::Abandoned(err.clone()),
-        });
-        self.errors.push(err);
-        self.steps.pop_front();
+        let attempt = st.attempts + 1;
+        let failure = Failure { action, server: Some(server), partition: None, attempt, cause };
+        abandon(&self.telemetry, now, failure);
     }
 
     /// Books a failure against the front step: schedules a backoff retry,
-    /// or abandons it once the budget is spent. Returns `true` when the
-    /// step was abandoned.
+    /// or abandons and pops it once the budget is spent. Returns `true`
+    /// when the step was abandoned.
     fn fail_step(
         &mut self,
         now: SimTime,
-        kind: ActuatorErrorKind,
         action: &'static str,
         server: Option<ServerId>,
         partition: Option<PartitionId>,
         cause: String,
     ) -> bool {
-        let attempts = self.steps.front().expect("failing the front step").attempts + 1;
-        if attempts >= RETRY.max_attempts {
-            self.abandon_step(now, kind, action, server, partition, cause);
-            return true;
+        let st = self.steps.front_mut().expect("failing the front step");
+        st.attempts += 1;
+        let failure = Failure { action, server, partition, attempt: st.attempts, cause };
+        match RETRY.retry_or_abandon(&self.telemetry, now, failure) {
+            Some(backoff) => {
+                st.not_before = now + backoff;
+                self.stats.retries += 1;
+                false
+            }
+            None => {
+                self.stats.errors += 1;
+                self.steps.pop_front();
+                true
+            }
         }
-        let backoff = self.backoff_for(attempts);
-        {
-            let st = self.steps.front_mut().expect("failing the front step");
-            st.attempts = attempts;
-            st.not_before = now + backoff;
-        }
-        self.stats.retries += 1;
-        self.telemetry.counter_add("met_step_retries_total", &[("action", action)], 1);
-        self.telemetry.emit(
-            now,
-            TelemetryEvent::RetryScheduled {
-                action: action.to_string(),
-                server: server.map(|s| s.0),
-                partition: partition.map(|p| p.0),
-                attempt: attempts as u64,
-                backoff_ms: backoff.as_millis(),
-                error: cause.clone(),
-            },
-        );
-        self.note(format!(
-            "{action} attempt {attempts} failed ({cause}); retrying in {:.0}s",
-            backoff.as_secs_f64()
-        ));
-        self.outcomes.push(StepOutcome {
-            at: now,
-            action,
-            server,
-            partition,
-            status: StepStatus::Retrying { attempt: attempts, backoff, error: cause },
-        });
-        false
     }
 
     /// Executes ready steps; returns `true` when the plan has completed.
@@ -569,7 +445,6 @@ impl Actuator {
                         Ok(id) => {
                             self.slots[slot].server = Some(id);
                             self.stats.provisions += 1;
-                            self.note(format!("provisioned {id} as {profile}"));
                             self.begin_action(
                                 now,
                                 slot,
@@ -585,17 +460,10 @@ impl Actuator {
                                     profile: profile.to_string(),
                                 },
                             );
-                            self.complete_step(now, "provision", Some(id), None);
+                            self.steps.pop_front();
                         }
                         Err(e) => {
-                            if self.fail_step(
-                                now,
-                                ActuatorErrorKind::ProvisionFailed,
-                                "provision",
-                                None,
-                                None,
-                                e.to_string(),
-                            ) {
+                            if self.fail_step(now, "provision", None, None, e.to_string()) {
                                 self.slots[slot].lost = true;
                             }
                         }
@@ -610,7 +478,7 @@ impl Actuator {
                     match cluster.health_view().server(server).map(|s| s.health) {
                         Some(ServerHealth::Online) => {
                             self.finish_action(now, slot, "provision", server, None);
-                            self.complete_step(now, "await_online", Some(server), None);
+                            self.steps.pop_front();
                         }
                         Some(ServerHealth::Provisioning) => {
                             let deadline = {
@@ -620,10 +488,8 @@ impl Actuator {
                             if now >= deadline {
                                 self.abandon_step(
                                     now,
-                                    ActuatorErrorKind::BootTimeout,
                                     "provision",
-                                    Some(server),
-                                    None,
+                                    server,
                                     format!("{server} still provisioning at step timeout"),
                                 );
                                 self.slots[slot].lost = true;
@@ -634,10 +500,8 @@ impl Actuator {
                         _ => {
                             self.abandon_step(
                                 now,
-                                ActuatorErrorKind::ServerLost,
                                 "provision",
-                                Some(server),
-                                None,
+                                server,
                                 format!("{server} never came online"),
                             );
                             self.slots[slot].lost = true;
@@ -653,10 +517,8 @@ impl Actuator {
                     let Some(meta) = snap.server(server) else {
                         self.abandon_step(
                             now,
-                            ActuatorErrorKind::ServerLost,
                             "drain",
-                            Some(server),
-                            None,
+                            server,
                             format!("{server} crashed while draining"),
                         );
                         self.slots[slot].lost = true;
@@ -668,7 +530,7 @@ impl Actuator {
                     // incremental strategy).
                     let Some(&p) = held.first() else {
                         self.finish_action(now, slot, "drain", server, None);
-                        self.complete_step(now, "drain", Some(server), None);
+                        self.steps.pop_front();
                         continue;
                     };
                     self.begin_action(
@@ -689,7 +551,6 @@ impl Actuator {
                             Err(e) => {
                                 self.fail_step(
                                     now,
-                                    ActuatorErrorKind::CallFailed,
                                     "drain",
                                     Some(server),
                                     Some(p),
@@ -700,14 +561,14 @@ impl Actuator {
                         }
                     } else {
                         self.finish_action(now, slot, "drain", server, None);
-                        self.complete_step(now, "drain", Some(server), None);
+                        self.steps.pop_front();
                         continue;
                     }
                     if held.len() > 1 {
                         return false; // continue draining next tick
                     }
                     self.finish_action(now, slot, "drain", server, None);
-                    self.complete_step(now, "drain", Some(server), None);
+                    self.steps.pop_front();
                 }
                 Step::Restart { slot } => {
                     let Some(server) = self.slots[slot].server else {
@@ -718,7 +579,6 @@ impl Actuator {
                     match cluster.restart_server(server, profile.config(&self.base_config)) {
                         Ok(()) => {
                             self.stats.restarts += 1;
-                            self.note(format!("restarting {server} as {profile}"));
                             self.begin_action(
                                 now,
                                 slot,
@@ -727,28 +587,19 @@ impl Actuator {
                                 None,
                                 format!("reconfigure to profile={profile}"),
                             );
-                            self.complete_step(now, "restart", Some(server), None);
+                            self.steps.pop_front();
                         }
                         Err(e) => {
                             if cluster.health_view().server(server).is_none() {
                                 self.abandon_step(
                                     now,
-                                    ActuatorErrorKind::ServerLost,
                                     "restart",
-                                    Some(server),
-                                    None,
+                                    server,
                                     format!("{server} gone before restart: {e}"),
                                 );
                                 self.slots[slot].lost = true;
                             } else {
-                                self.fail_step(
-                                    now,
-                                    ActuatorErrorKind::CallFailed,
-                                    "restart",
-                                    Some(server),
-                                    None,
-                                    e.to_string(),
-                                );
+                                self.fail_step(now, "restart", Some(server), None, e.to_string());
                             }
                         }
                     }
@@ -761,7 +612,7 @@ impl Actuator {
                     match cluster.health_view().server(server).map(|s| s.health) {
                         Some(ServerHealth::Online) => {
                             self.finish_action(now, slot, "restart", server, None);
-                            self.complete_step(now, "await_restart", Some(server), None);
+                            self.steps.pop_front();
                         }
                         Some(ServerHealth::Restarting) => {
                             let deadline = {
@@ -771,10 +622,8 @@ impl Actuator {
                             if now >= deadline {
                                 self.abandon_step(
                                     now,
-                                    ActuatorErrorKind::BootTimeout,
                                     "restart",
-                                    Some(server),
-                                    None,
+                                    server,
                                     format!("{server} still restarting at step timeout"),
                                 );
                                 self.slots[slot].lost = true;
@@ -785,10 +634,8 @@ impl Actuator {
                         _ => {
                             self.abandon_step(
                                 now,
-                                ActuatorErrorKind::ServerLost,
                                 "restart",
-                                Some(server),
-                                None,
+                                server,
                                 format!("{server} lost during restart"),
                             );
                             self.slots[slot].lost = true;
@@ -804,10 +651,8 @@ impl Actuator {
                     if snap.server(server).is_none() {
                         self.abandon_step(
                             now,
-                            ActuatorErrorKind::ServerLost,
                             "move_in",
-                            Some(server),
-                            None,
+                            server,
                             format!("{server} crashed before its partitions arrived"),
                         );
                         self.slots[slot].lost = true;
@@ -828,7 +673,7 @@ impl Actuator {
                         .collect();
                     let Some(&p) = pending.first() else {
                         self.finish_action(now, slot, "move_in", server, None);
-                        self.complete_step(now, "move_in", Some(server), None);
+                        self.steps.pop_front();
                         continue;
                     };
                     self.begin_action(
@@ -847,7 +692,6 @@ impl Actuator {
                         Err(e) => {
                             self.fail_step(
                                 now,
-                                ActuatorErrorKind::CallFailed,
                                 "move_in",
                                 Some(server),
                                 Some(p),
@@ -860,7 +704,7 @@ impl Actuator {
                         return false;
                     }
                     self.finish_action(now, slot, "move_in", server, None);
-                    self.complete_step(now, "move_in", Some(server), None);
+                    self.steps.pop_front();
                 }
                 Step::Compact { slot } => {
                     let Some(server) = self.slots[slot].server else {
@@ -912,7 +756,6 @@ impl Actuator {
                             Err(e) => {
                                 self.fail_step(
                                     now,
-                                    ActuatorErrorKind::CallFailed,
                                     "compact",
                                     Some(server),
                                     Some(p),
@@ -926,13 +769,12 @@ impl Actuator {
                     if failed {
                         continue; // retry (or abandonment) already booked
                     }
-                    self.complete_step(now, "compact", Some(server), None);
+                    self.steps.pop_front();
                 }
                 Step::Decommission { server } => {
                     match cluster.decommission_server(server) {
                         Ok(()) => {
                             self.stats.decommissions += 1;
-                            self.note(format!("decommissioned {server}"));
                             self.telemetry.counter_add(
                                 "met_actions_total",
                                 &[("action", "decommission")],
@@ -949,17 +791,15 @@ impl Actuator {
                             );
                             self.telemetry
                                 .emit(now, TelemetryEvent::NodeDecommissioned { server: server.0 });
-                            self.complete_step(now, "decommission", Some(server), None);
+                            self.steps.pop_front();
                         }
                         Err(e) => {
                             if cluster.health_view().server(server).is_none() {
                                 // Already gone (crashed): the goal is met.
-                                self.note(format!("decommission target {server} already gone"));
-                                self.complete_step(now, "decommission", Some(server), None);
+                                self.steps.pop_front();
                             } else {
                                 self.fail_step(
                                     now,
-                                    ActuatorErrorKind::CallFailed,
                                     "decommission",
                                     Some(server),
                                     None,
@@ -1060,11 +900,6 @@ impl Actuator {
                 abandoned,
             },
         );
-        self.note(format!(
-            "reconcile round {}: reissued {reissued} steps, redistributed {redistributed} \
-             partitions, abandoned {abandoned}",
-            self.reconcile_rounds
-        ));
         !self.steps.is_empty()
     }
 
@@ -1104,6 +939,48 @@ mod tests {
     use cluster::{ClientGroup, CostParams, OpMix, PartitionSpec, SimCluster};
     use simcore::fault::{FaultOp, FaultSpec, ScheduledFault};
     use simcore::{FaultPlan, SimDuration};
+    use telemetry::Verbosity;
+
+    /// An idle actuator reporting to a ring trail, and the trail.
+    fn traced_actuator() -> (Actuator, Telemetry) {
+        let trail = Telemetry::with_ring(Verbosity::Debug, 4_096);
+        let mut actuator = Actuator::new(StoreConfig::default_homogeneous());
+        actuator.set_telemetry(trail.clone());
+        (actuator, trail)
+    }
+
+    /// The trail as JSON lines, for failure messages.
+    fn lines(trail: &Telemetry) -> Vec<String> {
+        trail.events().iter().map(|e| e.to_json_line()).collect()
+    }
+
+    /// `(action, attempt, backoff_ms)` of every scheduled retry.
+    fn retries(trail: &Telemetry) -> Vec<(String, u64, u64)> {
+        trail
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.data {
+                TelemetryEvent::RetryScheduled { action, attempt, backoff_ms, .. } => {
+                    Some((action, attempt, backoff_ms))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// `(action, server, attempts)` of every abandoned step.
+    fn failures(trail: &Telemetry) -> Vec<(String, Option<u64>, u64)> {
+        trail
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.data {
+                TelemetryEvent::StepFailed { action, server, attempts, .. } => {
+                    Some((action, server, attempts))
+                }
+                _ => None,
+            })
+            .collect()
+    }
 
     fn sim_with(servers: usize, partitions: usize) -> (SimCluster, Vec<PartitionId>) {
         let mut sim = SimCluster::new(CostParams::default(), 5);
@@ -1164,15 +1041,15 @@ mod tests {
             SuggestedNode { profile: ProfileKind::Write, partitions: vec![parts[2], parts[3]] },
         ];
         let plan = compute_output(&current, suggested, true);
-        let mut actuator = Actuator::new(StoreConfig::default_homogeneous());
+        let (mut actuator, trail) = traced_actuator();
         actuator.start(plan, &snap);
         assert!(actuator.busy());
         drive(&mut actuator, &mut sim, 300);
         assert!(!actuator.busy());
         let stats = actuator.stats();
-        assert_eq!(stats.restarts, 2, "{stats:?}\n{:#?}", actuator.log());
-        assert_eq!(stats.errors, 0, "{:#?}", actuator.log());
-        assert_eq!(stats.retries, 0, "{:#?}", actuator.log());
+        assert_eq!(stats.restarts, 2, "{stats:?}\n{:#?}", lines(&trail));
+        assert_eq!(stats.errors, 0, "{:#?}", lines(&trail));
+        assert_eq!(stats.retries, 0, "{:#?}", lines(&trail));
         // Final layout matches the plan.
         let snap = sim.snapshot();
         for s in &snap.servers {
@@ -1187,10 +1064,17 @@ mod tests {
         let mut held = read_server.partitions.clone();
         held.sort();
         assert_eq!(held, vec![parts[0], parts[1]]);
-        // Every step that ran left a typed Completed outcome; none failed.
-        assert!(!actuator.outcomes().is_empty());
-        assert!(actuator.outcomes().iter().all(|o| o.status == StepStatus::Completed));
-        assert!(actuator.errors().is_empty());
+        // Both restarts completed on the trail; nothing was retried or
+        // abandoned.
+        let restarts = trail
+            .events()
+            .iter()
+            .filter(|e| {
+                matches!(&e.data, TelemetryEvent::ActionCompleted { action, .. } if action == "restart")
+            })
+            .count();
+        assert_eq!(restarts, 2, "{:#?}", lines(&trail));
+        assert!(retries(&trail).is_empty() && failures(&trail).is_empty());
     }
 
     #[test]
@@ -1211,12 +1095,12 @@ mod tests {
             false,
         );
         assert_eq!(plan.entries.iter().filter(|(s, _)| s.is_none()).count(), 1);
-        let mut actuator = Actuator::new(StoreConfig::default_homogeneous());
+        let (mut actuator, trail) = traced_actuator();
         actuator.start(plan, &snap);
         drive(&mut actuator, &mut sim, 300);
         let stats = actuator.stats();
         assert_eq!(stats.provisions, 1);
-        assert_eq!(stats.errors, 0, "{:#?}", actuator.log());
+        assert_eq!(stats.errors, 0, "{:#?}", lines(&trail));
         assert_eq!(sim.online_server_ids().len(), 2);
     }
 
@@ -1278,30 +1162,20 @@ mod tests {
             ],
             false,
         );
-        let mut actuator = Actuator::new(StoreConfig::default_homogeneous());
+        let (mut actuator, trail) = traced_actuator();
         actuator.start(plan, &snap);
         drive(&mut actuator, &mut sim, 400);
         let stats = actuator.stats();
-        assert_eq!(stats.retries, 2, "{:#?}", actuator.log());
-        assert_eq!(stats.provisions, 1, "{:#?}", actuator.log());
-        assert_eq!(stats.errors, 0, "the slot must not be dropped: {:#?}", actuator.log());
+        assert_eq!(stats.retries, 2, "{:#?}", lines(&trail));
+        assert_eq!(stats.provisions, 1, "{:#?}", lines(&trail));
+        assert_eq!(stats.errors, 0, "the slot must not be dropped: {:#?}", lines(&trail));
         assert_eq!(sim.online_server_ids().len(), 2);
-        let retries: Vec<_> = actuator
-            .outcomes()
-            .iter()
-            .filter(|o| matches!(o.status, StepStatus::Retrying { .. }))
-            .collect();
-        assert_eq!(retries.len(), 2);
-        assert_eq!(retries[0].action, "provision");
         // Exponential backoff: 2s after the first failure, 4s after the second.
-        let backoffs: Vec<u64> = retries
-            .iter()
-            .map(|o| match &o.status {
-                StepStatus::Retrying { backoff, .. } => backoff.as_millis(),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(backoffs, vec![2_000, 4_000]);
+        assert_eq!(
+            retries(&trail),
+            vec![("provision".to_string(), 1, 2_000), ("provision".to_string(), 2, 4_000)]
+        );
+        assert_eq!(trail.counter_total("met_step_retries_total"), 2);
     }
 
     #[test]
@@ -1328,19 +1202,18 @@ mod tests {
             ],
             false,
         );
-        let mut actuator = Actuator::new(StoreConfig::default_homogeneous());
+        let (mut actuator, trail) = traced_actuator();
         actuator.start(plan, &snap);
         drive(&mut actuator, &mut sim, 400);
         let stats = actuator.stats();
         assert_eq!(stats.provisions, 0);
-        assert_eq!(stats.retries, 3, "{:#?}", actuator.log());
-        assert_eq!(stats.errors, 1, "{:#?}", actuator.log());
-        assert_eq!(actuator.errors().len(), 1);
-        assert_eq!(actuator.errors()[0].kind, ActuatorErrorKind::ProvisionFailed);
-        assert_eq!(actuator.errors()[0].attempts, 4);
+        assert_eq!(stats.retries, 3, "{:#?}", lines(&trail));
+        assert_eq!(stats.errors, 1, "{:#?}", lines(&trail));
+        assert_eq!(failures(&trail), vec![("provision".to_string(), None, 4)]);
+        assert_eq!(trail.counter_total("met_steps_abandoned_total"), 1);
         // Reconciliation placed both partitions on the surviving server.
         for p in &parts {
-            assert_eq!(sim.partition_server(*p), Some(keep), "{:#?}", actuator.log());
+            assert_eq!(sim.partition_server(*p), Some(keep), "{:#?}", lines(&trail));
         }
     }
 
@@ -1385,7 +1258,7 @@ mod tests {
             ],
             decommission: vec![],
         };
-        let mut actuator = Actuator::new(StoreConfig::default_homogeneous());
+        let (mut actuator, trail) = traced_actuator();
         actuator.start(plan, &snap);
         let mut finished = false;
         for tick in 0..400 {
@@ -1398,9 +1271,9 @@ mod tests {
                 break;
             }
         }
-        assert!(finished, "plan never converged: {:#?}", actuator.log());
+        assert!(finished, "plan never converged: {:#?}", lines(&trail));
         // The crashed server's steps were abandoned, not silently dropped.
-        assert!(actuator.errors().iter().any(|e| e.kind == ActuatorErrorKind::ServerLost));
+        assert!(failures(&trail).iter().any(|(_, server, _)| *server == Some(a.0)));
         // Every partition (including the ones orphaned on the crashed
         // node) ended up on a live server.
         let snap = sim.snapshot();
@@ -1409,11 +1282,11 @@ mod tests {
             assert_ne!(home, a, "partition {p} stranded on crashed server");
             assert!(snap.server(home).is_some());
         }
-        // Reconciliation was recorded in the note log.
+        // Reconciliation was recorded on the trail.
         assert!(
-            actuator.log().iter().any(|l| l.starts_with("reconcile round")),
+            trail.events().iter().any(|e| matches!(e.data, TelemetryEvent::PlanReconciled { .. })),
             "{:#?}",
-            actuator.log()
+            lines(&trail)
         );
     }
 
@@ -1457,12 +1330,12 @@ mod tests {
             ],
             decommission: vec![],
         };
-        let mut actuator = Actuator::new(StoreConfig::default_homogeneous());
+        let (mut actuator, trail) = traced_actuator();
         actuator.start(plan, &snap);
         drive(&mut actuator, &mut sim, 100);
         let stats = actuator.stats();
-        assert_eq!(stats.retries, 1, "{:#?}", actuator.log());
-        assert_eq!(stats.errors, 0, "{:#?}", actuator.log());
+        assert_eq!(stats.retries, 1, "{:#?}", lines(&trail));
+        assert_eq!(stats.errors, 0, "{:#?}", lines(&trail));
         assert_eq!(stats.moves, 2);
         assert_eq!(sim.partition_server(parts[0]), Some(a));
         assert_eq!(sim.partition_server(parts[1]), Some(a));

@@ -1,4 +1,4 @@
-//! MeT's tunables — the "properties file" of §5.
+//! MeT's tunables — what §5's prototype read from a properties file.
 
 use serde::{Deserialize, Serialize};
 use simcore::SimDuration;

@@ -5,9 +5,12 @@
 //! cluster; once `min_samples` smoothed samples accumulate (§6.1: 30 s
 //! samples, 6 samples → a 3-minute decision period) it runs the decision
 //! maker; a resulting plan executes through the actuator over the following
-//! ticks, after which the monitor history is reset (§4.1).
+//! ticks, after which the monitor's smoothing state is reset (§4.1).
+//!
+//! What MeT did, and why, is recorded on its telemetry trail (events and
+//! registry counters), not in a log of its own.
 
-use crate::actuator::{Actuator, ActuatorStats};
+use crate::actuator::{Actuator, ActuatorStats, Failure, RetryPolicy, RETRY};
 use crate::config::MetConfig;
 use crate::decision::{Decision, DecisionMaker};
 use crate::monitor::Monitor;
@@ -16,18 +19,9 @@ use crate::profiles::ProfileKind;
 use cluster::admin::{ElasticCluster, ServerHealth};
 use cluster::ServerId;
 use hstore::StoreConfig;
-use simcore::{FaultInjector, SimDuration, SimTime};
+use simcore::{FaultInjector, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 use telemetry::{Telemetry, TelemetryEvent};
-
-/// Things MeT did, timestamped — the experiment narrative.
-#[derive(Debug, Clone)]
-pub struct MetEvent {
-    /// When it happened.
-    pub at: SimTime,
-    /// What happened.
-    pub what: String,
-}
 
 /// A crash replacement in flight: re-provision the dead server's profile,
 /// with retry/backoff against transient boot failures.
@@ -43,6 +37,9 @@ struct Replacement {
 /// crashed node (the decision maker then works with the smaller fleet).
 const REPLACEMENT_MAX_ATTEMPTS: u32 = 8;
 
+/// The actuator's retry budget, stretched to the replacement attempts.
+const REPLACEMENT: RetryPolicy = RetryPolicy { max_attempts: REPLACEMENT_MAX_ATTEMPTS, ..RETRY };
+
 /// The assembled MeT control plane.
 pub struct Met {
     cfg: MetConfig,
@@ -50,7 +47,6 @@ pub struct Met {
     decision: DecisionMaker,
     actuator: Actuator,
     last_sample: Option<SimTime>,
-    events: Vec<MetEvent>,
     reconfigurations: u64,
     telemetry: Telemetry,
     reconfig_started_at: Option<SimTime>,
@@ -76,7 +72,6 @@ impl Met {
             actuator: Actuator::new(base_config),
             cfg,
             last_sample: None,
-            events: Vec::new(),
             reconfigurations: 0,
             telemetry: Telemetry::disabled(),
             reconfig_started_at: None,
@@ -118,11 +113,6 @@ impl Met {
         &self.telemetry
     }
 
-    /// The event log.
-    pub fn events(&self) -> &[MetEvent] {
-        &self.events
-    }
-
     /// Actuator statistics.
     pub fn actuator_stats(&self) -> ActuatorStats {
         self.actuator.stats()
@@ -138,22 +128,30 @@ impl Met {
         self.actuator.busy()
     }
 
-    /// Records the end of a reconfiguration: the `ReconfigCompleted` event,
-    /// the duration histogram, and the completion counter.
-    fn note_reconfig_complete(&mut self, now: SimTime) {
+    /// Advances the running plan. When it completes, records the end of
+    /// the reconfiguration (the `ReconfigCompleted` event, the duration
+    /// histogram, the completion counter) and resets the monitor, so only
+    /// post-action observations feed the next decision.
+    fn advance_plan(&mut self, now: SimTime, cluster: &mut dyn ElasticCluster) {
+        if !self.actuator.advance(cluster) {
+            return;
+        }
+        self.reconfigurations += 1;
         let duration_ms =
             self.reconfig_started_at.take().map(|t| now.since(t).as_millis()).unwrap_or(0);
         self.telemetry.counter_add("met_reconfigurations_total", &[], 1);
         self.telemetry.observe("met_reconfig_duration_ms", &[], duration_ms as f64);
         self.telemetry.emit(now, TelemetryEvent::ReconfigCompleted { duration_ms });
+        self.monitor.reset();
+        self.last_sample = None;
     }
 
     /// Self-healing pass, run every tick before the control loop proper:
     ///
     /// 1. Tracks the fleet (servers seen online and their configs).
     /// 2. A server that vanishes without being decommissioned is a crash:
-    ///    schedule a like-for-like replacement, retried with exponential
-    ///    backoff against transient provisioning failures.
+    ///    schedule a like-for-like replacement, retried against transient
+    ///    provisioning failures through the actuator's retry path.
     /// 3. When the actuator is idle, partitions still assigned to a dead
     ///    server are re-homed onto the least-loaded online server (while a
     ///    plan runs, the actuator's own reconciliation pass covers them).
@@ -179,8 +177,6 @@ impl Met {
             if self.expected_gone.remove(&id) {
                 continue;
             }
-            self.events
-                .push(MetEvent { at: now, what: format!("{id} lost; scheduling a replacement") });
             self.telemetry.counter_add("met_nodes_lost_total", &[], 1);
             self.telemetry.emit(
                 now,
@@ -206,10 +202,6 @@ impl Met {
             }
             match cluster.provision_server(r.config.clone()) {
                 Ok(new_id) => {
-                    self.events.push(MetEvent {
-                        at: now,
-                        what: format!("replacement {new_id} provisioning for crashed {}", r.dead),
-                    });
                     self.telemetry.counter_add("met_nodes_replaced_total", &[], 1);
                     let profile = ProfileKind::of_config(&r.config)
                         .map(|p| p.to_string())
@@ -219,49 +211,16 @@ impl Met {
                 }
                 Err(e) => {
                     r.attempts += 1;
-                    if r.attempts >= REPLACEMENT_MAX_ATTEMPTS {
-                        self.events.push(MetEvent {
-                            at: now,
-                            what: format!(
-                                "giving up replacing {} after {} attempts: {e}",
-                                r.dead, r.attempts
-                            ),
-                        });
-                        self.telemetry.counter_add(
-                            "met_steps_abandoned_total",
-                            &[("action", "replace_node")],
-                            1,
-                        );
-                        self.telemetry.emit(
-                            now,
-                            TelemetryEvent::StepFailed {
-                                action: "replace_node".to_string(),
-                                server: Some(r.dead.0),
-                                partition: None,
-                                attempts: r.attempts as u64,
-                                error: e.to_string(),
-                            },
-                        );
-                    } else {
-                        let backoff = SimDuration::from_secs_f64(
-                            2.0 * 2f64.powi(r.attempts.saturating_sub(1) as i32),
-                        );
-                        self.telemetry.counter_add(
-                            "met_step_retries_total",
-                            &[("action", "replace_node")],
-                            1,
-                        );
-                        self.telemetry.emit(
-                            now,
-                            TelemetryEvent::RetryScheduled {
-                                action: "replace_node".to_string(),
-                                server: Some(r.dead.0),
-                                partition: None,
-                                attempt: r.attempts as u64,
-                                backoff_ms: backoff.as_millis(),
-                                error: e.to_string(),
-                            },
-                        );
+                    let failure = Failure {
+                        action: "replace_node",
+                        server: Some(r.dead),
+                        partition: None,
+                        attempt: r.attempts,
+                        cause: e.to_string(),
+                    };
+                    if let Some(backoff) =
+                        REPLACEMENT.retry_or_abandon(&self.telemetry, now, failure)
+                    {
                         r.not_before = now + backoff;
                         still_pending.push(r);
                     }
@@ -311,10 +270,6 @@ impl Met {
                         },
                     },
                 );
-                self.events.push(MetEvent {
-                    at: now,
-                    what: format!("orphaned partition {} re-homed to {target}", partition.0),
-                });
             }
         }
     }
@@ -330,21 +285,7 @@ impl Met {
 
         // A running plan takes priority; the monitor pauses meanwhile.
         if self.actuator.busy() {
-            if self.actuator.advance(cluster) {
-                self.reconfigurations += 1;
-                self.events.push(MetEvent {
-                    at: now,
-                    what: format!(
-                        "reconfiguration #{} complete ({:?})",
-                        self.reconfigurations,
-                        self.actuator.stats()
-                    ),
-                });
-                self.note_reconfig_complete(now);
-                // Only post-action observations feed the next decision.
-                self.monitor.reset();
-                self.last_sample = None;
-            }
+            self.advance_plan(now, cluster);
             return;
         }
 
@@ -420,7 +361,6 @@ impl Met {
                     "plan: {} slots, +{adds} nodes, -{removes} nodes, {moves} moves, {restarts} restarts",
                     plan.entries.len(),
                 );
-                self.events.push(MetEvent { at: now, what: reason.clone() });
                 self.reconfig_started_at = Some(now);
                 self.telemetry.emit(now, TelemetryEvent::ReconfigStarted { reason });
                 // Remember deliberate removals so the healer does not
@@ -428,12 +368,7 @@ impl Met {
                 self.expected_gone.extend(plan.decommission.iter().copied());
                 self.actuator.start(plan, &snapshot);
                 // Begin executing immediately.
-                if self.actuator.advance(cluster) {
-                    self.reconfigurations += 1;
-                    self.note_reconfig_complete(now);
-                    self.monitor.reset();
-                    self.last_sample = None;
-                }
+                self.advance_plan(now, cluster);
             }
         }
     }
@@ -515,7 +450,7 @@ mod tests {
             sim.step();
             met.tick(&mut sim);
         }
-        assert!(met.reconfigurations() >= 1, "MeT never acted: {:?}", met.events());
+        assert!(met.reconfigurations() >= 1, "MeT never acted: {:?}", met.actuator_stats());
 
         // All servers end on Table-1 profiles.
         let snap = cluster::ElasticCluster::snapshot(&sim);
@@ -540,16 +475,18 @@ mod tests {
     #[test]
     fn crashed_server_is_replaced_and_orphans_re_homed() {
         let (mut sim, _) = build_scenario(17);
-        let mut met = Met::new(
+        let trail = Telemetry::with_ring(telemetry::Verbosity::Info, 4_096);
+        let mut met = Met::with_telemetry(
             MetConfig { allow_scaling: false, ..MetConfig::default() },
             StoreConfig::default_homogeneous(),
+            trail.clone(),
         );
         // Reach a post-reconfiguration steady state.
         for _ in 0..(12 * 60) {
             sim.step();
             met.tick(&mut sim);
         }
-        assert!(met.reconfigurations() >= 1, "MeT never acted: {:?}", met.events());
+        assert!(met.reconfigurations() >= 1, "MeT never acted: {:?}", met.actuator_stats());
         while met.reconfiguring() {
             sim.step();
             met.tick(&mut sim);
@@ -564,18 +501,75 @@ mod tests {
         }
 
         let after = cluster::ElasticCluster::snapshot(&sim);
-        assert_eq!(
-            after.online_servers().len(),
-            4,
-            "replacement should restore the fleet: {:?}",
-            met.events()
-        );
+        assert_eq!(after.online_servers().len(), 4, "replacement should restore the fleet");
         for p in &after.partitions {
             assert_ne!(p.assigned_to, Some(victim), "partition left on the crashed server");
         }
-        let log = met.events().iter().map(|e| e.what.clone()).collect::<Vec<_>>().join("\n");
-        assert!(log.contains("lost; scheduling a replacement"), "no crash detection in: {log}");
-        assert!(log.contains("replacement"), "no replacement in: {log}");
+        // The crash and its repair are on the trail.
+        let replacing = trail.events().into_iter().any(|e| {
+            matches!(e.data, TelemetryEvent::ActionStarted { ref action, server, .. }
+                if action == "replace_node" && server == victim.0)
+        });
+        assert!(replacing, "no crash detection on the trail");
+        assert_eq!(trail.counter_total("met_nodes_lost_total"), 1);
+        assert_eq!(trail.counter_total("met_nodes_replaced_total"), 1);
+    }
+
+    #[test]
+    fn replacement_retries_back_off_then_give_up() {
+        use simcore::fault::{FaultSpec, ScheduledFault};
+        use telemetry::Verbosity;
+        let (mut sim, _) = build_scenario(19);
+        // More boot failures than the healer has attempts.
+        let fails = (0..2 * REPLACEMENT_MAX_ATTEMPTS)
+            .map(|_| ScheduledFault { at: SimTime::ZERO, spec: FaultSpec::ProvisionFail })
+            .collect();
+        sim.set_fault_injector(simcore::FaultPlan::new(fails).injector());
+        let trail = Telemetry::with_ring(Verbosity::Info, 4_096);
+        // No decision within the run: only the healer touches the cluster.
+        let cfg = MetConfig { allow_scaling: false, min_samples: 1_000, ..MetConfig::default() };
+        let mut met = Met::with_telemetry(cfg, StoreConfig::default_homogeneous(), trail.clone());
+        sim.step();
+        met.tick(&mut sim);
+        let victim = cluster::ElasticCluster::snapshot(&sim).online_servers()[0];
+        sim.crash_server(victim);
+        for _ in 0..(6 * 60) {
+            sim.step();
+            met.tick(&mut sim);
+        }
+
+        let events = trail.events();
+        let retries: Vec<(u64, u64)> = events
+            .iter()
+            .filter_map(|e| match &e.data {
+                TelemetryEvent::RetryScheduled { action, server, attempt, backoff_ms, .. } => {
+                    assert_eq!(action, "replace_node");
+                    assert_eq!(*server, Some(victim.0));
+                    Some((*attempt, *backoff_ms))
+                }
+                _ => None,
+            })
+            .collect();
+        let expected: Vec<(u64, u64)> = (1..REPLACEMENT_MAX_ATTEMPTS as u64)
+            .map(|attempt| (attempt, 2_000 << (attempt - 1)))
+            .collect();
+        assert_eq!(retries, expected);
+        let failed: Vec<_> = events
+            .iter()
+            .filter_map(|e| match &e.data {
+                TelemetryEvent::StepFailed { action, server, attempts, .. } => {
+                    Some((action.as_str(), *server, *attempts))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(failed, vec![("replace_node", Some(victim.0), REPLACEMENT_MAX_ATTEMPTS as u64)]);
+        assert_eq!(
+            trail.counter_total("met_step_retries_total"),
+            REPLACEMENT_MAX_ATTEMPTS as u64 - 1
+        );
+        assert_eq!(trail.counter_total("met_steps_abandoned_total"), 1);
+        assert_eq!(trail.counter_total("met_nodes_replaced_total"), 0);
     }
 
     #[test]

@@ -37,14 +37,12 @@ pub mod grouping;
 pub mod monitor;
 pub mod output;
 pub mod profiles;
-pub mod properties;
 
 pub use actuator::{Actuator, ActuatorStats};
 pub use classify::{classify, PartitionRates};
 pub use config::MetConfig;
 pub use decision::{Decision, DecisionMaker, HealthAssessment};
-pub use framework::{Met, MetEvent};
+pub use framework::Met;
 pub use monitor::{Monitor, MonitorReport};
 pub use output::{compute_output, CurrentNode, OutputPlan, SuggestedNode};
 pub use profiles::ProfileKind;
-pub use properties::{parse_properties, to_properties, PropertiesError};

@@ -4,7 +4,7 @@
 //! Ganglia path) and NoSQL metrics (per-partition read/write/scan counters
 //! and per-node locality — the JMX path), applies Brown's exponential
 //! smoothing so "temporary load spikes" do not drive decisions, and resets
-//! its history after every actuator action so only post-action
+//! its smoothing state after every actuator action so only post-action
 //! observations feed the next decision.
 
 use crate::classify::PartitionRates;
@@ -75,7 +75,8 @@ struct PartitionSmooth {
     scans: ExpSmoother,
 }
 
-/// The monitor: smoothing state plus counter history.
+/// The monitor: smoothing state plus the counter baselines of the last
+/// observation.
 #[derive(Debug)]
 pub struct Monitor {
     alpha: f64,
@@ -86,26 +87,14 @@ pub struct Monitor {
     /// stalls surface as interval deltas (events + counter increments).
     prev_stall_ms: BTreeMap<PartitionId, u64>,
     samples: usize,
-    history: std::collections::VecDeque<(simcore::SimTime, MonitorReport)>,
-    history_size: usize,
     last_good_at: Option<simcore::SimTime>,
     missed: u64,
     telemetry: Telemetry,
 }
 
-/// Default retained report history (§5: the prototype's "data history
-/// size" is configurable; this covers an hour of 30-second samples).
-pub const DEFAULT_HISTORY_SIZE: usize = 120;
-
 impl Monitor {
-    /// Creates a monitor with smoothing factor `alpha` and the default
-    /// history size.
+    /// Creates a monitor with smoothing factor `alpha`.
     pub fn new(alpha: f64) -> Self {
-        Monitor::with_history(alpha, DEFAULT_HISTORY_SIZE)
-    }
-
-    /// Creates a monitor retaining up to `history_size` past reports.
-    pub fn with_history(alpha: f64, history_size: usize) -> Self {
         Monitor {
             alpha,
             servers: BTreeMap::new(),
@@ -113,8 +102,6 @@ impl Monitor {
             prev_counters: BTreeMap::new(),
             prev_stall_ms: BTreeMap::new(),
             samples: 0,
-            history: std::collections::VecDeque::new(),
-            history_size,
             last_good_at: None,
             missed: 0,
             telemetry: Telemetry::disabled(),
@@ -124,14 +111,6 @@ impl Monitor {
     /// Routes monitor telemetry (per-sample smoothed loads) to `telemetry`.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Past reports, oldest first (up to the configured history size).
-    /// Entries accumulate per [`observe`](Monitor::observe) and survive
-    /// [`reset`](Monitor::reset) — history is for operators, smoothing
-    /// state is for decisions.
-    pub fn history(&self) -> impl Iterator<Item = &(simcore::SimTime, MonitorReport)> {
-        self.history.iter()
     }
 
     /// Samples observed since the last reset.
@@ -278,14 +257,6 @@ impl Monitor {
         }
         self.samples += 1;
         self.last_good_at = Some(snapshot.at);
-        if self.history_size > 0 {
-            if let Some(report) = self.report(snapshot) {
-                self.history.push_back((snapshot.at, report));
-                while self.history.len() > self.history_size {
-                    self.history.pop_front();
-                }
-            }
-        }
     }
 
     /// Builds the decision maker's report from the latest snapshot plus the
@@ -335,7 +306,7 @@ impl Monitor {
         Some(MonitorReport { servers, partitions, age })
     }
 
-    /// Discards smoothing history and the sample count — called after each
+    /// Discards the smoothing state and the sample count — called after each
     /// actuator action (§4.1: "storing only the observations after each
     /// Actuator's action"). Counter baselines are kept so the next interval
     /// rate is still a one-interval diff.
@@ -436,7 +407,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_history_but_keeps_baseline() {
+    fn reset_clears_smoothing_but_keeps_baseline() {
         let mut m = Monitor::new(0.5);
         m.observe(&snap(0, 0.9, counters(1_000, 0)));
         m.observe(&snap(30, 0.9, counters(2_000, 0)));
@@ -451,20 +422,6 @@ mod tests {
         assert!((report.partitions[0].rates.reads - 500.0).abs() < 1e-9);
         // Server smoothing restarted from the fresh observation.
         assert!((report.servers[0].cpu - 0.3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn history_is_bounded_and_survives_reset() {
-        let mut m = Monitor::with_history(0.5, 3);
-        for i in 0..6 {
-            m.observe(&snap(i * 30, 0.5, counters(i * 100, 0)));
-        }
-        assert_eq!(m.history().count(), 3, "history must be bounded");
-        let newest = m.history().last().expect("non-empty").0;
-        assert_eq!(newest, SimTime::from_secs(150));
-        m.reset();
-        assert_eq!(m.history().count(), 3, "reset must not erase the operator history");
-        assert_eq!(m.samples(), 0);
     }
 
     #[test]

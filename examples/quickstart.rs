@@ -12,6 +12,7 @@ use cluster::functional::FunctionalCluster;
 use cluster::{ClientGroup, CostParams, ElasticCluster, OpMix, PartitionSpec, SimCluster};
 use hstore::{Family, StoreConfig};
 use met::{Met, MetConfig, ProfileKind};
+use telemetry::{EventKind, Telemetry, Verbosity};
 
 fn functional_demo() {
     println!("== functional layer: a real distributed key-value store ==");
@@ -106,9 +107,12 @@ fn met_demo() {
         0.0,
     ));
 
-    let mut met = Met::new(
+    // MeT's audit trail: every decision and action it takes, with why.
+    let trail = Telemetry::with_ring(Verbosity::Info, 4_096);
+    let mut met = Met::with_telemetry(
         MetConfig { allow_scaling: false, ..MetConfig::default() },
         StoreConfig::default_homogeneous(),
+        trail.clone(),
     );
     for minute in 0..12 {
         for _ in 0..60 {
@@ -136,9 +140,11 @@ fn met_demo() {
             profiles.join(", ")
         );
     }
-    println!("\nMeT's actions:");
-    for e in met.events() {
-        println!("  {} {}", e.at, e.what);
+    println!("\nMeT's plans and actions, from its audit trail:");
+    for e in trail.events() {
+        if matches!(e.data.kind(), EventKind::ReconfigStarted | EventKind::ActionStarted) {
+            println!("  {}", e.to_json_line());
+        }
     }
 }
 

@@ -152,7 +152,11 @@ fn met_manages_the_functional_cluster_end_to_end() {
             met.tick(&mut fe);
         }
     }
-    assert!(met.reconfigurations() >= 1, "MeT never acted on real regions: {:?}", met.events());
+    assert!(
+        met.reconfigurations() >= 1,
+        "MeT never acted on real regions: {:?}",
+        met.actuator_stats()
+    );
 
     // The REAL regions of the read table now live on Read-profile servers,
     // the write table's on Write-profile servers.

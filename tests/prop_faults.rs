@@ -103,7 +103,7 @@ proptest! {
         prop_assert!(
             !met.reconfiguring(),
             "actuator still busy 9 minutes after the last fault: {:?}",
-            met.events()
+            met.actuator_stats()
         );
 
         // Stable: another decision round changes nothing structural.
@@ -133,13 +133,13 @@ proptest! {
                 online.contains(&s),
                 "partition {} stranded on dead server {s}: {:?}",
                 p.partition.0,
-                met.events()
+                met.actuator_stats()
             );
         }
 
         // Crashes were repaired: the fleet is back at full strength.
         if allow_crashes {
-            prop_assert!(online.len() >= 3, "crashed nodes not replaced: {:?}", met.events());
+            prop_assert!(online.len() >= 3, "crashed nodes not replaced: {:?}", met.actuator_stats());
         } else {
             prop_assert_eq!(online.len(), 4);
         }
