@@ -10,25 +10,26 @@
 //! # Block layout
 //!
 //! A block owns four flat arrays and no per-cell heap object: the **key
-//! arena** (`row‖qualifier` of every cell back to back), a fixed-stride
-//! **meta** record per cell (arena offset, row and qualifier length,
-//! timestamp), the **value handles** (shared `Bytes`, never copied into
-//! the block) and a **search index** ([`SearchIndex`]): the row prefix all
-//! cells share (up to 16 bytes, inline) plus, per cell, the next 8 row
-//! bytes as a big-endian `u64`, and inline, the high half of every
-//! sixteenth of those. A seek compares the probe with the 16 inline
-//! samples, then binary-searches the one segment of the `u64` array they
-//! leave — about 64 bytes of a 16 KiB block's 904 — and touches a full key
-//! only where two windows tie; a walk reads meta and arena front to back.
-//! The file keeps the same index
-//! over its blocks' first keys. DESIGN.md "HFile block layout" has the
-//! reasoning and the cache-line arithmetic.
+//! arena** (the stored key-side serialization, one record
+//! `row_len u32 | row | qual_len u32 | qual | ts u64` per cell, back to
+//! back), one `u32` **arena offset** per cell, the **value handles**
+//! (shared `Bytes`, never copied into the block) and a **search index**
+//! ([`SearchIndex`]): the row prefix all cells share (up to 16 bytes,
+//! inline) plus, per cell, the next 8 row bytes as a big-endian `u64`, and
+//! inline, the high half of every sixteenth of those. A seek compares the
+//! probe with the 16 inline samples, then binary-searches the one segment
+//! of the `u64` array they leave — about 64 bytes of a 16 KiB block's 904
+//! — and parses a full key only where two windows tie; a walk reads
+//! offsets and arena front to back. The block checksum hashes the arena in
+//! place, then the value records. The file keeps the same index over its
+//! blocks' first keys. DESIGN.md "HFile block layout" has the reasoning
+//! and the cache-line arithmetic.
 
 use crate::block_cache::{Access, AccessCounter, BlockId, FileId, SharedBlockCache};
 use crate::bloom::{row_hash, BloomFilter};
 use crate::error::{CorruptionKind, HStoreError};
 use crate::types::{cell_heap_size, CellVersion, KeyRange, KeyRef, Qualifier, RowKey, Timestamp};
-use crate::wal::StagedCrc32c;
+use crate::wal::{Crc32c, StagedCrc32c};
 use bytes::Bytes;
 
 /// Row bytes the search index keeps per key, after the shared prefix.
@@ -148,34 +149,38 @@ impl SearchIndex {
     }
 }
 
-/// Where one cell's key sits in its block's arena.
-#[derive(Debug, Clone, Copy)]
-struct CellMeta {
-    /// Arena offset of the row; the qualifier follows it directly.
-    off: u32,
-    row_len: u32,
-    qual_len: u32,
-    ts: u64,
+/// Bytes a cell's key record adds to the arena beside its row and
+/// qualifier: the two `u32` lengths and the `u64` timestamp.
+const KEY_FRAMING: usize = 16;
+
+/// The `N` bytes of `arena` at `at`.
+fn le_bytes<const N: usize>(arena: &[u8], at: usize) -> [u8; N] {
+    let mut bytes = [0; N];
+    bytes.copy_from_slice(&arena[at..at + N]);
+    bytes
 }
 
-impl CellMeta {
-    /// The key this record locates in `arena`.
-    fn key(self, arena: &[u8]) -> KeyRef<'_> {
-        let (off, row_end) = (self.off as usize, (self.off + self.row_len) as usize);
-        KeyRef {
-            row: &arena[off..row_end],
-            qualifier: &arena[row_end..row_end + self.qual_len as usize],
-            ts: Timestamp(self.ts),
-        }
+/// The key whose record `row_len u32 | row | qual_len u32 | qual | ts u64`
+/// starts at `off` in `arena`.
+fn key_at(arena: &[u8], off: u32) -> KeyRef<'_> {
+    let row = off as usize + 4;
+    let qual_len_at = row + u32::from_le_bytes(le_bytes(arena, off as usize)) as usize;
+    let qual = qual_len_at + 4;
+    let ts_at = qual + u32::from_le_bytes(le_bytes(arena, qual_len_at)) as usize;
+    KeyRef {
+        row: &arena[row..qual_len_at],
+        qualifier: &arena[qual..ts_at],
+        ts: Timestamp(u64::from_le_bytes(le_bytes(arena, ts_at))),
     }
 }
 
 /// One block of sorted cell versions (layout: see the module docs).
 #[derive(Debug, Clone)]
 pub struct Block {
-    /// `row‖qualifier` of every cell, back to back.
+    /// Every cell's key record, back to back (see [`key_at`]).
     keys: Box<[u8]>,
-    meta: Box<[CellMeta]>,
+    /// Arena offset of each cell's key record.
+    offsets: Box<[u32]>,
     /// Value handles; `None` is a tombstone. Shared with whoever wrote the
     /// cell, so a block costs 16 bytes per value however large it is.
     values: Box<[Option<Bytes>]>,
@@ -185,9 +190,10 @@ pub struct Block {
     offset: u64,
     /// CRC-32C (Castagnoli — HBase's HFile checksum default, computed by
     /// x86-64's `crc32` instruction three chains at a time) over the
-    /// canonical serialization of the cells, computed at build time and
-    /// re-verified whenever a point read takes the block from "disk" (a
-    /// cache miss in [`HFile::get`]) and by the recovery scrub.
+    /// stored bytes — the key arena, then each cell's value record (see
+    /// [`Block::checksum`]) — computed at build time and re-verified
+    /// whenever a point read takes the block from "disk" (a cache miss in
+    /// [`HFile::get`]) and by the recovery scrub.
     crc: u32,
     /// Whether every live value is one handle (a load that stored one
     /// buffer under many rows). [`Block::checksum`] then has no scattered
@@ -196,10 +202,10 @@ pub struct Block {
 }
 
 impl Block {
-    /// Seals `meta.len()` cells (at least one) into a block.
+    /// Seals `offsets.len()` cells (at least one) into a block.
     fn new(
         keys: &[u8],
-        meta: &[CellMeta],
+        offsets: &[u32],
         values: Box<[Option<Bytes>]>,
         byte_size: u64,
         offset: u64,
@@ -208,7 +214,7 @@ impl Block {
         let one_value_handle = live.next().is_none_or(|first| live.all(|v| std::ptr::eq(v, first)));
         let mut block = Block {
             keys: keys.into(),
-            meta: meta.into(),
+            offsets: offsets.into(),
             values,
             index: SearchIndex::default(),
             byte_size,
@@ -223,12 +229,12 @@ impl Block {
 
     /// Number of cells.
     pub fn len(&self) -> usize {
-        self.meta.len()
+        self.offsets.len()
     }
 
     /// Blocks are sealed with at least one cell, so never.
     pub fn is_empty(&self) -> bool {
-        self.meta.is_empty()
+        self.offsets.is_empty()
     }
 
     /// The sort key of the first cell.
@@ -236,9 +242,9 @@ impl Block {
         self.key(0)
     }
 
-    /// The sort key of cell `i`, borrowed from the arena.
+    /// The sort key of cell `i`, parsed from its record in the arena.
     pub fn key(&self, i: usize) -> KeyRef<'_> {
-        self.meta[i].key(&self.keys)
+        key_at(&self.keys, self.offsets[i])
     }
 
     fn row(&self, i: usize) -> &[u8] {
@@ -261,15 +267,19 @@ impl Block {
         self.checksum() == self.crc
     }
 
-    /// Canonical checksum of the block's cells: each cell framed as
-    /// `row_len | row | qual_len | qual | ts | tag [| val_len | val]`, the
-    /// same framing idiom the WAL uses, so the two durability checks cannot
-    /// drift apart. The fields are copied from the arena and the value
-    /// handles into a stack stage one stripe long, and the kernel folds each
-    /// full stage: ~10 kernel calls per 16 KiB block at three-lane speed,
-    /// where feeding it field by field made ~900 one-lane calls. This runs
-    /// at every flush and compaction seal, on every block cache miss and in
-    /// recovery's scrub.
+    /// Checksum of the block's stored bytes, one CRC-32C stream in two
+    /// parts. First the key arena, every cell's
+    /// `row_len | row | qual_len | qual | ts` back to back, folded in place
+    /// by the striped kernel with no copy. Then each cell's value record,
+    /// `tag [| val_len | val]` (tag 0 = tombstone, 1 = value), the same
+    /// framing idiom the WAL uses, so the two durability checks cannot drift
+    /// apart. The value records are copied from the shared handles into a
+    /// stack stage one stripe long, and the kernel folds each full stage.
+    /// Tag and length go in as two pushes: built into one 5-byte array
+    /// first, the stage's 4-byte load of that array missed store
+    /// forwarding (traced `read-spill` verify ≈ 150 → 190 ns/KiB). This
+    /// runs at every flush and compaction seal, on every block cache miss
+    /// and in recovery's scrub.
     ///
     /// The value bytes live in their writers' allocations, scattered over
     /// the heap, and the staging copy consumes them in order: left to
@@ -283,14 +293,10 @@ impl Block {
         if !self.one_value_handle {
             std::hint::black_box(self.gather_values());
         }
-        let mut crc = StagedCrc32c::new();
-        for (meta, value) in self.meta.iter().zip(&self.values) {
-            let key = meta.key(&self.keys);
-            crc.push(&(key.row.len() as u32).to_le_bytes());
-            crc.push(key.row);
-            crc.push(&(key.qualifier.len() as u32).to_le_bytes());
-            crc.push(key.qualifier);
-            crc.push(&key.ts.0.to_le_bytes());
+        let mut keys = Crc32c::new();
+        keys.update(&self.keys);
+        let mut crc = StagedCrc32c::new(keys);
+        for value in &self.values {
             match value {
                 None => crc.push(&[0]),
                 Some(v) => {
@@ -342,7 +348,7 @@ pub struct HFile {
 }
 
 /// Streaming writer of one [`HFile`]: keys are pushed by reference in
-/// `InternalKey` order, copied once into the open block's arena, and
+/// `InternalKey` order, framed once into the open block's arena, and
 /// sealed into checksummed blocks as each fills — so a producer that
 /// generates its cells one at a time (a flush walking its memstores, a
 /// compaction's merge) never builds an owned key or holds a second copy
@@ -353,10 +359,10 @@ pub(crate) struct HFileBuilder {
     /// Sized for the entry count passed to `new`, an upper bound.
     bloom: BloomFilter,
     blocks: Vec<Block>,
-    /// The open block. `keys` and `meta` are copied out at their exact
+    /// The open block. `keys` and `offsets` are copied out at their exact
     /// size on seal and reused, so they grow once per file.
     keys: Vec<u8>,
-    meta: Vec<CellMeta>,
+    offsets: Vec<u32>,
     values: Vec<Option<Bytes>>,
     cur_bytes: u64,
     total_bytes: u64,
@@ -379,7 +385,7 @@ impl HFileBuilder {
             bloom: BloomFilter::with_capacity(expected_entries),
             blocks: Vec::new(),
             keys: Vec::new(),
-            meta: Vec::new(),
+            offsets: Vec::new(),
             values: Vec::new(),
             cur_bytes: 0,
             total_bytes: 0,
@@ -398,49 +404,47 @@ impl HFileBuilder {
         debug_assert!(self.last_key().is_none_or(|prev| prev <= key), "HFile input must be sorted");
         let value_len = value.as_ref().map_or(0, |v| v.len());
         let sz = cell_heap_size(key.row.len(), key.qualifier.len(), value_len) as u64;
-        if !self.meta.is_empty() && self.cur_bytes + sz > self.block_size {
+        if !self.offsets.is_empty() && self.cur_bytes + sz > self.block_size {
             self.seal();
         }
-        let arena_end = self.keys.len() + key.row.len() + key.qualifier.len();
+        let arena_end = self.keys.len() + KEY_FRAMING + key.row.len() + key.qualifier.len();
         assert!(u32::try_from(arena_end).is_ok(), "block key arena exceeds 32-bit offsets");
         self.bloom.insert(key.row);
         self.max_ts = self.max_ts.max(key.ts.0);
         self.cur_bytes += sz;
         self.total_bytes += sz;
         self.entry_count += 1;
-        self.meta.push(CellMeta {
-            off: self.keys.len() as u32,
-            row_len: key.row.len() as u32,
-            qual_len: key.qualifier.len() as u32,
-            ts: key.ts.0,
-        });
+        self.offsets.push(self.keys.len() as u32);
+        self.keys.extend_from_slice(&(key.row.len() as u32).to_le_bytes());
         self.keys.extend_from_slice(key.row);
+        self.keys.extend_from_slice(&(key.qualifier.len() as u32).to_le_bytes());
         self.keys.extend_from_slice(key.qualifier);
+        self.keys.extend_from_slice(&key.ts.0.to_le_bytes());
         self.values.push(value);
     }
 
     /// The last key pushed, wherever it sits by now.
     fn last_key(&self) -> Option<KeyRef<'_>> {
-        let open = self.meta.last().map(|m| m.key(&self.keys));
+        let open = self.offsets.last().map(|&off| key_at(&self.keys, off));
         open.or_else(|| self.blocks.last().map(|b| b.key(b.len() - 1)))
     }
 
     fn seal(&mut self) {
         self.blocks.push(Block::new(
             &self.keys,
-            &self.meta,
+            &self.offsets,
             self.values.drain(..).collect(),
             self.cur_bytes,
             self.total_bytes - self.cur_bytes,
         ));
         self.keys.clear();
-        self.meta.clear();
+        self.offsets.clear();
         self.cur_bytes = 0;
     }
 
     /// Seals the last block and returns the finished file.
     pub(crate) fn finish(mut self) -> HFile {
-        if !self.meta.is_empty() {
+        if !self.offsets.is_empty() {
             self.seal();
         }
         if !self.bloom.sized_for(self.entry_count as usize) {
@@ -743,14 +747,14 @@ impl<'a> Iterator for HFileScanIter<'a> {
 mod tests {
     use super::*;
     use crate::types::InternalKey;
-    use crate::wal::Crc32c;
     use proptest::prelude::*;
 
     /// The representation blocks had before the arena layout — one owned
     /// `CellVersion` per cell, searched with `partition_point` over the
     /// structs — kept as the reference the layout must be indistinguishable
-    /// from: same block boundaries, sizes, offsets and CRC values, same
-    /// Bloom filter, same answer and same cache traffic for every read.
+    /// from: same block boundaries, sizes, offsets and CRC values (the
+    /// oracle writes the stream out from its cells, never from an arena),
+    /// same Bloom filter, same answer and same cache traffic for every read.
     mod oracle {
         use super::*;
 
@@ -768,6 +772,8 @@ mod tests {
             pub total_bytes: u64,
         }
 
+        /// The block CRC written out from the cells, field by field: every
+        /// cell's key record, then every cell's value record.
         fn checksum_cells(cells: &[CellVersion]) -> u32 {
             let mut crc = Crc32c::new();
             for c in cells {
@@ -778,6 +784,8 @@ mod tests {
                 crc.update(&(qual.len() as u32).to_le_bytes());
                 crc.update(qual);
                 crc.update(&c.key.ts.0.to_le_bytes());
+            }
+            for c in cells {
                 match &c.value {
                     None => crc.update(&[0]),
                     Some(v) => {
@@ -1115,62 +1123,58 @@ mod tests {
         assert!(got.is_some());
     }
 
+    /// Every stored byte is checked: a flip of any byte of the key arena
+    /// (every cell's lengths, row, qualifier and timestamp), of any value
+    /// byte or of the stored CRC is detected, and so is a cell's value
+    /// turned into a tombstone or back, or a tombstone moved to the next
+    /// cell. The block holds an empty row, an empty qualifier, tombstones,
+    /// and a row and a value each longer than a stage, so the arena spans
+    /// stripes and a value record crosses stage boundaries.
     #[test]
     fn any_damaged_byte_of_a_stored_checksum_is_detected() {
-        let cells: Vec<CellVersion> =
-            (0..50).map(|i| cell(&format!("row{i:02}"), "c", 1, Some("0123456789"))).collect();
-        let clean = build_file(cells, 150);
-        for byte in 0..4 {
-            for flip in [0x01u32, 0x80, 0xFF] {
-                let mut f = clean.clone();
-                f.blocks[1].crc ^= flip << (8 * byte);
-                assert!(!f.blocks[1].verify(), "crc byte {byte} ^ {flip:#x} went undetected");
-                assert!(f.verify_checksums().is_err());
-            }
-        }
-    }
-
-    #[test]
-    fn staged_framing_drops_no_field() {
-        // One block: short rows, a tombstone, and a row longer than a
-        // whole stage, so its bytes are staged across a stage boundary.
-        let long_row = "L".repeat(crate::wal::STAGE + 100);
+        let long = "L".repeat(crate::wal::STAGE + 100);
         let mut cells: Vec<CellVersion> = (0..30)
-            .map(|i| cell(&format!("row{i:02}"), "qual", i + 1, (i != 7).then_some("value-bytes")))
+            .map(|i| cell(&format!("row{i:02}"), "qual", i + 1, (i % 7 != 3).then_some("value")))
             .collect();
-        cells.push(cell(&long_row, "q", 99, Some("v")));
+        cells.push(cell("", "q", 5, Some("empty row")));
+        cells.push(cell("row05", "", 6, Some("empty qualifier")));
+        cells.push(cell(&long, "q", 99, Some(&long)));
         let f = build_file(cells, 1 << 20);
         assert_eq!(f.block_count(), 1);
         let clean = &f.blocks[0];
         assert!(clean.verify());
+        let detect = |what: &str, change: &dyn Fn(&mut Block)| {
+            let mut block = clean.clone();
+            change(&mut block);
+            assert!(!block.verify(), "{what} went undetected");
+        };
 
-        for i in 0..clean.len() {
-            let check = |what: &str, change: &dyn Fn(&mut Block)| {
-                let mut block = clean.clone();
-                change(&mut block);
-                assert_ne!(block.checksum(), clean.crc, "cell {i}: {what}");
-            };
-            let m = clean.meta[i];
-            let (row, qual) = (m.off as usize, (m.off + m.row_len) as usize);
-            check("row byte", &|b: &mut Block| b.keys[row] ^= 1);
-            check("qualifier byte", &|b: &mut Block| b.keys[qual] ^= 1);
-            check("ts", &|b: &mut Block| b.meta[i].ts ^= 1);
-            check("value <-> tombstone", &|b: &mut Block| {
-                b.values[i] = if b.values[i].is_some() { None } else { Some(Bytes::new()) }
-            });
-            if let Some(v) = &clean.values[i] {
-                let mut bytes = v.to_vec();
-                *bytes.last_mut().expect("non-empty value") ^= 1;
-                check("value byte", &|b: &mut Block| {
-                    b.values[i] = Some(Bytes::from(bytes.clone()))
-                });
-            }
-            // Every 61st byte of the long row lands on both sides of each
-            // stage boundary it straddles.
-            for at in (1..m.row_len as usize).step_by(61) {
-                check(&format!("row byte {at}"), &|b: &mut Block| b.keys[row + at] ^= 1);
+        for byte in 0..4 {
+            for flip in [0x01u32, 0x80, 0xFF] {
+                detect(&format!("crc byte {byte} ^ {flip:#x}"), &|b| b.crc ^= flip << (8 * byte));
             }
         }
+        for at in 0..clean.keys.len() {
+            detect(&format!("arena byte {at}"), &|b| b.keys[at] ^= 1);
+        }
+        for (i, value) in clean.values.iter().enumerate() {
+            detect(&format!("cell {i}'s tag"), &|b| {
+                b.values[i] = if value.is_some() { None } else { Some(Bytes::new()) }
+            });
+            if value.is_none() && i + 1 < clean.len() {
+                detect(&format!("tombstone {i} moved on"), &|b| b.values.swap(i, i + 1));
+            }
+            let Some(v) = value else { continue };
+            for at in 0..v.len() {
+                let mut bytes = v.to_vec();
+                bytes[at] ^= 1;
+                let damaged = Some(Bytes::from(bytes));
+                detect(&format!("cell {i}'s value byte {at}"), &|b| b.values[i] = damaged.clone());
+            }
+        }
+        let mut f = f.clone();
+        f.blocks[0].crc ^= 1;
+        assert!(f.verify_checksums().is_err());
     }
 
     /// One set of cells checksums the same however its value handles are
@@ -1352,12 +1356,13 @@ mod tests {
         assert_same_file(&streamed, &HFile::build(FileId(9), vec![], 256));
     }
 
-    /// Rows built to stress the search index: stems that are prefixes of
-    /// one another, that reach past the 8-byte window (so rows differing
-    /// only in their tails tie on it), the empty row, and tails over an
-    /// alphabet holding the two bytes zero-padding could confuse.
+    /// Rows built to stress the search index and the arena's key records:
+    /// stems that are prefixes of one another, that reach past the 8-byte
+    /// window (so rows differing only in their tails tie on it) or past a
+    /// whole checksum stripe, the empty row, and tails over an alphabet
+    /// holding the two bytes zero-padding could confuse.
     fn tricky_row() -> impl Strategy<Value = Vec<u8>> {
-        const STEMS: [&[u8]; 8] = [
+        const STEMS: [&[u8]; 9] = [
             b"",
             b"\x00",
             b"a",
@@ -1365,6 +1370,7 @@ mod tests {
             b"aaaaaaaa",
             b"aaaaaaaaa",
             b"aaaaaaaa\xff",
+            &[b'a'; crate::wal::STAGE + 1],
             b"\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff",
         ];
         (0usize..STEMS.len(), prop::collection::vec(0usize..3, 0..3)).prop_map(|(stem, tail)| {
@@ -1378,8 +1384,9 @@ mod tests {
         (0usize..4).prop_map(|i| [&b""[..], b"q", b"q\x00", b"\xff"][i].to_vec())
     }
 
-    /// Sorted cells over the tricky key space with distinct timestamps:
-    /// a tombstone every fifth cell, values of varying length.
+    /// Sorted cells over the tricky key space with distinct timestamps,
+    /// the first two 0 and `u64::MAX`: a tombstone every fifth cell,
+    /// values of varying length.
     fn tricky_cells() -> impl Strategy<Value = Vec<CellVersion>> {
         prop::collection::vec((tricky_row(), tricky_qualifier(), 0usize..24), 0..120).prop_map(
             |raw| {
@@ -1390,7 +1397,11 @@ mod tests {
                         key: InternalKey::new(
                             RowKey::new(row),
                             Qualifier::new(q),
-                            Timestamp(i as u64 + 1),
+                            Timestamp(match i {
+                                0 => 0,
+                                1 => u64::MAX,
+                                _ => i as u64,
+                            }),
                         ),
                         value: (i % 5 != 4).then(|| Bytes::from(vec![i as u8; value_len])),
                     })

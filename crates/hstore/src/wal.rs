@@ -42,8 +42,10 @@
 //! three independent `crc32` chains, joined by four `const`-evaluated
 //! shift tables — table lookups, not carry-less multiplies, so SSE4.2 is
 //! still the only target feature and nothing is initialized at run time.
-//! Block checksums reach the stripe path through `StagedCrc32c`, which
-//! gathers a block's small per-cell fields into whole stripes first.
+//! A block checksum hands its key arena — already the stored key-side
+//! serialization — straight to [`Crc32c::update`], which stripes it in
+//! place, and stages only the per-cell value records through
+//! `StagedCrc32c`, which gathers them into whole stripes first.
 
 use crate::error::{HStoreError, Result};
 use crate::types::{InternalKey, Qualifier, RowKey, Timestamp};
@@ -228,7 +230,8 @@ fn update(crc: u32, data: &[u8]) -> u32 {
 /// workspace vendors no checksum crate, and a page of const-eval plus one
 /// intrinsic loop beats a dependency. The streaming API folds a record
 /// given in parts — CRC over a concatenation equals the CRC of streaming
-/// the parts — and is what `StagedCrc32c` feeds once per full stage.
+/// the parts — and is what a block checksum folds its key arena with
+/// before `StagedCrc32c` continues the state once per full stage.
 #[derive(Debug, Clone, Copy)]
 pub struct Crc32c(u32);
 
@@ -264,9 +267,9 @@ pub fn crc32(data: &[u8]) -> u32 {
 pub(crate) const STAGE: usize = 3 * LANE;
 
 /// CRC-32C of a record that arrives as many small pieces (a block's
-/// per-cell framing): the pieces are copied into a stack buffer and the
-/// kernel runs once per [`STAGE`] bytes — at stripe speed — instead of once
-/// per piece. Same value as [`Crc32c`] fed the same pieces.
+/// per-cell value records): the pieces are copied into a stack buffer and
+/// the kernel runs once per [`STAGE`] bytes — at stripe speed — instead of
+/// once per piece. Same value as [`Crc32c`] fed the same pieces.
 pub(crate) struct StagedCrc32c {
     crc: Crc32c,
     len: usize,
@@ -274,41 +277,27 @@ pub(crate) struct StagedCrc32c {
 }
 
 impl StagedCrc32c {
-    /// A fresh checksum with an empty stage.
-    pub(crate) fn new() -> Self {
-        StagedCrc32c { crc: Crc32c::new(), len: 0, buf: [0; STAGE] }
+    /// A checksum that continues `crc`'s state, with an empty stage.
+    pub(crate) fn new(crc: Crc32c) -> Self {
+        StagedCrc32c { crc, len: 0, buf: [0; STAGE] }
     }
 
     /// Appends `bytes` to the checksummed run.
     #[inline]
     pub(crate) fn push(&mut self, bytes: &[u8]) {
-        let (n, end) = (bytes.len(), self.len + bytes.len());
+        let end = self.len + bytes.len();
         if end >= STAGE {
             return self.spill(bytes);
         }
-        // Rows and qualifiers are a few bytes long: two overlapping
-        // fixed-width copies cost less than a call into `memcpy` each
-        // (verify 151–160 → 128–147 ns/KiB in a traced `read-spill`).
-        let dst = &mut self.buf[self.len..end];
-        match n {
-            8..=16 => {
-                dst[..8].copy_from_slice(&bytes[..8]);
-                dst[n - 8..].copy_from_slice(&bytes[n - 8..]);
-            }
-            4..=7 => {
-                dst[..4].copy_from_slice(&bytes[..4]);
-                dst[n - 4..].copy_from_slice(&bytes[n - 4..]);
-            }
-            _ => dst.copy_from_slice(bytes),
-        }
+        self.buf[self.len..end].copy_from_slice(bytes);
         self.len = end;
     }
 
     /// [`StagedCrc32c::push`] of a piece that fills the stage: the kernel
     /// folds each full stage, and what is left starts the next one. Out of
     /// line so every inlined `push` stays a compare and a copy (inlined,
-    /// the kernel dispatch at each of a cell's eight pushes made verify
-    /// slower than the per-field calls it replaces).
+    /// the kernel dispatch at each of a cell's pushes made verify slower
+    /// than the per-field calls it replaces).
     #[inline(never)]
     fn spill(&mut self, mut bytes: &[u8]) {
         while self.len + bytes.len() >= STAGE {
@@ -879,10 +868,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// A run staged piece by piece — pieces from empty to several
-        /// stages long, so every copy width and every way a piece can meet
-        /// a stage boundary — checksums to what one pass over the whole
-        /// run does.
+        /// A run staged piece by piece after an unstaged head — pieces
+        /// from empty to several stages long, so every copy width and
+        /// every way a piece can meet a stage boundary — checksums to what
+        /// one pass over the whole run does.
         #[test]
         fn staged_pieces_equal_the_whole_run(
             seed in any::<u64>(),
@@ -893,8 +882,12 @@ mod tests {
             let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (len + 1)).collect();
             cuts.extend([0, len]);
             cuts.sort_unstable();
-            let mut staged = StagedCrc32c::new();
-            for piece in cuts.windows(2) {
+            // The first piece goes straight to the kernel, as a block's
+            // key arena does; the stage continues its state.
+            let mut head = Crc32c::new();
+            head.update(&data[..cuts[1]]);
+            let mut staged = StagedCrc32c::new(head);
+            for piece in cuts[1..].windows(2) {
                 staged.push(&data[piece[0]..piece[1]]);
             }
             prop_assert_eq!(staged.finish(), crc32(&data));

@@ -3,10 +3,8 @@
 //! The paper's motivation experiment (§3.1) draws keys from YCSB's *hotspot*
 //! distribution — 50 % of requests hit a subset covering 40 % of the key
 //! space — which induces the 34 / 26 / 20 / 20 per-partition load split the
-//! Decision Maker must detect. The remaining YCSB distributions are provided
-//! for the full workload suite: uniform, zipfian, scrambled zipfian (for
-//! stable key popularity independent of key order), and latest (for
-//! insert-heavy logging workloads like WorkloadD).
+//! Decision Maker must detect. The YCSB workloads also draw from uniform,
+//! zipfian and latest (for insert-heavy logging workloads like WorkloadD).
 
 use crate::rng::SimRng;
 use serde::{Deserialize, Serialize};
@@ -174,42 +172,6 @@ impl KeyDistribution for ZipfianDist {
     }
 }
 
-/// Zipfian popularity scattered across the key space by hashing, so popular
-/// keys are not clustered at the front (YCSB's `ScrambledZipfian`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ScrambledZipfianDist {
-    inner: ZipfianDist,
-}
-
-impl ScrambledZipfianDist {
-    /// Creates a scrambled zipfian distribution over `items` keys.
-    pub fn new(items: u64) -> Self {
-        ScrambledZipfianDist { inner: ZipfianDist::new(items) }
-    }
-}
-
-impl KeyDistribution for ScrambledZipfianDist {
-    fn next_index(&mut self, rng: &mut SimRng) -> u64 {
-        let raw = self.inner.next_index(rng);
-        fnv64(raw) % self.inner.item_count()
-    }
-    fn item_count(&self) -> u64 {
-        self.inner.item_count()
-    }
-    fn grow(&mut self, new_count: u64) {
-        self.inner.grow(new_count);
-    }
-}
-
-fn fnv64(v: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// YCSB's latest distribution: recently inserted keys are most popular
 /// (zipfian over recency). Used by logging/history workloads (WorkloadD).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -238,77 +200,6 @@ impl KeyDistribution for LatestDist {
     }
 }
 
-/// YCSB's sequential distribution: keys visited in order, wrapping — used
-/// by bulk-verification workloads.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SequentialDist {
-    items: u64,
-    next: u64,
-}
-
-impl SequentialDist {
-    /// Creates a sequential distribution over `items` keys.
-    pub fn new(items: u64) -> Self {
-        assert!(items > 0);
-        SequentialDist { items, next: 0 }
-    }
-}
-
-impl KeyDistribution for SequentialDist {
-    fn next_index(&mut self, _rng: &mut SimRng) -> u64 {
-        let k = self.next;
-        self.next = (self.next + 1) % self.items;
-        k
-    }
-    fn item_count(&self) -> u64 {
-        self.items
-    }
-    fn grow(&mut self, new_count: u64) {
-        self.items = self.items.max(new_count);
-    }
-}
-
-/// YCSB's exponential distribution: key popularity decays exponentially
-/// with rank (YCSB uses it for session-like recency skews).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExponentialDist {
-    items: u64,
-    /// Fraction of the key space receiving `percentile` of the traffic.
-    gamma: f64,
-}
-
-impl ExponentialDist {
-    /// Creates an exponential distribution where `frac` of the keys get
-    /// `percentile` of the accesses (YCSB defaults: 10 % get 90 %).
-    pub fn new(items: u64, frac: f64, percentile: f64) -> Self {
-        assert!(items > 0);
-        assert!(frac > 0.0 && frac < 1.0);
-        assert!(percentile > 0.0 && percentile < 1.0);
-        // P(X < frac·N) = percentile for X ~ Exp(gamma·N):
-        // 1 − e^(−gamma·frac) = percentile.
-        let gamma = -(1.0 - percentile).ln() / frac;
-        ExponentialDist { items, gamma }
-    }
-}
-
-impl KeyDistribution for ExponentialDist {
-    fn next_index(&mut self, rng: &mut SimRng) -> u64 {
-        loop {
-            let u = 1.0 - rng.next_f64();
-            let x = -u.ln() / self.gamma; // fraction of the key space
-            if x < 1.0 {
-                return (x * self.items as f64) as u64;
-            }
-        }
-    }
-    fn item_count(&self) -> u64 {
-        self.items
-    }
-    fn grow(&mut self, new_count: u64) {
-        self.items = self.items.max(new_count);
-    }
-}
-
 /// All supported distributions behind one enum, for configuration files.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Dist {
@@ -318,14 +209,8 @@ pub enum Dist {
     Hotspot(HotspotDist),
     /// Zipfian by key order.
     Zipfian(ZipfianDist),
-    /// Zipfian popularity scattered by hash.
-    ScrambledZipfian(ScrambledZipfianDist),
     /// Most-recent-first.
     Latest(LatestDist),
-    /// In key order, wrapping.
-    Sequential(SequentialDist),
-    /// Exponentially decaying popularity by rank.
-    Exponential(ExponentialDist),
 }
 
 impl KeyDistribution for Dist {
@@ -334,10 +219,7 @@ impl KeyDistribution for Dist {
             Dist::Uniform(d) => d.next_index(rng),
             Dist::Hotspot(d) => d.next_index(rng),
             Dist::Zipfian(d) => d.next_index(rng),
-            Dist::ScrambledZipfian(d) => d.next_index(rng),
             Dist::Latest(d) => d.next_index(rng),
-            Dist::Sequential(d) => d.next_index(rng),
-            Dist::Exponential(d) => d.next_index(rng),
         }
     }
     fn item_count(&self) -> u64 {
@@ -345,10 +227,7 @@ impl KeyDistribution for Dist {
             Dist::Uniform(d) => d.item_count(),
             Dist::Hotspot(d) => d.item_count(),
             Dist::Zipfian(d) => d.item_count(),
-            Dist::ScrambledZipfian(d) => d.item_count(),
             Dist::Latest(d) => d.item_count(),
-            Dist::Sequential(d) => d.item_count(),
-            Dist::Exponential(d) => d.item_count(),
         }
     }
     fn grow(&mut self, new_count: u64) {
@@ -356,10 +235,7 @@ impl KeyDistribution for Dist {
             Dist::Uniform(d) => d.grow(new_count),
             Dist::Hotspot(d) => d.grow(new_count),
             Dist::Zipfian(d) => d.grow(new_count),
-            Dist::ScrambledZipfian(d) => d.grow(new_count),
             Dist::Latest(d) => d.grow(new_count),
-            Dist::Sequential(d) => d.grow(new_count),
-            Dist::Exponential(d) => d.grow(new_count),
         }
     }
 }
@@ -430,20 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn scrambled_zipfian_spreads_popularity() {
-        let mut d = ScrambledZipfianDist::new(10_000);
-        let h = draw_histogram(&mut d, 10, 100_000);
-        // No single tenth of the key space should dominate the way the raw
-        // zipfian head does.
-        for share in &h {
-            assert!(*share < 0.5, "bucket too hot: {share}");
-        }
-        // But it is still skewed overall: max bucket clearly above uniform.
-        let mx = h.iter().cloned().fold(0.0, f64::max);
-        assert!(mx > 0.1, "expected some skew, max {mx}");
-    }
-
-    #[test]
     fn latest_prefers_recent() {
         let mut d = LatestDist::new(10_000);
         let mut rng = SimRng::new(5);
@@ -464,31 +326,6 @@ mod tests {
         let mut rng = SimRng::new(2);
         let saw_new = (0..10_000).any(|_| d.next_index(&mut rng) >= 100);
         assert!(saw_new, "latest distribution never reached grown keys");
-    }
-
-    #[test]
-    fn sequential_visits_in_order_and_wraps() {
-        let mut d = SequentialDist::new(5);
-        let mut rng = SimRng::new(1);
-        let draws: Vec<u64> = (0..7).map(|_| d.next_index(&mut rng)).collect();
-        assert_eq!(draws, vec![0, 1, 2, 3, 4, 0, 1]);
-        d.grow(8);
-        assert_eq!(d.item_count(), 8);
-    }
-
-    #[test]
-    fn exponential_concentrates_on_the_head() {
-        let mut d = ExponentialDist::new(100_000, 0.1, 0.9);
-        let mut rng = SimRng::new(4);
-        let draws = 50_000;
-        let head = (0..draws)
-            .filter(|_| d.next_index(&mut rng) < 10_000) // first 10 %
-            .count();
-        let share = head as f64 / draws as f64;
-        assert!((share - 0.9).abs() < 0.03, "head share {share}");
-        for _ in 0..1_000 {
-            assert!(d.next_index(&mut rng) < 100_000);
-        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * [`rng`] — seeded, splittable random-number streams so that every
 //!   experiment is reproducible from a single `u64` seed.
 //! * [`dist`] — the YCSB key-request distributions (uniform, zipfian,
-//!   scrambled zipfian, latest, hotspot).
+//!   latest, hotspot).
 //! * [`smoothing`] — Brown's exponential smoothing, used by MeT's monitor
 //!   (§4.1 of the paper).
 //! * [`stats`] — percentile/CDF summaries.
