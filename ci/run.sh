@@ -9,7 +9,7 @@
 # script with its own name; tests/docs_guard.rs fails if the workflow calls
 # a job this script lacks, or this script defines one the workflow never
 # calls. Every cargo call is --offline (dependencies are vendored). Every
-# exp-* run writes its report into a scratch MET_RESULTS_DIR, so a run
+# `exp` run writes its report into a scratch MET_RESULTS_DIR, so a run
 # never touches the committed results/.
 #
 # Each gate prints one line, `gate <name>: pass|FAIL in <s> s`; the job
@@ -54,9 +54,9 @@ case "${1:-}" in
         # races real flusher/compactor threads against readers, and the
         # crash proptest lands kills mid-background-flush.
         gate background cargo test --release --offline -p hstore --test background
-        # exp-latency exits non-zero unless the SLO gate scales out and
+        # `exp latency` exits non-zero unless the SLO gate scales out and
         # restores p99 under the SLO.
-        gate latency-slo cargo run --release --offline -p met-bench --bin exp-latency
+        gate latency-slo cargo run --release --offline -p met-bench --bin exp -- latency
         ;;
     benchmark-smoke)
         # met-benchmark is a package of its own (not a workspace member),
@@ -70,9 +70,9 @@ case "${1:-}" in
     debug-assertions)
         # The dev profile keeps overflow checks and debug_assert! live, so
         # an unsigned subtraction that release builds would wrap panics
-        # here. exp-chaos (faults, crash-replace, WAL replay) covers the
+        # here. `exp chaos` (faults, crash-replace, WAL replay) covers the
         # whole tick pipeline.
-        gate chaos-dev cargo run --offline -p met-bench --bin exp-chaos
+        gate chaos-dev cargo run --offline -p met-bench --bin exp -- chaos
         ;;
     chaos-soak)
         # Three fixed seeds of the bounded-rate random fault plan plus the
@@ -81,23 +81,23 @@ case "${1:-}" in
         # the trail.
         gate soak cargo test --offline -p met-bench --lib chaos:: -- --nocapture
         gate faulted-trail cargo test --offline -p met-bench --test telemetry_trail faulted
-        gate chaos-report cargo run --release --offline -p met-bench --bin exp-chaos
+        gate chaos-report cargo run --release --offline -p met-bench --bin exp -- chaos
         ;;
     crash-smoke)
-        # exp-crash exits non-zero unless every kill-at-every-point
+        # `exp crash` exits non-zero unless every kill-at-every-point
         # recovery matches the model AND the fleet heals through the
         # disk-fault plan.
-        gate crash cargo run --release --offline -p met-bench --bin exp-crash
+        gate crash cargo run --release --offline -p met-bench --bin exp -- crash
         # The same audit with the background maintenance pipeline running
         # inside every crashed store: kills land while a flusher or
         # compactor is mid-publication.
-        gate crash-bg env MET_CRASH_BG=1 cargo run --release --offline -p met-bench --bin exp-crash
+        gate crash-bg cargo run --release --offline -p met-bench --bin exp -- crash-bg
         # Two runs of every traced experiment, compared byte for byte.
         gate determinism cargo test --release --offline -p met-bench --test determinism
         ;;
     results-identity)
-        # Every deterministic exp-* binary re-run into a scratch directory
-        # and compared with what results/ holds.
+        # Every row of `exp --list` re-run into a scratch directory and
+        # compared with what results/ holds.
         gate results ci/check-results.sh
         ;;
     lint)

@@ -1,4 +1,4 @@
-//! `exp-chaos` — the Fig-4 convergence workload under a scripted fault
+//! `exp chaos` — the Fig-4 convergence workload under a scripted fault
 //! plan, measuring how the control plane's self-healing machinery (retry
 //! with backoff, plan reconciliation, crash replacement, stale-metric
 //! degradation) changes convergence versus the fault-free run.
@@ -84,9 +84,8 @@ pub struct ChaosResult {
 /// minute 2, scaling disabled as in §6.2) with `plan`'s faults injected
 /// into both the cluster substrate and the control loop. An empty plan
 /// leaves the injector detached, reproducing the fault-free Fig-4 path
-/// byte for byte. A thin wrapper over the unified
-/// [`ScenarioSpec`](crate::ScenarioSpec) runner: the chaos experiment is
-/// exactly [`MetFixedFleet`](crate::ScenarioStrategy) plus a fault plan, a
+/// byte for byte. The chaos experiment is exactly
+/// [`MetFixedFleet`](crate::ScenarioStrategy) plus a fault plan, a
 /// realistic 60 s provision delay (so a crash is a real outage rather than
 /// an instant swap) and per-tick layout tracking.
 pub fn run_chaos_curve(
@@ -145,25 +144,6 @@ pub fn run(seed: u64, minutes: u64, plan: &FaultPlan, telemetry: Telemetry) -> C
         same_final_configuration,
         wasted_actions,
         convergence_penalty_min,
-    }
-}
-
-/// Resolves the fault plan from the typed environment config:
-/// `MET_FAULT_PLAN` is `reference` (default), `random` (seeded by
-/// `MET_FAULT_SEED`, default 42), or a spec string in the
-/// [`FaultPlan::parse`] grammar.
-pub fn plan_from_env() -> Result<FaultPlan, String> {
-    plan_from_config(simcore::config::env_config())
-}
-
-/// [`plan_from_env`] over an explicit config (tests pass their own).
-pub fn plan_from_config(cfg: &simcore::config::EnvConfig) -> Result<FaultPlan, String> {
-    match cfg.fault_plan.as_deref() {
-        None | Some("reference") => Ok(FaultPlan::reference()),
-        Some("random") => {
-            Ok(FaultPlan::random(cfg.fault_seed, &simcore::RandomFaultConfig::default()))
-        }
-        Some(spec) => FaultPlan::parse(spec),
     }
 }
 

@@ -1,4 +1,4 @@
-//! `exp-crash` — kill-at-every-point durability audit of the hstore WAL.
+//! `exp crash` — kill-at-every-point durability audit of the hstore WAL.
 //!
 //! The harness generates a deterministic YCSB-flavoured schedule of puts,
 //! deletes and memstore flushes, then murders a WAL-backed [`CfStore`] at
@@ -13,7 +13,7 @@
 //!    fails recovery with [`HStoreError::Corruption`] naming the file and
 //!    offset, rather than serving corrupt data.
 //!
-//! Everything is deterministic in the seed; the binary layers a sim-level
+//! Everything is deterministic in the seed; `exp crash` layers a sim-level
 //! disk-fault leg (torn-write / fsync-fail / bit-rot through the fault
 //! injector) on top.
 
@@ -48,7 +48,7 @@ pub enum CrashOp {
     Flush,
 }
 
-/// Default schedule length (override with `MET_CRASH_OPS`).
+/// The schedule length `exp crash` audits.
 pub const DEFAULT_OPS: usize = 150;
 
 /// An update-heavy schedule over a small keyspace — 70 % puts, 20 %
@@ -191,21 +191,16 @@ impl CrashReport {
     }
 }
 
-/// Runs the whole audit with inline maintenance (the seed behaviour).
-/// Deterministic in `seed` and `ops`.
-pub fn run(seed: u64, ops: usize) -> CrashReport {
-    run_with(seed, ops, false)
-}
-
-/// Runs the whole audit, optionally with the background maintenance
-/// pipeline running in every crashed store (`MET_CRASH_BG`). The
+/// Runs the whole audit, with inline maintenance or with the background
+/// maintenance pipeline running in every crashed store (`bg`). The
 /// *invariants* are identical — a crash abandons queued background work,
 /// and the WAL segments covering it were never truncated, so every
 /// acknowledged op must still recover exactly. Schedule and crash points
 /// stay deterministic in `seed` and `ops`; with `bg` the bookkeeping
 /// totals (replayed records, WAL bytes) become timing-dependent because
-/// background flushes earn truncations at their own pace.
-pub fn run_with(seed: u64, ops: usize, bg: bool) -> CrashReport {
+/// background flushes earn truncations at their own pace; inline, the
+/// whole report is deterministic in `seed` and `ops`.
+pub fn run(seed: u64, ops: usize, bg: bool) -> CrashReport {
     let plan = schedule(seed, ops);
     let mut report = CrashReport {
         ops,
@@ -482,7 +477,7 @@ mod tests {
 
     #[test]
     fn the_audit_passes_on_a_small_schedule() {
-        let r = run(42, 60);
+        let r = run(42, 60, false);
         assert!(r.passed(), "failures: {:?}", r.failures);
         assert_eq!(r.crash_points, 61);
         assert_eq!(r.group_points, 61);
@@ -493,7 +488,7 @@ mod tests {
 
     #[test]
     fn the_audit_passes_with_the_background_pipeline_on() {
-        let r = run_with(42, 60, true);
+        let r = run(42, 60, true);
         assert!(r.passed(), "failures: {:?}", r.failures);
         // Crash-point coverage is schedule-shaped, so it must not depend
         // on who runs the flushes.
@@ -504,7 +499,7 @@ mod tests {
 
     #[test]
     fn torn_tails_are_actually_exercised() {
-        let r = run(42, 60);
+        let r = run(42, 60, false);
         assert!(
             r.torn_tails_seen > 0,
             "the torn-write sweep must produce at least one truncated tail"

@@ -121,22 +121,10 @@ fn build_cloud(seed: u64, boot: SimDuration) -> (CloudCluster, Vec<DeployedWorkl
     (cloud, deployments)
 }
 
-/// Runs one controller for the full experiment.
-pub fn run_one(controller: Controller, seed: u64) -> ElasticRun {
-    run_one_for(controller, seed, MINUTES)
-}
-
-/// Runs one controller for `minutes` simulated minutes (benchmarks use a
-/// shortened horizon).
-pub fn run_one_for(controller: Controller, seed: u64, minutes: u64) -> ElasticRun {
-    run_one_traced(controller, seed, minutes, telemetry::Telemetry::disabled())
-}
-
-/// [`run_one_for`] with the controller, the IaaS layer and the simulator
-/// all reporting through `telemetry` — the scale-out run this produces is
-/// what the audit-trail integration test inspects. A thin wrapper over
-/// the unified [`ScenarioSpec`](crate::ScenarioSpec) runner.
-pub fn run_one_traced(
+/// Runs one controller for `minutes` simulated minutes, with the
+/// controller, the IaaS layer and the simulator all reporting through
+/// `telemetry`, and sums phase 1's operations.
+pub fn run_one(
     controller: Controller,
     seed: u64,
     minutes: u64,
@@ -213,12 +201,7 @@ pub(crate) fn run_spec(spec: crate::ScenarioSpec) -> crate::ScenarioRun {
         cloud.inner_mut().set_auto_balance(Some(SimDuration::from_mins(5)));
     }
 
-    use cluster::ElasticCluster;
-    let mut track = spec.track_layout.then(|| crate::spec::LayoutTrack {
-        profiles: crate::spec::profile_layout(&ElasticCluster::snapshot(&cloud)),
-        online: cloud.inner().online_server_ids().len(),
-        last_change: SimTime::ZERO,
-    });
+    let mut track = spec.track_layout.then(|| crate::spec::LayoutTrack::new(cloud.inner()));
     for tick in 0..(spec.minutes * 60) {
         // Phase 2 switch-offs (§6.4): E and F at 33, B at 43, A at 53.
         match tick {
@@ -239,44 +222,19 @@ pub(crate) fn run_spec(spec: crate::ScenarioSpec) -> crate::ScenarioRun {
             Controller::Tiramola => tiramola.tick(&mut cloud),
         }
         if let Some(t) = &mut track {
-            let snap = ElasticCluster::snapshot(&cloud);
-            let now_layout = crate::spec::profile_layout(&snap);
-            let now_online = snap.online_servers().len();
-            if now_layout != t.profiles || now_online != t.online {
-                t.profiles = now_layout;
-                t.online = now_online;
-                t.last_change = cloud.inner().time();
-            }
+            t.observe(cloud.inner());
         }
     }
 
     telemetry.flush();
-    let snapshot = ElasticCluster::snapshot(&cloud);
-    let group_series = deployments
-        .iter()
-        .filter_map(|d| {
-            let name = d.spec.name.clone();
-            cloud.inner().group_throughput(&format!("workload-{name}")).map(|s| (name, s.clone()))
-        })
-        .collect();
-    let (converged_at_min, profiles, online) = match track {
-        Some(t) => (t.last_change.as_mins_f64(), t.profiles, t.online),
-        None => (0.0, crate::spec::profile_layout(&snapshot), snapshot.online_servers().len()),
+    let group_names: Vec<String> =
+        deployments.iter().map(|d| format!("workload-{}", d.spec.name)).collect();
+    let reconfigurations = match controller {
+        Controller::Met => met.reconfigurations(),
+        Controller::Tiramola => 0,
     };
-    crate::ScenarioRun {
-        total_series: cloud.inner().total_series().clone(),
-        group_series,
-        node_series: cloud.inner().node_series().clone(),
-        snapshot,
-        reconfigurations: match controller {
-            Controller::Met => met.reconfigurations(),
-            Controller::Tiramola => 0,
-        },
-        converged_at_min,
-        profiles,
-        online,
-        faults_injected: injector.map(|i| i.injected() as u64).unwrap_or(0),
-    }
+    let faults_injected = injector.map_or(0, |i| i.injected() as u64);
+    crate::spec::collect(cloud.inner(), &group_names, reconfigurations, faults_injected, track)
 }
 
 /// Both runs plus the Figure 5 comparison numbers.
@@ -303,8 +261,6 @@ impl ElasticResult {
 
 /// Runs the full Figure 5/6 experiment.
 pub fn run(seed: u64) -> ElasticResult {
-    ElasticResult {
-        met: run_one(Controller::Met, seed),
-        tiramola: run_one(Controller::Tiramola, seed),
-    }
+    let run = |controller| run_one(controller, seed, MINUTES, telemetry::Telemetry::disabled());
+    ElasticResult { met: run(Controller::Met), tiramola: run(Controller::Tiramola) }
 }

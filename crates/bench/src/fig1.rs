@@ -48,8 +48,8 @@ pub struct RunThroughput {
     pub total: f64,
 }
 
-/// Executes one run of one strategy (a thin wrapper over the unified
-/// [`ScenarioSpec`](crate::ScenarioSpec) runner).
+/// Executes one run of one strategy and takes each workload's mean over
+/// the measured window.
 pub fn run_once(strategy: Strategy, seed: u64, measured_minutes: u64) -> RunThroughput {
     let run =
         crate::ScenarioSpec::new(crate::ScenarioStrategy::Manual(strategy), seed, measured_minutes)
@@ -122,14 +122,15 @@ pub struct Fig1Result {
     pub mean_total: BTreeMap<&'static str, f64>,
 }
 
-/// Runs the whole Figure 1 experiment.
-pub fn run(runs: u64, measured_minutes: u64) -> Fig1Result {
+/// Runs the whole Figure 1 experiment: `runs` runs per strategy, at seeds
+/// `seed..seed + runs`.
+pub fn run(seed: u64, runs: u64, measured_minutes: u64) -> Fig1Result {
     let mut bars = BTreeMap::new();
     let mut mean_total = BTreeMap::new();
     for strategy in Strategy::ALL {
         let mut summaries: BTreeMap<String, PercentileSummary> = BTreeMap::new();
-        for seed in 0..runs {
-            let run = run_once(strategy, 1_000 + seed, measured_minutes);
+        for seed in seed..seed + runs {
+            let run = run_once(strategy, seed, measured_minutes);
             for (name, v) in &run.per_workload {
                 summaries.entry(name.clone()).or_default().push(*v);
             }

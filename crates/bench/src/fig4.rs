@@ -38,49 +38,16 @@ fn resample(series: &TimeSeries) -> Curve {
     series.resample_avg(30_000).points().iter().map(|(t, v)| (t.as_mins_f64(), *v)).collect()
 }
 
-/// Runs the MeT curve: Random-Homogeneous start, MeT attached at minute 2.
-pub fn run_met_curve(seed: u64, minutes: u64) -> (TimeSeries, u64) {
-    let (series, reconfigurations, _) =
-        run_met_curve_traced(seed, minutes, telemetry::Telemetry::disabled());
-    (series, reconfigurations)
-}
-
-/// [`run_met_curve`] with the control loop and simulator reporting through
-/// `telemetry` — the registry feeds the report summary and, when a JSONL
-/// sink is attached, the run leaves a full audit trail behind — and the
-/// final cluster snapshot, so determinism checks can compare end states. A
-/// thin wrapper over the unified [`ScenarioSpec`](crate::ScenarioSpec)
-/// runner.
-pub fn run_met_curve_traced(
-    seed: u64,
-    minutes: u64,
-    telemetry: telemetry::Telemetry,
-) -> (TimeSeries, u64, cluster::ClusterSnapshot) {
-    let run = crate::ScenarioSpec::new(crate::ScenarioStrategy::MetFixedFleet, seed, minutes)
-        .telemetry(telemetry)
-        .run();
-    (run.total_series, run.reconfigurations, run.snapshot)
-}
-
-/// Runs a manual strategy and returns its total-throughput series (the
-/// same construction as the fig1 runner, via the unified spec).
-pub fn run_manual_curve(strategy: Strategy, seed: u64, minutes: u64) -> TimeSeries {
-    crate::ScenarioSpec::new(crate::ScenarioStrategy::Manual(strategy), seed, minutes)
-        .run()
-        .total_series
-}
-
-/// Runs the full Figure 4 experiment.
-pub fn run(seed: u64, minutes: u64) -> Fig4Result {
-    run_traced(seed, minutes, telemetry::Telemetry::disabled())
-}
-
-/// [`run`] with the MeT curve instrumented through `telemetry` (the manual
-/// baselines have no control loop to audit).
-pub fn run_traced(seed: u64, minutes: u64, telemetry: telemetry::Telemetry) -> Fig4Result {
-    let (met_series, reconfigurations, _) = run_met_curve_traced(seed, minutes, telemetry);
-    let homog = run_manual_curve(Strategy::ManualHomogeneous, seed, minutes);
-    let het = run_manual_curve(Strategy::ManualHeterogeneous, seed, minutes);
+/// Runs the full Figure 4 experiment: the MeT curve, instrumented through
+/// `telemetry` (the manual baselines have no control loop to audit), and
+/// the two manual strategies at the same seed.
+pub fn run(seed: u64, minutes: u64, telemetry: telemetry::Telemetry) -> Fig4Result {
+    let curve = |strategy| crate::ScenarioSpec::new(strategy, seed, minutes);
+    let met = curve(crate::ScenarioStrategy::MetFixedFleet).telemetry(telemetry).run();
+    let (met_series, reconfigurations) = (met.total_series, met.reconfigurations);
+    let manual = |strategy| curve(crate::ScenarioStrategy::Manual(strategy)).run().total_series;
+    let homog = manual(Strategy::ManualHomogeneous);
+    let het = manual(Strategy::ManualHeterogeneous);
 
     let end = SimTime::from_mins(minutes + 2);
     let steady_from = SimTime::from_mins(minutes + 2 - 10);

@@ -1,4 +1,4 @@
-//! `exp-latency` — the queueing model's p99 knee and the latency-SLO gate.
+//! `exp latency` — the queueing model's p99 knee and the latency-SLO gate.
 //!
 //! Two halves:
 //!
@@ -160,13 +160,16 @@ pub struct LatencyResult {
     pub slo_load: f64,
 }
 
-/// Runs the full `exp-latency` experiment. `telemetry` instruments the
-/// gated SLO run (the decision maker's audit trail is where the gate's
-/// verdicts live); the sweep and the ungated twin run uninstrumented.
-pub fn run(seed: u64, sweep_minutes: u64, slo_minutes: u64, telemetry: Telemetry) -> LatencyResult {
-    let sweep = SWEEP_LOADS.iter().map(|&load| sweep_point(seed, load, sweep_minutes)).collect();
-    let gated = outcome_of(&run_slo(seed, slo_minutes, Some(SLO_P99_MS), telemetry), slo_minutes);
-    let ungated = outcome_of(&run_slo(seed, slo_minutes, None, Telemetry::disabled()), slo_minutes);
+/// Runs the full `exp latency` experiment at the default horizons.
+/// `telemetry` instruments the gated SLO run (the decision maker's audit
+/// trail is where the gate's verdicts live); the sweep and the ungated twin
+/// run uninstrumented.
+pub fn run(seed: u64, telemetry: Telemetry) -> LatencyResult {
+    let sweep = SWEEP_LOADS.iter().map(|&load| sweep_point(seed, load, SWEEP_MINUTES)).collect();
+    let slo =
+        |gate, telemetry| outcome_of(&run_slo(seed, SLO_MINUTES, gate, telemetry), SLO_MINUTES);
+    let gated = slo(Some(SLO_P99_MS), telemetry);
+    let ungated = slo(None, Telemetry::disabled());
     LatencyResult { sweep, gated, ungated, slo_p99_ms: SLO_P99_MS, slo_load: SLO_LOAD }
 }
 

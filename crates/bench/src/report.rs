@@ -1,27 +1,17 @@
 //! Machine-readable result emission.
 //!
-//! Every `exp-*` binary writes a JSON record next to its human-readable
-//! table (under `results/`, override with `MET_RESULTS_DIR`) so the
-//! numbers in EXPERIMENTS.md are regenerable and diffable.
+//! Every `exp` row writes a JSON record next to its human-readable table
+//! (under `results/`, override with `MET_RESULTS_DIR`) so the numbers in
+//! EXPERIMENTS.md are regenerable and diffable.
 
 use serde_json::Value;
 use std::path::{Path, PathBuf};
-use telemetry::{MetricsSnapshot, Telemetry};
+use telemetry::Telemetry;
 
-/// Directory results are written to (created if missing).
-pub fn results_dir() -> PathBuf {
-    simcore::config::env_config().results_dir.clone().unwrap_or_else(|| PathBuf::from("results"))
-}
-
-/// Writes `value` as pretty JSON to `<results_dir>/<name>.json`,
-/// returning the path. IO errors are reported to stderr, not fatal — a
-/// read-only checkout still runs the experiments.
-pub fn write_json(name: &str, value: &Value) -> Option<PathBuf> {
-    write_json_in(&results_dir(), name, value)
-}
-
-/// [`write_json`] into an explicit directory.
-fn write_json_in(dir: &Path, name: &str, value: &Value) -> Option<PathBuf> {
+/// Writes `value` as pretty JSON to `<dir>/<name>.json` (creating `dir`
+/// if missing), returning the path. IO errors are reported to stderr, not
+/// fatal — a read-only checkout still runs the experiments.
+pub fn write_json(dir: &Path, name: &str, value: &Value) -> Option<PathBuf> {
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("report: cannot create {}: {e}", dir.display());
         return None;
@@ -52,11 +42,7 @@ pub fn telemetry_summary(telemetry: &Telemetry) -> Value {
     if !telemetry.is_enabled() {
         return Value::Null;
     }
-    metrics_summary(&telemetry.metrics())
-}
-
-/// [`telemetry_summary`] over an already-captured snapshot.
-pub fn metrics_summary(snapshot: &MetricsSnapshot) -> Value {
+    let snapshot = telemetry.metrics();
     // Fleet-wide modelled cache hit rate: sum the per-server cumulative
     // hit/miss gauges published by the simulator.
     let gauge_sum = |name: &str| -> f64 {
@@ -79,6 +65,15 @@ pub fn metrics_summary(snapshot: &MetricsSnapshot) -> Value {
         }
     }
 
+    // Decision rounds per verdict (`met_decisions_total{verdict=...}`).
+    let decisions = |verdict: &str| -> u64 {
+        let counted = snapshot.counters.iter().filter(|(k, _)| {
+            k.name == "met_decisions_total"
+                && k.labels.iter().any(|(l, v)| l == "verdict" && v == verdict)
+        });
+        counted.map(|(_, v)| v).sum()
+    };
+
     let histogram_json = |name: &str| -> Value {
         match snapshot.histogram(name) {
             None => Value::Null,
@@ -96,26 +91,7 @@ pub fn metrics_summary(snapshot: &MetricsSnapshot) -> Value {
     serde_json::json!({
         "cache_hit_rate": round3(cache_hit_rate),
         "monitor_samples": snapshot.counter_total("met_monitor_samples_total"),
-        "decisions": {
-            "healthy": snapshot
-                .counters
-                .iter()
-                .filter(|(k, _)| {
-                    k.name == "met_decisions_total"
-                        && k.labels.iter().any(|(l, v)| l == "verdict" && v == "healthy")
-                })
-                .map(|(_, v)| v)
-                .sum::<u64>(),
-            "reconfigure": snapshot
-                .counters
-                .iter()
-                .filter(|(k, _)| {
-                    k.name == "met_decisions_total"
-                        && k.labels.iter().any(|(l, v)| l == "verdict" && v == "reconfigure")
-                })
-                .map(|(_, v)| v)
-                .sum::<u64>(),
-        },
+        "decisions": {"healthy": decisions("healthy"), "reconfigure": decisions("reconfigure")},
         "actions": Value::Object(actions),
         "reconfigurations": snapshot.counter_total("met_reconfigurations_total"),
         "decision_interval_ms": histogram_json("met_decision_interval_ms"),
@@ -141,7 +117,7 @@ mod tests {
     fn writes_and_reads_back() {
         let dir = std::env::temp_dir().join(format!("met-report-{}", std::process::id()));
         let value = serde_json::json!({"answer": 42, "curve": curve_json(&[(1.0, 2.5)])});
-        let path = write_json_in(&dir, "unit-test", &value).expect("writable temp dir");
+        let path = write_json(&dir, "unit-test", &value).expect("writable temp dir");
         let read: Value =
             serde_json::from_str(&std::fs::read_to_string(&path).expect("file exists"))
                 .expect("valid json");

@@ -1,15 +1,9 @@
-//! The unified Scenario API: one builder, one `run()`, every experiment.
+//! The Scenario API: one builder, one `run()`, every simulated experiment.
 //!
-//! Historically each figure grew its own runner family —
-//! `fig1::run_once`, `fig4::run_met_curve{,_traced}`,
-//! `fig4::run_manual_curve`, `chaos::run_chaos_curve`,
-//! `elastic::run_one{,_for,_traced}`, `table2::run_{manual,met,captured}` —
-//! all permutations of the same six choices: seed, horizon, telemetry
-//! pipeline, fault plan, provision delay and the strategy under test. [`ScenarioSpec`] names those choices once; [`ScenarioSpec::run`]
-//! executes them; [`ScenarioRun`] carries everything any caller derives its
-//! figures from. The legacy entry points survive as thin wrappers, so
-//! existing tests, binaries and recorded traces are untouched: a spec with
-//! the defaults a legacy runner used reproduces that runner byte for byte.
+//! [`ScenarioSpec`] names the choices a run makes — strategy under test,
+//! seed, horizon, telemetry pipeline, fault plan, provision delay, offered
+//! load and controller config; [`ScenarioSpec::run`] executes them;
+//! [`ScenarioRun`] carries everything a figure derives its numbers from.
 
 use crate::fig1::Strategy;
 use crate::scenario::FIG1_SERVERS;
@@ -43,8 +37,8 @@ pub enum ScenarioStrategy {
     TpccCaptured(crate::table2::CapturedLayout),
 }
 
-/// The builder: every knob an experiment runner ever exposed, defaulted to
-/// what the legacy runners did.
+/// The builder: every choice an experiment makes, with the defaults of
+/// [`ScenarioSpec::new`].
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
     /// Strategy under test.
@@ -52,8 +46,7 @@ pub struct ScenarioSpec {
     /// Simulation seed.
     pub seed: u64,
     /// Measured minutes (the YCSB scenarios add their 2-minute ramp on
-    /// top; TPC-C and the cloud runs use this as the full horizon, as
-    /// their legacy runners did).
+    /// top; TPC-C and the cloud runs use this as the full horizon).
     pub minutes: u64,
     /// Telemetry pipeline shared by the simulator and the controller.
     pub telemetry: Telemetry,
@@ -66,10 +59,10 @@ pub struct ScenarioSpec {
     /// (costs a snapshot per tick; the chaos experiment turns it on).
     pub track_layout: bool,
     /// Offered-load multiplier for the YCSB suite (1.0: the paper's load;
-    /// the `exp-latency` sweep pushes this past saturation).
+    /// the `exp latency` sweep pushes this past saturation).
     pub load_factor: f64,
     /// Controller-config override for the direct-simulator MeT strategies
-    /// (`MetFixedFleet`, `TpccMet`). `None` keeps the legacy §6.2/§6.3
+    /// (`MetFixedFleet`, `TpccMet`). `None` keeps the §6.2/§6.3
     /// fixed-fleet config (`allow_scaling: false`, paper defaults). The
     /// SLO-gate experiment passes a config with `slo_p99_ms` set and
     /// scaling enabled.
@@ -100,7 +93,8 @@ pub struct ScenarioRun {
 }
 
 impl ScenarioSpec {
-    /// A spec with the legacy defaults: disabled telemetry, no faults, no provision delay, no layout tracking.
+    /// A spec with the defaults: disabled telemetry, no faults, no
+    /// provision delay, no layout tracking, the paper's offered load.
     pub fn new(strategy: ScenarioStrategy, seed: u64, minutes: u64) -> Self {
         ScenarioSpec {
             strategy,
@@ -166,7 +160,7 @@ impl ScenarioSpec {
 
 /// Profile multiset of the online fleet (convergence is "this stopped
 /// changing").
-pub(crate) fn profile_layout(snapshot: &ClusterSnapshot) -> BTreeMap<String, usize> {
+fn profile_layout(snapshot: &ClusterSnapshot) -> BTreeMap<String, usize> {
     let mut layout = BTreeMap::new();
     for s in &snapshot.servers {
         if s.health != ServerHealth::Online {
@@ -180,53 +174,37 @@ pub(crate) fn profile_layout(snapshot: &ClusterSnapshot) -> BTreeMap<String, usi
     layout
 }
 
-/// Per-tick layout tracking state, threaded through [`drive`].
+/// Per-tick layout tracking: when the online layout last changed.
 pub(crate) struct LayoutTrack {
     /// Online profile multiset at the last change.
-    pub profiles: BTreeMap<String, usize>,
+    profiles: BTreeMap<String, usize>,
     /// Online count at the last change.
-    pub online: usize,
+    online: usize,
     /// When the layout last changed.
-    pub last_change: SimTime,
+    last_change: SimTime,
 }
 
-/// The shared tick loop: step the simulator, tick the controller from
-/// `controller_start` on, optionally watch the layout. Exactly the loop
-/// every legacy runner had inline.
-pub(crate) fn drive(
-    sim: &mut SimCluster,
-    mut met: Option<&mut Met>,
-    controller_start: u64,
-    total_ticks: u64,
-    track_layout: bool,
-) -> Option<LayoutTrack> {
-    let mut track = track_layout.then(|| LayoutTrack {
-        profiles: profile_layout(&ElasticCluster::snapshot(sim)),
-        online: sim.online_server_ids().len(),
-        last_change: SimTime::ZERO,
-    });
-    for tick in 0..total_ticks {
-        sim.step();
-        if tick >= controller_start {
-            if let Some(met) = met.as_deref_mut() {
-                met.tick(sim);
-            }
-        }
-        if let Some(t) = &mut track {
-            let snap = ElasticCluster::snapshot(sim);
-            let now_layout = profile_layout(&snap);
-            let now_online = snap.online_servers().len();
-            if now_layout != t.profiles || now_online != t.online {
-                t.profiles = now_layout;
-                t.online = now_online;
-                t.last_change = sim.time();
-            }
+impl LayoutTrack {
+    /// Starts tracking from `sim`'s current layout.
+    pub(crate) fn new(sim: &SimCluster) -> Self {
+        let profiles = profile_layout(&ElasticCluster::snapshot(sim));
+        LayoutTrack { profiles, online: sim.online_server_ids().len(), last_change: SimTime::ZERO }
+    }
+
+    /// Records the tick's layout if it differs from the last one.
+    pub(crate) fn observe(&mut self, sim: &SimCluster) {
+        let snap = ElasticCluster::snapshot(sim);
+        let now_layout = profile_layout(&snap);
+        let now_online = snap.online_servers().len();
+        if now_layout != self.profiles || now_online != self.online {
+            self.profiles = now_layout;
+            self.online = now_online;
+            self.last_change = sim.time();
         }
     }
-    track
 }
 
-/// Assembles the [`ScenarioRun`] from a finished direct-simulator run.
+/// Assembles the [`ScenarioRun`] from a finished run over `sim`.
 pub(crate) fn collect(
     sim: &SimCluster,
     group_names: &[String],
@@ -261,6 +239,54 @@ fn short_name(group: &str) -> String {
     group.strip_prefix("workload-").unwrap_or(group).to_string()
 }
 
+/// Runs a populated direct simulator for `total_ticks`: wires in the
+/// spec's telemetry, provision delay and fault plan; with `met_base`, runs
+/// MeT over nodes of that configuration from tick `controller_start` on
+/// (the §6.2/§6.3 fixed-fleet config — reconfiguration only — unless the
+/// spec overrides it, as the SLO-gate experiment does).
+pub(crate) fn run_direct(
+    spec: &ScenarioSpec,
+    sim: &mut SimCluster,
+    met_base: Option<StoreConfig>,
+    controller_start: u64,
+    total_ticks: u64,
+    group_names: &[String],
+) -> ScenarioRun {
+    sim.set_telemetry(spec.telemetry.clone());
+    if let Some(d) = spec.provision_delay {
+        sim.set_provision_delay(d);
+    }
+    let injector = (!spec.faults.is_empty()).then(|| spec.faults.injector());
+    if let Some(inj) = &injector {
+        sim.set_fault_injector(inj.clone());
+    }
+    let mut met = met_base.map(|base| {
+        let cfg = spec
+            .met_config
+            .clone()
+            .unwrap_or_else(|| MetConfig { allow_scaling: false, ..MetConfig::default() });
+        let mut met = Met::with_telemetry(cfg, base, spec.telemetry.clone());
+        if let Some(inj) = &injector {
+            met.set_fault_injector(inj.clone());
+        }
+        met
+    });
+
+    let mut track = spec.track_layout.then(|| LayoutTrack::new(sim));
+    for tick in 0..total_ticks {
+        sim.step();
+        if let Some(met) = met.as_mut().filter(|_| tick >= controller_start) {
+            met.tick(sim);
+        }
+        if let Some(t) = &mut track {
+            t.observe(sim);
+        }
+    }
+    spec.telemetry.flush();
+    let reconfigurations = met.map(|m| m.reconfigurations()).unwrap_or(0);
+    collect(sim, group_names, reconfigurations, injector.map_or(0, |i| i.injected() as u64), track)
+}
+
 /// The direct-simulator YCSB arm: fig 1's manual strategies, fig 4's MeT
 /// convergence curve and the chaos experiment (MeT + fault plan).
 fn run_ycsb_direct(spec: ScenarioSpec) -> ScenarioRun {
@@ -280,63 +306,17 @@ fn run_ycsb_direct(spec: ScenarioSpec) -> ScenarioRun {
         _ => unreachable!("run_ycsb_direct only handles direct YCSB strategies"),
     }
     scenario.start_clients();
-    scenario.sim.set_telemetry(spec.telemetry.clone());
-    if let Some(d) = spec.provision_delay {
-        scenario.sim.set_provision_delay(d);
-    }
-    let injector = (!spec.faults.is_empty()).then(|| spec.faults.injector());
-    if let Some(inj) = &injector {
-        scenario.sim.set_fault_injector(inj.clone());
-    }
-    let mut met = if matches!(spec.strategy, ScenarioStrategy::MetFixedFleet) {
-        // §6.2 runs MeT against the database alone: reconfiguration only —
-        // unless the caller overrides the config (the SLO-gate experiment
-        // enables scaling and sets `slo_p99_ms`).
-        let cfg = spec
-            .met_config
-            .clone()
-            .unwrap_or_else(|| MetConfig { allow_scaling: false, ..MetConfig::default() });
-        let mut met =
-            Met::with_telemetry(cfg, StoreConfig::default_homogeneous(), spec.telemetry.clone());
-        if let Some(inj) = &injector {
-            met.set_fault_injector(inj.clone());
-        }
-        Some(met)
-    } else {
-        None
-    };
-
-    let total_ticks = (spec.minutes + 2) * 60;
-    let track = drive(&mut scenario.sim, met.as_mut(), 120, total_ticks, spec.track_layout);
-    spec.telemetry.flush();
-
+    let met_base = matches!(spec.strategy, ScenarioStrategy::MetFixedFleet)
+        .then(StoreConfig::default_homogeneous);
     let group_names: Vec<String> =
         scenario.deployments.iter().map(|d| format!("workload-{}", d.spec.name)).collect();
-    collect(
-        &scenario.sim,
-        &group_names,
-        met.as_ref().map(|m| m.reconfigurations()).unwrap_or(0),
-        injector.map(|i| i.injected() as u64).unwrap_or(0),
-        track,
-    )
+    let total_ticks = (spec.minutes + 2) * 60;
+    run_direct(&spec, &mut scenario.sim, met_base, 120, total_ticks, &group_names)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The spec path must reproduce what the legacy fig4 runner measures:
-    /// same strategy, same seed, same horizon ⇒ identical series.
-    #[test]
-    fn spec_reproduces_the_legacy_met_curve() {
-        let spec = ScenarioSpec::new(ScenarioStrategy::MetFixedFleet, 7, 6);
-        let run = spec.run();
-        let (legacy, reconfigs, snap) =
-            crate::fig4::run_met_curve_traced(7, 6, Telemetry::disabled());
-        assert_eq!(run.total_series.points(), legacy.points());
-        assert_eq!(run.reconfigurations, reconfigs);
-        assert_eq!(format!("{:?}", run.snapshot), format!("{snap:?}"));
-    }
 
     /// Layout tracking is observation only: it must not perturb the run.
     #[test]

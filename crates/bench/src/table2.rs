@@ -16,7 +16,7 @@ use cluster::admin::ServerHealth;
 use cluster::CostParams;
 use cluster::{PartitionId, ServerId, SimCluster};
 use hstore::StoreConfig;
-use met::{Met, MetConfig, ProfileKind};
+use met::ProfileKind;
 use simcore::SimTime;
 use tpcc::{deploy, tpmc_from_txn_rate, TpccDeployment, TpccScale};
 
@@ -47,6 +47,20 @@ pub fn tpcc_manual_config() -> StoreConfig {
 pub struct CapturedLayout {
     /// Per server: profile and hosted partitions, in capture order.
     pub nodes: Vec<(ProfileKind, Vec<PartitionId>)>,
+}
+
+impl CapturedLayout {
+    /// The online fleet a finished run ended with.
+    pub fn of(run: &crate::ScenarioRun) -> Self {
+        let online = run.snapshot.servers.iter().filter(|s| s.health == ServerHealth::Online);
+        let nodes = online
+            .map(|s| {
+                let profile = ProfileKind::of_config(&s.config).unwrap_or(ProfileKind::ReadWrite);
+                (profile, s.partitions.clone())
+            })
+            .collect();
+        CapturedLayout { nodes }
+    }
 }
 
 /// The three Table 2 rows.
@@ -122,94 +136,39 @@ pub(crate) fn run_spec(spec: crate::ScenarioSpec) -> crate::ScenarioRun {
         _ => unreachable!("table2::run_spec only handles TPC-C strategies"),
     }
     sim.add_group(deployment.client_group(CLIENTS, TPCC_THINK_MS));
-    sim.set_telemetry(spec.telemetry.clone());
-    if let Some(d) = spec.provision_delay {
-        sim.set_provision_delay(d);
-    }
-    let injector = (!spec.faults.is_empty()).then(|| spec.faults.injector());
-    if let Some(inj) = &injector {
-        sim.set_fault_injector(inj.clone());
-    }
-    let mut met = if matches!(spec.strategy, crate::ScenarioStrategy::TpccMet) {
-        // §6.3 keeps the fleet at 6 RegionServers; MeT reconfigures only
-        // (unless the spec overrides the controller config).
-        let cfg = spec
-            .met_config
-            .clone()
-            .unwrap_or_else(|| MetConfig { allow_scaling: false, ..MetConfig::default() });
-        let mut met = Met::with_telemetry(cfg, tpcc_manual_config(), spec.telemetry.clone());
-        if let Some(inj) = &injector {
-            met.set_fault_injector(inj.clone());
-        }
-        Some(met)
-    } else {
-        None
-    };
-    let track = crate::spec::drive(
+    // §6.3 keeps the fleet at 6 RegionServers; MeT reconfigures only.
+    let met_base =
+        matches!(spec.strategy, crate::ScenarioStrategy::TpccMet).then(tpcc_manual_config);
+    let total_ticks = spec.minutes * 60;
+    crate::spec::run_direct(
+        &spec,
         &mut sim,
-        met.as_mut(),
+        met_base,
         MET_START_MIN * 60,
-        spec.minutes * 60,
-        spec.track_layout,
-    );
-    spec.telemetry.flush();
-    crate::spec::collect(
-        &sim,
+        total_ticks,
         &["tpcc".to_string()],
-        met.as_ref().map(|m| m.reconfigurations()).unwrap_or(0),
-        injector.map(|i| i.injected() as u64).unwrap_or(0),
-        track,
     )
 }
 
 /// Mean steady-state transaction rate of a finished run (ramp excluded).
-fn tpmc_of(run: &crate::ScenarioRun, minutes: u64) -> f64 {
+pub fn tpmc_of(run: &crate::ScenarioRun, minutes: u64) -> f64 {
     let rate = run.group_series["tpcc"]
         .mean_between(SimTime::from_mins(2), SimTime::from_mins(minutes))
         .unwrap_or(0.0);
     tpmc_from_txn_rate(rate)
 }
 
-/// Setting (i): the manual homogeneous run. Returns the tpmC.
-pub fn run_manual(seed: u64, minutes: u64) -> f64 {
-    let run = crate::ScenarioSpec::new(crate::ScenarioStrategy::TpccManual, seed, minutes).run();
-    tpmc_of(&run, minutes)
-}
-
-/// Setting (ii): MeT attached at minute 4. Returns the tpmC, the captured
-/// final layout and the number of reconfigurations.
-pub fn run_met(seed: u64, minutes: u64) -> (f64, CapturedLayout, u64) {
-    let run = crate::ScenarioSpec::new(crate::ScenarioStrategy::TpccMet, seed, minutes).run();
-    let nodes = run
-        .snapshot
-        .servers
-        .iter()
-        .filter(|s| s.health == ServerHealth::Online)
-        .map(|s| {
-            (
-                ProfileKind::of_config(&s.config).unwrap_or(ProfileKind::ReadWrite),
-                s.partitions.clone(),
-            )
-        })
-        .collect();
-    (tpmc_of(&run, minutes), CapturedLayout { nodes }, run.reconfigurations)
-}
-
-/// Setting (iii): a fresh run starting from a captured layout.
-pub fn run_captured(seed: u64, minutes: u64, layout: &CapturedLayout) -> f64 {
-    let run = crate::ScenarioSpec::new(
-        crate::ScenarioStrategy::TpccCaptured(layout.clone()),
-        seed,
-        minutes,
-    )
-    .run();
-    tpmc_of(&run, minutes)
-}
-
-/// Runs the whole Table 2 experiment.
+/// Runs the whole Table 2 experiment: setting (i), then (ii), whose final
+/// online layout setting (iii) starts from.
 pub fn run(seed: u64) -> Table2Result {
-    let manual_homogeneous = run_manual(seed, MINUTES);
-    let (met_with_overhead, layout, reconfigurations) = run_met(seed, MINUTES);
-    let met_without_overhead = run_captured(seed, MINUTES, &layout);
-    Table2Result { manual_homogeneous, met_with_overhead, met_without_overhead, reconfigurations }
+    let run = |strategy| crate::ScenarioSpec::new(strategy, seed, MINUTES).run();
+    let manual = run(crate::ScenarioStrategy::TpccManual);
+    let met = run(crate::ScenarioStrategy::TpccMet);
+    let captured = run(crate::ScenarioStrategy::TpccCaptured(CapturedLayout::of(&met)));
+    Table2Result {
+        manual_homogeneous: tpmc_of(&manual, MINUTES),
+        met_with_overhead: tpmc_of(&met, MINUTES),
+        met_without_overhead: tpmc_of(&captured, MINUTES),
+        reconfigurations: met.reconfigurations,
+    }
 }

@@ -9,6 +9,7 @@
 //! the run changes the digest.
 
 use cluster::ClusterSnapshot;
+use met_bench::{ScenarioSpec, ScenarioStrategy};
 use simcore::{FaultPlan, FaultSpec, ScheduledFault, SimTime};
 use telemetry::{Telemetry, Verbosity};
 
@@ -55,8 +56,10 @@ fn layout_string(snapshot: &ClusterSnapshot) -> String {
 /// The Fig-4 MeT curve, fully traced.
 fn traced_fig4(seed: u64, minutes: u64) -> TracedRun {
     let telemetry = tracing();
-    let (_, _, snapshot) = met_bench::fig4::run_met_curve_traced(seed, minutes, telemetry.clone());
-    TracedRun { trace: trace_string(&telemetry), layout: layout_string(&snapshot) }
+    let run = ScenarioSpec::new(ScenarioStrategy::MetFixedFleet, seed, minutes)
+        .telemetry(telemetry.clone())
+        .run();
+    TracedRun { trace: trace_string(&telemetry), layout: layout_string(&run.snapshot) }
 }
 
 /// The chaos run under `plan`, fully traced.

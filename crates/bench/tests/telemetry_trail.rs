@@ -3,7 +3,7 @@
 //! preceded by the monitor sample and the decision event that caused it —
 //! and the JSONL export must round-trip to the same trail.
 
-use met_bench::elastic::{run_one_traced, Controller, INITIAL_SERVERS};
+use met_bench::elastic::{run_one, Controller, INITIAL_SERVERS};
 use simcore::FaultPlan;
 use telemetry::{parse_trace, EventKind, Telemetry, Verbosity};
 
@@ -16,7 +16,7 @@ fn scale_out_leaves_causally_ordered_audit_trail() {
 
     // 15 simulated minutes of the §6.4 cloud scenario: the six initial
     // nodes are overloaded, so MeT both reconfigures and provisions.
-    let run = run_one_traced(Controller::Met, 7, 15, telemetry.clone());
+    let run = run_one(Controller::Met, 7, 15, telemetry.clone());
 
     let events = telemetry.events();
     assert!(!events.is_empty(), "an instrumented run must record events");

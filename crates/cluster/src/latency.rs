@@ -16,7 +16,7 @@
 //!   equilibrium solver. Waiting time enters through those means — they
 //!   already carry the `1/(1-rho)` inflation — so the mixture's tail grows
 //!   super-linearly as utilization approaches saturation, producing the
-//!   hockey-stick p99 the `exp-latency` bench sweeps. Quantiles come from
+//!   hockey-stick p99 the `exp latency` bench sweeps. Quantiles come from
 //!   a search on the mixture CDF (no sampling, no RNG) that returns a
 //!   fixed bisection's bits.
 
@@ -413,7 +413,7 @@ mod tests {
         }
     }
 
-    /// Two servers' mixtures from `exp-fig4` at minute 10: ten components
+    /// Two servers' mixtures from `exp fig4` at minute 10: ten components
     /// over five and three distinct means.
     fn fig4_mixtures() -> [LatencyMixture; 2] {
         let build = |comps: &[(f64, f64)]| {

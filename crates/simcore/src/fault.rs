@@ -210,7 +210,7 @@ impl FaultPlan {
         FaultPlan { faults }
     }
 
-    /// The reference chaos plan used by the `exp-chaos` acceptance run:
+    /// The reference chaos plan used by the `exp chaos` acceptance run:
     /// one server crash while the first reconfiguration is draining, two
     /// provision failures that hit the control plane's replacement
     /// attempts, and one dropped metrics round during recovery.

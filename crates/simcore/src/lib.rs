@@ -9,8 +9,6 @@
 //! else is built on:
 //!
 //! * [`clock`] — simulated time ([`SimTime`], [`SimDuration`]).
-//! * [`config`] — the typed, parse-once view of every `MET_*` environment
-//!   knob ([`config::EnvConfig`]); see the README's knob table.
 //! * [`fault`] — deterministic fault injection: seeded [`FaultPlan`]
 //!   scripts consumed through the shared [`FaultInjector`] handle.
 //! * [`rng`] — seeded, splittable random-number streams so that every
@@ -24,7 +22,6 @@
 //!   figures.
 
 pub mod clock;
-pub mod config;
 pub mod dist;
 pub mod fault;
 pub mod rng;

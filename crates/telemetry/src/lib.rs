@@ -20,7 +20,7 @@
 //!   values and thresholds that caused it.
 //! * [`sink`] — where events go: an in-memory ring buffer (for tests and
 //!   the report layer) and a JSONL exporter (one event per line) so any
-//!   `exp-*` binary can dump a full trace per run.
+//!   `exp` run can dump a full trace.
 //! * [`span`] — an empty `set_enabled` kept for one external caller; it
 //!   records nothing.
 //!

@@ -4,17 +4,18 @@
 //! overload.
 //!
 //! For the full 60-minute experiment with both phases run
-//! `cargo run --release -p met-bench --bin exp-fig6`.
+//! `cargo run --release -p met-bench --bin exp -- fig6`.
 //!
 //! Run with: `cargo run --release --example elastic_cloud`
 
 use met_bench::elastic::{run_one, Controller};
 use simcore::SimTime;
+use telemetry::Telemetry;
 
 fn main() {
     println!("Overloaded 6-node cluster on 3 GB VMs; boot delay 60 s; quota 14.");
-    let met = run_one(Controller::Met, 2_024);
-    let tira = run_one(Controller::Tiramola, 2_024);
+    let run = |controller| run_one(controller, 2_024, 25, Telemetry::disabled());
+    let (met, tira) = (run(Controller::Met), run(Controller::Tiramola));
 
     println!(
         "\n{:>5} | {:>10} {:>6} | {:>10} {:>6}",

@@ -3,7 +3,7 @@
 //! strategies, eight simulated minutes each.
 //!
 //! For the full Figure 1 (5 × 32-minute runs per strategy with percentile
-//! bars) run `cargo run --release -p met-bench --bin exp-fig1`.
+//! bars) run `cargo run --release -p met-bench --bin exp -- fig1`.
 //!
 //! Run with: `cargo run --release --example multi_tenant`
 

@@ -7,13 +7,13 @@
 //!    the manual homogeneous configuration versus MeT reconfiguring it.
 //!
 //! For the full 45-minute Table 2 run:
-//! `cargo run --release -p met-bench --bin exp-table2`.
+//! `cargo run --release -p met-bench --bin exp -- table2`.
 //!
 //! Run with: `cargo run --release --example tpcc_run`
 
 use cluster::functional::FunctionalCluster;
 use hstore::StoreConfig;
-use met_bench::table2;
+use met_bench::{table2, ScenarioSpec, ScenarioStrategy};
 use tpcc::{loader, Table, TpccScale, TxnExecutor};
 
 fn functional_demo() {
@@ -60,12 +60,16 @@ fn functional_demo() {
 
 fn sim_demo() {
     println!("\n== Table 2 slice: manual homogeneous vs MeT, 12 simulated minutes ==");
-    let manual = table2::run_manual(2_024, 12);
-    let (met, layout, reconfigs) = table2::run_met(2_024, 12);
-    println!("manual homogeneous: {manual:>8.0} tpmC");
-    println!("MeT (with overhead):{met:>8.0} tpmC  ({reconfigs} reconfiguration)");
+    let run = |strategy| ScenarioSpec::new(strategy, 2_024, 12).run();
+    let (manual, met) = (run(ScenarioStrategy::TpccManual), run(ScenarioStrategy::TpccMet));
+    println!("manual homogeneous: {:>8.0} tpmC", table2::tpmc_of(&manual, 12));
+    println!(
+        "MeT (with overhead):{:>8.0} tpmC  ({} reconfiguration)",
+        table2::tpmc_of(&met, 12),
+        met.reconfigurations
+    );
     println!("MeT's layout:");
-    for (profile, partitions) in &layout.nodes {
+    for (profile, partitions) in &table2::CapturedLayout::of(&met).nodes {
         println!("  {profile:<11} node with {} partitions", partitions.len());
     }
 }

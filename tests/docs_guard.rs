@@ -1,8 +1,10 @@
-//! Docs, CI and scripts may only name knobs, binaries and test targets that
-//! exist: every `MET_*` token must be read by `EnvConfig`, every `exp-*`
-//! token must have a source file under `crates/bench/src/bin/`, and every
-//! `--test <name>` must have a `tests/<name>.rs` in its package. The CI
-//! workflow and `ci/run.sh` must name the same jobs.
+//! Docs, CI and scripts may only name knobs, experiments and test targets
+//! that exist: every `MET_*` token must be read by `EnvConfig`, every
+//! `exp <name>` must name a row of `met_bench::exp::ROWS` (and no doc may
+//! name an `exp-<name>` binary: there is one binary, `exp`), and every
+//! `--test <name>` must have a `tests/<name>.rs` in its package. Every
+//! report under `results/` must come from a row. The CI workflow and
+//! `ci/run.sh` must name the same jobs.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -30,6 +32,28 @@ fn knobs(text: &str) -> BTreeSet<String> {
 
 fn binaries(text: &str) -> BTreeSet<String> {
     tokens(text, "exp-", |c| c.is_ascii_lowercase() || c.is_ascii_digit())
+}
+
+/// Every name an `exp` command line runs: the word after `exp ` (or after
+/// `exp -- `, as in `cargo run --bin exp -- fig4`) where `exp` follows a
+/// space, a backtick, a `/` or a `(`. A placeholder such as `<name>` or a
+/// flag such as `--list` is not a name.
+fn experiments(text: &str) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    for (at, _) in text.match_indices("exp ") {
+        if text[..at].chars().next_back().is_some_and(|c| !" \t\n`/(".contains(c)) {
+            continue;
+        }
+        let rest = &text[at + "exp ".len()..];
+        let rest = rest.strip_prefix("-- ").unwrap_or(rest);
+        let len = rest
+            .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'))
+            .unwrap_or(rest.len());
+        if rest.starts_with(|c: char| c.is_ascii_lowercase()) {
+            out.insert(rest[..len].to_string());
+        }
+    }
+    out
 }
 
 /// Every `--test <name>` with the package a `-p` / `--package` before it on
@@ -99,13 +123,9 @@ fn docs_and_ci_name_only_knobs_and_binaries_that_exist() {
             .filter(|p| p.extension() == Some("sh".as_ref())),
     );
 
-    let known_knobs = knobs(&read(&root.join("crates/simcore/src/config.rs")));
-    let known_bins: BTreeSet<String> = std::fs::read_dir(root.join("crates/bench/src/bin"))
-        .expect("bench binaries exist")
-        .filter_map(|e| Some(e.ok()?.path().file_stem()?.to_str()?.to_string()))
-        .collect();
+    let known_knobs = knobs(&read(&root.join("crates/bench/src/config.rs")));
     let packages = packages(root);
-    let found = known_knobs.contains("MET_TRACE") && known_bins.contains("exp-fig4");
+    let found = known_knobs.contains("MET_TRACE") && experiments("`exp fig4`").contains("fig4");
     assert!(found && packages.contains_key("met-repro"), "scan is broken");
 
     let mut stale = Vec::new();
@@ -126,8 +146,13 @@ fn docs_and_ci_name_only_knobs_and_binaries_that_exist() {
         stale.extend(
             binaries(&text)
                 .into_iter()
-                .filter(|b| !known_bins.contains(b))
-                .map(|b| format!("{shown}: no crates/bench/src/bin/{b}.rs")),
+                .map(|b| format!("{shown}: {b} is not a binary; the one binary is `exp`")),
+        );
+        stale.extend(
+            experiments(&text)
+                .into_iter()
+                .filter(|name| met_bench::exp::row(name).is_none())
+                .map(|name| format!("{shown}: `exp {name}` names no row of `exp --list`")),
         );
         for (package, test) in test_targets(&text) {
             let name = package.as_deref().unwrap_or("met-repro");
@@ -139,6 +164,24 @@ fn docs_and_ci_name_only_knobs_and_binaries_that_exist() {
         }
     }
     assert!(stale.is_empty(), "stale names:\n{}", stale.join("\n"));
+}
+
+#[test]
+fn every_committed_report_comes_from_a_row() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let results = std::fs::read_dir(root.join("results")).expect("results/ exists");
+    let reports: Vec<PathBuf> = results
+        .map(|e| e.expect("results/ entry").path())
+        .filter(|p| matches!(p.extension().and_then(|e| e.to_str()), Some("json" | "txt")))
+        .collect();
+    assert!(reports.iter().any(|p| p.ends_with("fig4.json")), "scan is broken: {reports:?}");
+    let orphans: Vec<String> = reports
+        .iter()
+        .filter_map(|p| p.file_stem()?.to_str())
+        .filter(|stem| met_bench::exp::row(stem).is_none())
+        .map(str::to_string)
+        .collect();
+    assert!(orphans.is_empty(), "results/ holds reports no `exp` row writes: {orphans:?}");
 }
 
 /// A job name: lowercase letters, digits and `-`.

@@ -7,7 +7,8 @@
 //! Figures, all counted over source text:
 //! - `lines.<crate>`: lines under `crates/<crate>/src`, each file counted
 //!   up to its first column-0 `#[cfg(test)]`;
-//! - `knobs`: distinct `MET_*` names in `crates/simcore/src/config.rs`;
+//! - `knobs`: distinct `MET_*` names in `crates/bench/src/config.rs`
+//!   (`EnvConfig`);
 //! - `unsafe`: `unsafe` blocks, functions, impls, traits and extern
 //!   blocks in `.rs` files outside `vendor/`;
 //! - `panics.<crate>`: `unwrap(`, `expect(` and `panic!(` in the same
@@ -90,7 +91,7 @@ fn measure(root: &Path) -> BTreeMap<String, u64> {
         figures.insert(format!("panics.{name}"), panics);
     }
 
-    let config = read(&root.join("crates/simcore/src/config.rs"));
+    let config = read(&root.join("crates/bench/src/config.rs"));
     let mut knobs = std::collections::BTreeSet::new();
     for (at, _) in config.match_indices("MET_") {
         let rest = &config[at + "MET_".len()..];
