@@ -45,6 +45,11 @@ case "${1:-}" in
     build-test)
         gate build cargo build --release --offline --workspace
         gate test cargo test --offline --workspace -q
+        # The CRC-32C kernels against the portable one at every start offset
+        # (a debug build takes offsets 0–7), printing which kernels this
+        # host runs: a log from a CPU without VPCLMULQDQ shows the fold
+        # kernel went unexercised.
+        gate crc-kernels cargo test --release --offline -p hstore --lib wal:: -- --nocapture
         # The shared-reader engine's stress/property suite again in release
         # mode: optimized codegen plus real parallelism is where torn reads
         # would actually surface, and the workspace run above only

@@ -15,6 +15,7 @@ use serde_json::{json, Value};
 use simcore::{FaultPlan, FaultSpec, ScheduledFault, SimTime};
 use std::path::PathBuf;
 use telemetry::{Telemetry, TelemetryEvent, Verbosity};
+use Run::{Plain, Traced};
 
 /// What one row produced.
 #[derive(Debug, Clone)]
@@ -39,23 +40,33 @@ pub struct Row {
     /// `--faults` names another); `--faults` on any other row is an error.
     pub faults: bool,
     /// Runs the experiment at a seed, under a fault plan (empty unless
-    /// `faults`), reporting through the telemetry pipeline.
-    pub run: fn(u64, &FaultPlan, &Telemetry) -> Report,
+    /// `faults`).
+    pub run: Run,
+}
+
+/// How a row runs: through the telemetry pipeline, whose event stream
+/// `MET_TRACE` exports, or without one, so that there is no trail to export.
+#[derive(Debug, Clone, Copy)]
+pub enum Run {
+    /// Reports through the telemetry pipeline.
+    Traced(fn(u64, &FaultPlan, &Telemetry) -> Report),
+    /// Takes no telemetry.
+    Plain(fn(u64, &FaultPlan) -> Report),
 }
 
 /// Every experiment, in the order `exp --list` prints them.
 pub const ROWS: &[Row] = &[
-    Row { name: "table1", seed: 0, faults: false, run: table1 },
-    Row { name: "fig1", seed: 1_000, faults: false, run: fig1 },
-    Row { name: "fig4", seed: 1_000, faults: false, run: fig4 },
-    Row { name: "fig5", seed: 1_000, faults: false, run: fig5 },
-    Row { name: "fig6", seed: 1_000, faults: false, run: fig6 },
-    Row { name: "table2", seed: 1_000, faults: false, run: table2 },
-    Row { name: "ablations", seed: 7, faults: false, run: ablations },
-    Row { name: "chaos", seed: 1_000, faults: true, run: chaos },
-    Row { name: "latency", seed: 1_000, faults: false, run: latency },
-    Row { name: "crash", seed: 42, faults: false, run: |seed, _, t| crash(seed, false, t) },
-    Row { name: "crash-bg", seed: 42, faults: false, run: |seed, _, t| crash(seed, true, t) },
+    Row { name: "table1", seed: 0, faults: false, run: Plain(table1) },
+    Row { name: "fig1", seed: 1_000, faults: false, run: Plain(fig1) },
+    Row { name: "fig4", seed: 1_000, faults: false, run: Traced(fig4) },
+    Row { name: "fig5", seed: 1_000, faults: false, run: Plain(fig5) },
+    Row { name: "fig6", seed: 1_000, faults: false, run: Plain(fig6) },
+    Row { name: "table2", seed: 1_000, faults: false, run: Plain(table2) },
+    Row { name: "ablations", seed: 7, faults: false, run: Plain(ablations) },
+    Row { name: "chaos", seed: 1_000, faults: true, run: Traced(chaos) },
+    Row { name: "latency", seed: 1_000, faults: false, run: Traced(latency) },
+    Row { name: "crash", seed: 42, faults: false, run: Traced(|s, _, t| crash(s, false, t)) },
+    Row { name: "crash-bg", seed: 42, faults: false, run: Traced(|s, _, t| crash(s, true, t)) },
 ];
 
 /// The row called `name`.
@@ -173,9 +184,18 @@ impl Invocation {
     }
 
     /// Runs the row and writes its JSON (if any) under the results
-    /// directory.
+    /// directory. A row that takes no telemetry leaves the trail path
+    /// unopened.
     pub fn run(&self) -> Report {
-        let report = (self.row.run)(self.seed, &self.faults, &self.telemetry());
+        let report = match self.row.run {
+            Traced(run) => run(self.seed, &self.faults, &self.telemetry()),
+            Plain(run) => {
+                if self.trace.is_some() {
+                    eprintln!("telemetry: {} emits no trail; MET_TRACE ignored", self.row.name);
+                }
+                run(self.seed, &self.faults)
+            }
+        };
         if let Some(value) = &report.json {
             if let Some(path) = report::write_json(&self.results_dir, self.row.name, value) {
                 eprintln!("wrote {}", path.display());
@@ -197,7 +217,7 @@ impl Text {
     }
 }
 
-fn table1(_seed: u64, _faults: &FaultPlan, _telemetry: &Telemetry) -> Report {
+fn table1(_seed: u64, _faults: &FaultPlan) -> Report {
     use hstore::StoreConfig;
     use met::ProfileKind;
     let mut out = Text::default();
@@ -227,7 +247,7 @@ fn table1(_seed: u64, _faults: &FaultPlan, _telemetry: &Telemetry) -> Report {
     Report { text: out.0, json: None, passed }
 }
 
-fn fig1(seed: u64, _faults: &FaultPlan, _telemetry: &Telemetry) -> Report {
+fn fig1(seed: u64, _faults: &FaultPlan) -> Report {
     let runs = 5;
     let minutes = 30;
     eprintln!("fig1: {runs} runs × (2+{minutes}) minutes per strategy...");
@@ -335,7 +355,7 @@ fn minute_curve(ts: &simcore::timeseries::TimeSeries) -> Value {
     )
 }
 
-fn fig5(seed: u64, _faults: &FaultPlan, _telemetry: &Telemetry) -> Report {
+fn fig5(seed: u64, _faults: &FaultPlan) -> Report {
     eprintln!("fig5/6: 2 × 60 simulated minutes on the simulated cloud...");
     let r = elastic::run(seed);
     let mut out = Text::default();
@@ -371,7 +391,7 @@ fn fig5(seed: u64, _faults: &FaultPlan, _telemetry: &Telemetry) -> Report {
     Report { text: out.0, json: Some(json), passed: true }
 }
 
-fn fig6(seed: u64, _faults: &FaultPlan, _telemetry: &Telemetry) -> Report {
+fn fig6(seed: u64, _faults: &FaultPlan) -> Report {
     eprintln!("fig5/6: 2 × 60 simulated minutes on the simulated cloud...");
     let r = elastic::run(seed);
     let mut out = Text::default();
@@ -434,7 +454,7 @@ fn fig6(seed: u64, _faults: &FaultPlan, _telemetry: &Telemetry) -> Report {
     Report { text: out.0, json: Some(json), passed: true }
 }
 
-fn table2(seed: u64, _faults: &FaultPlan, _telemetry: &Telemetry) -> Report {
+fn table2(seed: u64, _faults: &FaultPlan) -> Report {
     eprintln!("table2: 3 × 45 simulated minutes...");
     let r = table2::run(seed);
     let mut out = Text::default();
@@ -474,7 +494,7 @@ fn table2(seed: u64, _faults: &FaultPlan, _telemetry: &Telemetry) -> Report {
     Report { text: out.0, json: Some(json), passed: true }
 }
 
-fn ablations(seed: u64, _faults: &FaultPlan, _telemetry: &Telemetry) -> Report {
+fn ablations(seed: u64, _faults: &FaultPlan) -> Report {
     let mut out = Text::default();
     let addition = ablations::addition_policy(8);
     writeln!(out, "Ablation 1 — node addition policy (Algorithm 1, §4.2.2, need 8 nodes):");
@@ -892,8 +912,33 @@ mod tests {
     }
 
     #[test]
+    fn only_rows_that_emit_a_trail_open_the_trace_file() {
+        let dir = std::env::temp_dir().join(format!("exp-trail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let env = |name: &str| EnvConfig {
+            trace_path: Some(dir.join(name)),
+            trace_level: None,
+            results_dir: Some(dir.clone()),
+        };
+        let Ok(Command::Run(table1)) = parse(&["table1".to_string()], &env("table1.jsonl")) else {
+            panic!("table1 parses")
+        };
+        assert!(table1.run().passed);
+        assert!(!dir.join("table1.jsonl").exists(), "table1 takes no telemetry: no trail file");
+        let Ok(Command::Run(fig4)) = parse(&["fig4".to_string()], &env("fig4.jsonl")) else {
+            panic!("fig4 parses")
+        };
+        let t = fig4.telemetry();
+        t.emit(SimTime::ZERO, TelemetryEvent::WalAppend { server: 0, records: 1, bytes: 8 });
+        t.flush();
+        let trail = std::fs::read_to_string(dir.join("fig4.jsonl")).expect("fig4 writes its trail");
+        assert_eq!(trail.lines().count(), 1, "{trail}");
+        std::fs::remove_dir_all(&dir).expect("remove temp dir");
+    }
+
+    #[test]
     fn table1_renders_every_profile_and_passes() {
-        let r = table1(0, &FaultPlan::empty(), &Telemetry::disabled());
+        let r = table1(0, &FaultPlan::empty());
         assert!(r.passed && r.json.is_none());
         assert!(r.text.starts_with("Table 1 — node configuration profiles\n"));
         assert_eq!(r.text.lines().count(), 2 + met::ProfileKind::ALL.len() + 2);

@@ -270,11 +270,12 @@ impl Block {
     /// Checksum of the block's stored bytes, one CRC-32C stream in two
     /// parts. First the key arena, every cell's
     /// `row_len | row | qual_len | qual | ts` back to back, folded in place
-    /// by the striped kernel with no copy. Then each cell's value record,
+    /// by the CRC kernel with no copy. Then each cell's value record,
     /// `tag [| val_len | val]` (tag 0 = tombstone, 1 = value), the same
     /// framing idiom the WAL uses, so the two durability checks cannot drift
     /// apart. The value records are copied from the shared handles into a
-    /// stack stage one stripe long, and the kernel folds each full stage.
+    /// stack stage [`STAGE`](crate::wal::STAGE) bytes long, and the kernel
+    /// folds each full stage.
     /// Tag and length go in as two pushes: built into one 5-byte array
     /// first, the stage's 4-byte load of that array missed store
     /// forwarding (traced `read-spill` verify ≈ 150 → 190 ns/KiB). This

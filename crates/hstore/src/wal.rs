@@ -31,26 +31,34 @@
 //!
 //! ## The one `unsafe`
 //!
-//! The checksum kernel is this crate's only `unsafe` block: the call from
-//! `update` into `update_sse42`, a `#[target_feature(enable = "sse4.2")]`
-//! function of otherwise safe code. Its single invariant — the CPU
-//! executes SSE4.2 — is established by `is_x86_feature_detected!` on the
-//! line before the call, at run time, on every call. Everywhere else (and
-//! in the tests, as the reference) the portable slicing-by-8 kernel runs.
+//! The checksum kernels hold this crate's only `unsafe` block: the call
+//! from `update_with` into one of two `#[target_feature]` functions of
+//! otherwise safe code. `update_fold` enables AVX-512F and VPCLMULQDQ;
+//! `update_sse42` enables SSE4.2. Their one invariant — the CPU executes
+//! the features the called function enables — is established at run time,
+//! on every call, by `Kernel::supported`, which checks
+//! `is_x86_feature_detected!("avx512f")` and `("vpclmulqdq")` before it
+//! picks the fold kernel and `("sse4.2")` before it picks the three-lane
+//! one. Everywhere else (and in the tests, as the reference) the portable
+//! slicing-by-8 kernel runs.
 //!
-//! Inside that one function, whole stripes of `3 × LANE` bytes run as
-//! three independent `crc32` chains, joined by four `const`-evaluated
-//! shift tables — table lookups, not carry-less multiplies, so SSE4.2 is
-//! still the only target feature and nothing is initialized at run time.
+//! The fold kernel carries four 512-bit accumulators 256 bytes per step
+//! with carry-less multiplies, by constants `const`-evaluated from the
+//! polynomial, and finishes its last 16 bytes and the tail on `crc32`. The
+//! three-lane kernel, for CPUs without VPCLMULQDQ, runs whole stripes of
+//! `3 × LANE` bytes as three independent `crc32` chains joined by four
+//! `const`-evaluated shift tables. Nothing is initialized at run time.
 //! A block checksum hands its key arena — already the stored key-side
-//! serialization — straight to [`Crc32c::update`], which stripes it in
+//! serialization — straight to [`Crc32c::update`], which folds it in
 //! place, and stages only the per-cell value records through
-//! `StagedCrc32c`, which gathers them into whole stripes first.
+//! `StagedCrc32c`, which gathers them into whole kernel runs first.
 
 use crate::error::{HStoreError, Result};
 use crate::types::{InternalKey, Qualifier, RowKey, Timestamp};
 use bytes::Bytes;
 use simcore::SimDuration;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::__m512i;
 
 /// Reflected CRC-32C (Castagnoli) polynomial.
 const CASTAGNOLI: u32 = 0x82F6_3B78;
@@ -206,17 +214,202 @@ fn update_sse42(crc: u32, data: &[u8]) -> u32 {
     crc
 }
 
+/// `x^n mod P` for the CRC-32C polynomial `P`, reflected as the raw state
+/// holds it (bit 31 is `x^0`): `n / 8` byte steps through `CRC_TABLES[0]`,
+/// then single bit steps, each a multiply by `x` — the walk [`SHIFT`]'s
+/// build makes, from the state that stands for `1`.
+#[cfg(target_arch = "x86_64")]
+const fn x_pow_mod(n: usize) -> u32 {
+    let mut r = 1u32 << 31;
+    let mut i = 0;
+    while i < n / 8 {
+        r = CRC_TABLES[0][(r & 0xFF) as usize] ^ (r >> 8);
+        i += 1;
+    }
+    let mut i = 0;
+    while i < n % 8 {
+        r = if r & 1 != 0 { CASTAGNOLI ^ (r >> 1) } else { r >> 1 };
+        i += 1;
+    }
+    r
+}
+
+/// Bytes per step of the fold kernel: four 64-byte accumulators.
+const FOLD: usize = 256;
+
+/// The two multipliers that carry a 16-byte lane `d` bytes forward, for
+/// its low and its high 8 bytes. In the reflected order the low 8 bytes
+/// hold the higher powers, so a lane `A = lo·x^64 + hi` moved `8d` bits
+/// along is `lo·x^(8d+64) + hi·x^(8d)`, each factor reduced mod `P` to 32
+/// bits. A carry-less product of two reflected operands comes out one bit
+/// short (`·x`), and a 32-bit factor in the low half of its 64-bit word
+/// reads as `·x^32`: hence the `− 33`.
+#[cfg(target_arch = "x86_64")]
+const fn fold_by(d: usize) -> [u64; 2] {
+    [x_pow_mod(8 * d + 64 - 33) as u64, x_pow_mod(8 * d - 33) as u64]
+}
+
+/// Carries a lane one [`FOLD`] step forward.
+#[cfg(target_arch = "x86_64")]
+const FOLD_STEP: [u64; 2] = fold_by(FOLD);
+/// Carry lanes forward by 192, 128, 64, 48, 32 and 16 bytes: the
+/// reduction of four accumulators to one, and of one to its last lane.
+#[cfg(target_arch = "x86_64")]
+const FOLD_TAIL: [[u64; 2]; 6] =
+    [fold_by(192), fold_by(128), fold_by(64), fold_by(48), fold_by(32), fold_by(16)];
+
+/// Four lanes' multiplier pairs as one vector, lane 0 first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn lanes(k: [[u64; 2]; 4]) -> __m512i {
+    let q = |i: usize| k.as_flattened()[i] as i64;
+    std::arch::x86_64::_mm512_setr_epi64(q(0), q(1), q(2), q(3), q(4), q(5), q(6), q(7))
+}
+
+/// An accumulator's four 16-byte lanes, each carried forward by its own
+/// pair of multipliers in `k` (see [`lanes`]), XOR-ed into `y`: two
+/// carry-less multiplies and one three-way XOR.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,vpclmulqdq")]
+#[inline]
+fn fold(x: __m512i, k: __m512i, y: __m512i) -> __m512i {
+    use std::arch::x86_64::{_mm512_clmulepi64_epi128, _mm512_ternarylogic_epi64};
+    let lo = _mm512_clmulepi64_epi128::<0x00>(x, k);
+    let hi = _mm512_clmulepi64_epi128::<0x11>(x, k);
+    _mm512_ternarylogic_epi64::<0x96>(lo, hi, y)
+}
+
+/// The fold kernel: `vpclmulqdq` on 512-bit vectors, for CPUs with
+/// AVX-512F and VPCLMULQDQ.
+///
+/// A CRC depends on the message only through its polynomial mod `P`, so
+/// any 16 bytes of it may be replaced by a product of the same residue
+/// further along (see [`fold_by`]). Four accumulators of four 16-byte
+/// lanes take the first [`FOLD`] bytes, with the running state XOR-ed
+/// into the first four (`crc(s, M)` is `crc(0, M)` with `s` added to `M`'s
+/// first 32 bits). Each further step carries every lane [`FOLD`] bytes
+/// forward onto that step's bytes: sixteen independent multiply chains.
+/// Then the accumulators fold onto the last, whole 64-byte lines fold into
+/// it, and its lanes fold onto its last 16 bytes: a reduction of about
+/// fifteen dependent instructions, paid once per call. Those 16 bytes and
+/// the tail under 64 bytes finish on `crc32` from state 0, since zeros in
+/// front of a message leave a zero state's CRC unchanged. Runs shorter
+/// than [`FOLD`] go to [`update_sse42`]. Vectors are built from `u64`
+/// array reads, which compile to single 64-byte vector loads.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,vpclmulqdq")]
+fn update_fold(crc: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::{
+        _mm256_castsi256_si128, _mm256_extracti128_si256, _mm256_xor_si256, _mm512_castsi512_si256,
+        _mm512_extracti64x4_epi64, _mm512_maskz_mov_epi64, _mm512_setr_epi64, _mm_crc32_u64,
+        _mm_cvtsi128_si64, _mm_extract_epi64, _mm_xor_si128,
+    };
+    let (steps, tail) = data.as_chunks::<FOLD>();
+    let Some((first, steps)) = steps.split_first() else {
+        return update_sse42(crc, data);
+    };
+    // One 64-byte line as a vector, `head` XOR-ed into its first 8 bytes.
+    let load = |line: &[u8; 64], head: u64| {
+        let (words, _) = line.as_chunks::<8>();
+        let q = |i: usize| i64::from_le_bytes(words[i]);
+        _mm512_setr_epi64(q(0) ^ head as i64, q(1), q(2), q(3), q(4), q(5), q(6), q(7))
+    };
+    let (lines, _) = first.as_chunks::<64>();
+    let mut acc = [
+        load(&lines[0], u64::from(crc)),
+        load(&lines[1], 0),
+        load(&lines[2], 0),
+        load(&lines[3], 0),
+    ];
+    let step_k = lanes([FOLD_STEP; 4]);
+    for step in steps {
+        let (lines, _) = step.as_chunks::<64>();
+        for (acc, line) in acc.iter_mut().zip(lines) {
+            *acc = fold(*acc, step_k, load(line, 0));
+        }
+    }
+    let [k192, k128, k64, k48, k32, k16] = FOLD_TAIL;
+    let line_k = lanes([k64; 4]);
+    let mut last = fold(
+        acc[0],
+        lanes([k192; 4]),
+        fold(acc[1], lanes([k128; 4]), fold(acc[2], line_k, acc[3])),
+    );
+    let (lines, tail) = tail.as_chunks::<64>();
+    for line in lines {
+        last = fold(last, line_k, load(line, 0));
+    }
+    // Lanes 0–2 carried onto lane 3, which passes through; then the four
+    // lanes XOR-ed into one.
+    let v = fold(last, lanes([k48, k32, k16, [0; 2]]), _mm512_maskz_mov_epi64(0xC0, last));
+    let v = _mm256_xor_si256(_mm512_castsi512_si256(v), _mm512_extracti64x4_epi64::<1>(v));
+    let v = _mm_xor_si128(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+    let (lo, hi) = (_mm_cvtsi128_si64(v) as u64, _mm_extract_epi64::<1>(v) as u64);
+    update_sse42(_mm_crc32_u64(_mm_crc32_u64(0, lo), hi) as u32, tail)
+}
+
+/// The kernels [`update`] chooses from, fastest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// [`update_fold`]: AVX-512F and VPCLMULQDQ.
+    Fold,
+    /// [`update_sse42`]: SSE4.2.
+    Sse42,
+    /// [`update_portable`]: any CPU.
+    Portable,
+}
+
+impl Kernel {
+    /// The fastest kernel no faster than `self` that this CPU executes, by
+    /// run-time detection (`std` caches the CPUID answer, so each check is
+    /// a load and a test).
+    #[inline]
+    fn supported(self) -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if self == Kernel::Fold
+                && std::is_x86_feature_detected!("avx512f")
+                && std::is_x86_feature_detected!("vpclmulqdq")
+            {
+                return Kernel::Fold;
+            }
+            if self != Kernel::Portable && std::is_x86_feature_detected!("sse4.2") {
+                return Kernel::Sse42;
+            }
+        }
+        Kernel::Portable
+    }
+}
+
 /// Folds `data` into the raw (pre-inversion) state `crc` with the fastest
-/// kernel this CPU has. Both kernels compute the same function, so which
+/// kernel this CPU has. Every kernel computes the same function, so which
 /// one ran is unobservable in the result.
 #[inline]
 fn update(crc: u32, data: &[u8]) -> u32 {
+    update_with(Kernel::Fold, crc, data)
+}
+
+/// [`update`] on `kernel`, or on the next slower one where this CPU lacks
+/// its features (the tests hold each kernel to the portable one this way).
+#[inline]
+fn update_with(kernel: Kernel, crc: u32, data: &[u8]) -> u32 {
+    let kernel = kernel.supported();
     #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("sse4.2") {
-        // SAFETY: `update_sse42` is safe code whose only requirement is
-        // that the CPU executes SSE4.2 instructions, which the run-time
-        // detection on the line above has just established.
-        return unsafe { update_sse42(crc, data) };
+    if kernel != Kernel::Portable {
+        // SAFETY: both hardware kernels are safe code whose only
+        // requirement is that the CPU executes the target features they
+        // enable, and `Kernel::supported` has just established those by
+        // run-time detection: it returns `Fold` only when the CPU reports
+        // AVX-512F and VPCLMULQDQ, what `update_fold` enables (`avx512f`
+        // implies SSE4.2, which its call into `update_sse42` needs), and
+        // `Sse42` only when it reports SSE4.2.
+        return unsafe {
+            match kernel {
+                Kernel::Fold => update_fold(crc, data),
+                _ => update_sse42(crc, data),
+            }
+        };
     }
     update_portable(crc, data)
 }
@@ -262,14 +455,16 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc.finish()
 }
 
-/// Bytes [`StagedCrc32c`] gathers per kernel call: whole stripes, so every
-/// full run takes the three-chain path with no tail.
+/// Bytes [`StagedCrc32c`] gathers per kernel call: six [`FOLD`] steps and
+/// whole three-lane stripes, so a full stage runs either hardware kernel
+/// with no tail. A sweep of 512–8 192 bytes over 16 KiB blocks read the
+/// same within the host's noise (CHANGES.md), so the length stayed.
 pub(crate) const STAGE: usize = 3 * LANE;
 
 /// CRC-32C of a record that arrives as many small pieces (a block's
 /// per-cell value records): the pieces are copied into a stack buffer and
-/// the kernel runs once per [`STAGE`] bytes — at stripe speed — instead of
-/// once per piece. Same value as [`Crc32c`] fed the same pieces.
+/// the kernel runs once per [`STAGE`] bytes — at full kernel speed —
+/// instead of once per piece. Same value as [`Crc32c`] fed the same pieces.
 pub(crate) struct StagedCrc32c {
     crc: Crc32c,
     len: usize,
@@ -804,11 +999,37 @@ mod tests {
             .collect()
     }
 
+    /// The name a kernel goes by in test messages.
+    fn name(kernel: Kernel) -> &'static str {
+        match kernel {
+            Kernel::Fold => "fold",
+            Kernel::Sse42 => "sse4.2",
+            Kernel::Portable => "portable",
+        }
+    }
+
+    /// The kernels this host runs, fastest first, printed so that a log
+    /// from a CPU without VPCLMULQDQ (or SSE4.2) shows which kernels went
+    /// unexercised.
+    fn kernels_here() -> Vec<Kernel> {
+        let mut here: Vec<Kernel> = Vec::new();
+        for kernel in [Kernel::Fold, Kernel::Sse42, Kernel::Portable].map(Kernel::supported) {
+            if !here.contains(&kernel) {
+                here.push(kernel);
+            }
+        }
+        println!(
+            "CRC-32C kernels on this host: {:?}",
+            here.iter().map(|&k| name(k)).collect::<Vec<_>>()
+        );
+        here
+    }
+
     #[test]
     fn crc32c_matches_known_vectors() {
         // The CRC-32C check values and the four 32-byte test patterns of
-        // RFC 3720 appendix B.4, through the dispatching entry point and
-        // through the portable kernel (the same thing off x86-64).
+        // RFC 3720 appendix B.4, through every kernel this host runs and
+        // through the dispatching entry point.
         let ascending: Vec<u8> = (0u8..32).collect();
         let descending: Vec<u8> = (0u8..32).rev().collect();
         let vectors: [(&[u8], u32); 6] = [
@@ -819,38 +1040,89 @@ mod tests {
             (&ascending, 0x46DD_794E),
             (&descending, 0x113F_DB5C),
         ];
+        let dispatched = name(Kernel::Fold.supported());
         for (data, want) in vectors {
-            assert_eq!(crc32(data), want, "dispatched kernel over {data:02x?}");
-            assert_eq!(portable(data), want, "portable kernel over {data:02x?}");
+            assert_eq!(crc32(data), want, "dispatched ({dispatched}) over {data:02x?}");
+            for kernel in kernels_here() {
+                let got = !update_with(kernel, !0, data);
+                assert_eq!(got, want, "{} kernel over {data:02x?}", name(kernel));
+            }
         }
     }
 
     #[test]
     fn hardware_and_portable_kernels_agree() {
-        // Every length that exercises each tail width (8/4/2/1), and every
-        // length around one and two three-lane stripes, at every alignment
-        // of the first byte, from a non-trivial running state.
-        let stripe = 3 * LANE;
-        let data = noise(8 + 2 * stripe + 16, 0x9E37_79B9_7F4A_7C15);
-        let lens =
-            (0..=300).chain(stripe - 16..=stripe + 16).chain(2 * stripe - 16..=2 * stripe + 16);
-        for offset in 0..8 {
-            for len in lens.clone() {
-                let slice = &data[offset..offset + len];
+        // Every length up to 1 100 (each tail width of every path: 8/4/2/1
+        // bytes, 64-byte lines, a first fold step), every length within 16
+        // of a multiple of the fold step up to four stages (which takes in
+        // one and two three-lane stripes, and every 1–15-byte tail after a
+        // step or a stripe join), and 64 KiB + 1, from three running
+        // states, at every start offset within a cache line. The reference
+        // continues the portable kernel's state length by length.
+        // Unoptimized, the kernels' intrinsics are calls and run ~100×
+        // slower, so a debug build takes start offsets 0–7 only.
+        let around_steps = (1..=4 * STAGE / FOLD).flat_map(|m| m * FOLD - 16..=m * FOLD + 16);
+        let mut lens: Vec<usize> = (0..=1_100).chain(around_steps).chain([64 * 1024 + 1]).collect();
+        lens.sort_unstable();
+        lens.dedup();
+        let longest = lens[lens.len() - 1];
+        let data = noise(64 + longest, 0x9E37_79B9_7F4A_7C15);
+        let offsets = if cfg!(debug_assertions) { 0..8 } else { 0..64 };
+        for kernel in kernels_here() {
+            for offset in offsets.clone() {
                 for state in [!0u32, 0, 0xDEAD_BEEF] {
-                    assert_eq!(
-                        update(state, slice),
-                        update_portable(state, slice),
-                        "offset {offset}, len {len}, state {state:#x}"
-                    );
+                    let (mut reference, mut done) = (state, 0);
+                    for &len in &lens {
+                        reference = update_portable(reference, &data[offset + done..offset + len]);
+                        done = len;
+                        assert_eq!(
+                            update_with(kernel, state, &data[offset..offset + len]),
+                            reference,
+                            "{} kernel: offset {offset}, len {len}, state {state:#x}",
+                            name(kernel)
+                        );
+                    }
                 }
             }
         }
-        // And over block-sized random buffers.
+        // And over block-sized random buffers, through the dispatch.
+        let dispatched = name(Kernel::Fold.supported());
         for seed in 1..=8u64 {
             let data = noise(16 * 1024 + seed as usize, seed);
-            assert_eq!(crc32(&data), portable(&data), "seed {seed}");
+            assert_eq!(crc32(&data), portable(&data), "{dispatched} kernel: seed {seed}");
         }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn fold_constants_are_powers_of_x_mod_p() {
+        // `x^n mod P` by shift and subtract on the unreflected polynomial
+        // (bit i holds the coefficient of x^i), then bit-reversed into the
+        // reflected order the kernels use: the definition, independent of
+        // `CRC_TABLES` and of `x_pow_mod`'s byte steps.
+        let poly = (1u64 << 32) | u64::from(CASTAGNOLI.reverse_bits());
+        let x_pow = |n: usize| {
+            let mut r = 1u64;
+            for _ in 0..n {
+                r <<= 1;
+                if r >> 32 != 0 {
+                    r ^= poly;
+                }
+            }
+            (r as u32).reverse_bits()
+        };
+        for n in 0..=600 {
+            assert_eq!(x_pow_mod(n), x_pow(n), "x^{n} mod P");
+        }
+        let tail = [192, 128, 64, 48, 32, 16].into_iter().zip(FOLD_TAIL);
+        for (d, k) in [(FOLD, FOLD_STEP)].into_iter().chain(tail) {
+            let want = [u64::from(x_pow(8 * d + 64 - 33)), u64::from(x_pow(8 * d - 33))];
+            assert_eq!(k, want, "multipliers that fold a lane {d} bytes forward");
+        }
+        println!(
+            "fold constants checked; this host runs the {} kernel",
+            name(Kernel::Fold.supported())
+        );
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -890,8 +1162,9 @@ mod tests {
             for piece in cuts[1..].windows(2) {
                 staged.push(&data[piece[0]..piece[1]]);
             }
-            prop_assert_eq!(staged.finish(), crc32(&data));
-            prop_assert_eq!(crc32(&data), portable(&data));
+            let dispatched = name(Kernel::Fold.supported());
+            prop_assert_eq!(staged.finish(), portable(&data), "{} kernel", dispatched);
+            prop_assert_eq!(crc32(&data), portable(&data), "{} kernel", dispatched);
         }
     }
 
