@@ -10,12 +10,16 @@
 #
 # Build the two binaries first (`cargo build --release --offline
 # --manifest-path benchmark/Cargo.toml` in a clone of each commit) and copy
-# them side by side; they run from any directory. With no workload named,
-# every workload of BENCHMARK.json runs. Environment:
+# them side by side; relative paths are resolved before the runs. With no
+# workload named, every workload of BENCHMARK.json runs. Environment:
 #
 #   PAIRS  pairs per workload (default 10; a claim needs at least 10)
 #   SEED   workload seed (default: the clock, i.e. one unseen so far)
-#   OUT    directory kept with every run's result line (default: mktemp)
+#   OUT    directory kept with every run's result line (default: mktemp);
+#          both binaries run with it as their working directory, so it
+#          must lie outside any git checkout (the benchmark reads
+#          `.git/HEAD` from its working directory or the one above at
+#          start-up, and that alone has moved one side's `peak_rss_mb`)
 #
 # One run is ~15 s, so 10 pairs x 5 workloads is ~25 min. Run nothing else
 # meanwhile: the engine's flusher and compactor want the second core.
@@ -24,13 +28,13 @@
 set -euo pipefail
 
 if [ "$#" -lt 2 ]; then
-    sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 root=$(cd "$(dirname "$0")/.." && pwd)
 spec="$root/BENCHMARK.json"
-parent=$1
-change=$2
+parent=$(realpath "$1")
+change=$(realpath "$2")
 shift 2
 pairs=${PAIRS:-10}
 seed=${SEED:-$(($(date +%s) % 1000000))}
@@ -42,6 +46,8 @@ else
     mapfile -t workloads < <(jq -r '.workloads[].name' "$spec")
 fi
 mkdir -p "$out"
+out=$(cd "$out" && pwd)
+cd "$out"
 
 # One run: the result line (last line of stdout) appended to <out>/<workload>.<side>.
 run() {

@@ -1249,9 +1249,10 @@ fn collect_rows(merge: LoserTree<'_>, row_limit: usize) -> ScanRows {
     let mut current_cells: Vec<(Qualifier, Bytes)> = Vec::new();
     // Coordinate of the previous cell, whatever became of it.
     let mut last_coord: Option<(&[u8], &[u8])> = None;
-    // Rows of a table mostly repeat one qualifier set: re-share the previous
-    // handle when the bytes match instead of allocating one per cell, and
-    // size each row's cell list like the row before it.
+    // Rows of a table mostly repeat one qualifier set: clone the previous
+    // qualifier when the bytes match (a short one is a 24-byte copy, cheaper
+    // than building it again; a long one shares its buffer), and size each
+    // row's cell list like the row before it.
     let mut last_qualifier: Option<Qualifier> = None;
 
     for (key, value) in merge {
@@ -1290,8 +1291,8 @@ fn collect_rows(merge: LoserTree<'_>, row_limit: usize) -> ScanRows {
 }
 
 /// Every merged cell version as an owned [`CellVersion`] (region splits and
-/// rebuilds). Consecutive cells of one row, or with one qualifier, share
-/// the handle built for the first.
+/// rebuilds). Consecutive cells of one row, or with one qualifier, clone
+/// the key built for the first.
 fn export_cells(merge: LoserTree<'_>) -> Vec<CellVersion> {
     let mut out: Vec<CellVersion> = Vec::new();
     for (key, value) in merge {

@@ -9,158 +9,197 @@ use bytes::Bytes;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
-/// A row key; rows order lexicographically by raw bytes.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RowKey(pub Bytes);
+/// Longest key held in place: what a 24-byte [`KeyBytes`] leaves after
+/// its tag and length byte.
+const INLINE_MAX: usize = 22;
 
-impl RowKey {
-    /// Builds a row key from anything byte-like.
-    pub fn new(bytes: impl Into<Bytes>) -> Self {
-        RowKey(bytes.into())
-    }
-
-    /// The raw bytes.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.0
-    }
-
-    /// Byte length of the key.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True for the empty key.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
+/// The bytes of a row key, qualifier or family. A key of at most
+/// [`INLINE_MAX`] bytes always lives inline and zero-padded, so building,
+/// cloning or dropping one is a 24-byte copy with no allocation and no
+/// refcount; a longer key shares one [`Bytes`] buffer. Equality, order and
+/// hash are written by hand, never derived over the variants, and are
+/// those of [`KeyBytes::as_bytes`] whichever variant holds the key, so a
+/// key and its byte slice agree everywhere `Borrow<[u8]>` lets one stand
+/// for the other. Two inline keys compare by their padded arrays, which is
+/// why the padding must stay zero.
+#[derive(Clone)]
+enum KeyBytes {
+    Inline { len: u8, bytes: [u8; INLINE_MAX] },
+    Shared(Bytes),
 }
 
-impl From<&[u8]> for RowKey {
-    fn from(bytes: &[u8]) -> Self {
-        RowKey(Bytes::copy_from_slice(bytes))
+impl KeyBytes {
+    fn from_slice(b: &[u8]) -> Self {
+        if b.len() > INLINE_MAX {
+            return KeyBytes::Shared(Bytes::copy_from_slice(b));
+        }
+        let mut bytes = [0; INLINE_MAX];
+        bytes[..b.len()].copy_from_slice(b);
+        KeyBytes::Inline { len: b.len() as u8, bytes }
     }
-}
 
-impl From<&str> for RowKey {
-    fn from(s: &str) -> Self {
-        s.as_bytes().into()
+    /// Takes `b` over as the shared buffer when it is too long to inline.
+    fn from_owned(b: impl AsRef<[u8]> + Into<Bytes>) -> Self {
+        if b.as_ref().len() > INLINE_MAX {
+            KeyBytes::Shared(b.into())
+        } else {
+            KeyBytes::from_slice(b.as_ref())
+        }
     }
-}
 
-impl From<String> for RowKey {
-    fn from(s: String) -> Self {
-        RowKey(Bytes::from(s.into_bytes()))
-    }
-}
-
-impl fmt::Display for RowKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match std::str::from_utf8(&self.0) {
-            Ok(s) => write!(f, "{s}"),
-            Err(_) => write!(f, "0x{}", hex(&self.0)),
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            KeyBytes::Inline { len, bytes } => &bytes[..*len as usize],
+            KeyBytes::Shared(b) => b,
         }
     }
 }
 
-fn hex(b: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(2 * b.len());
-    for x in b {
-        out.push(DIGITS[(x >> 4) as usize] as char);
-        out.push(DIGITS[(x & 0xf) as usize] as char);
-    }
-    out
+/// An inline key's padded bytes as big-endian words, which order like the
+/// bytes: two compares and no `memcmp` call.
+fn words(b: &[u8; INLINE_MAX]) -> (u128, u64) {
+    let mut low = [0; 8];
+    low[..INLINE_MAX - 16].copy_from_slice(&b[16..]);
+    (u128::from_be_bytes(b[..16].try_into().unwrap_or_default()), u64::from_be_bytes(low))
 }
 
-/// A column family name. Families are declared at table creation.
-///
-/// Backed by [`Bytes`] like every other key type, so cloning one into an
-/// error, a schema map or a region route is a refcount bump, not a heap
-/// copy. Ordering is unchanged from the old `String` representation: Rust
-/// compares `String`s by their UTF-8 bytes, so `BTreeMap<Family, _>`
-/// iteration order is byte-identical.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Family(pub Bytes);
-
-impl Family {
-    /// Builds a family from anything byte-like.
-    pub fn new(name: impl Into<Bytes>) -> Self {
-        Family(name.into())
-    }
-
-    /// The raw bytes.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl From<&str> for Family {
-    fn from(s: &str) -> Self {
-        Family(Bytes::copy_from_slice(s.as_bytes()))
-    }
-}
-
-impl From<String> for Family {
-    fn from(s: String) -> Self {
-        Family(Bytes::from(s.into_bytes()))
-    }
-}
-
-impl fmt::Display for Family {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match std::str::from_utf8(&self.0) {
-            Ok(s) => write!(f, "{s}"),
-            Err(_) => write!(f, "0x{}", hex(&self.0)),
+impl PartialEq for KeyBytes {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (KeyBytes::Inline { len: a, bytes: x }, KeyBytes::Inline { len: b, bytes: y }) => {
+                a == b && x == y
+            }
+            _ => self.as_bytes() == other.as_bytes(),
         }
     }
 }
 
-/// A column qualifier within a family; created dynamically (§2.1).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Qualifier(pub Bytes);
+impl Eq for KeyBytes {}
 
-impl Qualifier {
-    /// Builds a qualifier from anything byte-like.
-    pub fn new(bytes: impl Into<Bytes>) -> Self {
-        Qualifier(bytes.into())
-    }
-
-    /// The raw bytes.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.0
-    }
-
-    /// Byte length of the qualifier.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True for the empty qualifier.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
-impl From<&[u8]> for Qualifier {
-    fn from(bytes: &[u8]) -> Self {
-        Qualifier(Bytes::copy_from_slice(bytes))
-    }
-}
-
-impl From<&str> for Qualifier {
-    fn from(s: &str) -> Self {
-        s.as_bytes().into()
-    }
-}
-
-impl fmt::Display for Qualifier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match std::str::from_utf8(&self.0) {
-            Ok(s) => write!(f, "{s}"),
-            Err(_) => write!(f, "0x{}", hex(&self.0)),
+impl Ord for KeyBytes {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (self, other) {
+            // The zero padding sorts below every byte, so padded keys order
+            // like the keys wherever they differ, and a tie leaves the
+            // shorter key a prefix of the longer.
+            (KeyBytes::Inline { len: a, bytes: x }, KeyBytes::Inline { len: b, bytes: y }) => {
+                words(x).cmp(&words(y)).then(a.cmp(b))
+            }
+            _ => self.as_bytes().cmp(other.as_bytes()),
         }
     }
+}
+
+impl PartialOrd for KeyBytes {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for KeyBytes {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+    }
+}
+
+/// `b"..."` with ASCII escapes, as [`Bytes`] prints.
+impl fmt::Debug for KeyBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "b\"{}\"", self.as_bytes().escape_ascii())
+    }
+}
+
+/// UTF-8 as text, anything else as `0x` and lower-case hex.
+impl fmt::Display for KeyBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match std::str::from_utf8(self.as_bytes()) {
+            Ok(s) => write!(f, "{s}"),
+            Err(_) => {
+                f.write_str("0x")?;
+                self.as_bytes().iter().try_for_each(|b| write!(f, "{b:02x}"))
+            }
+        }
+    }
+}
+
+/// The three key types share one representation and one API.
+macro_rules! key_type {
+    ($(#[$doc:meta])* $name:ident) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub struct $name(KeyBytes);
+
+        impl $name {
+            /// Builds a key from anything byte-like.
+            pub fn new(bytes: impl Into<Bytes>) -> Self {
+                $name(KeyBytes::from_owned(bytes.into()))
+            }
+
+            /// The raw bytes.
+            pub fn as_bytes(&self) -> &[u8] {
+                self.0.as_bytes()
+            }
+
+            /// Byte length.
+            pub fn len(&self) -> usize {
+                self.as_bytes().len()
+            }
+
+            /// True for the empty key.
+            pub fn is_empty(&self) -> bool {
+                self.as_bytes().is_empty()
+            }
+        }
+
+        impl From<&[u8]> for $name {
+            fn from(bytes: &[u8]) -> Self {
+                $name(KeyBytes::from_slice(bytes))
+            }
+        }
+
+        impl From<&str> for $name {
+            fn from(s: &str) -> Self {
+                s.as_bytes().into()
+            }
+        }
+
+        impl From<String> for $name {
+            fn from(s: String) -> Self {
+                $name(KeyBytes::from_owned(s.into_bytes()))
+            }
+        }
+
+        /// So maps keyed by this type can be probed with `[u8]`.
+        impl Borrow<[u8]> for $name {
+            fn borrow(&self) -> &[u8] {
+                self.as_bytes()
+            }
+        }
+
+        impl fmt::Display for $name {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                fmt::Display::fmt(&self.0, f)
+            }
+        }
+    };
+}
+
+key_type! {
+    /// A row key; rows order lexicographically by raw bytes.
+    RowKey
+}
+
+key_type! {
+    /// A column family name. Families are declared at table creation and
+    /// order by their bytes, which for UTF-8 names is `String` order.
+    Family
+}
+
+key_type! {
+    /// A column qualifier within a family; created dynamically (§2.1).
+    Qualifier
 }
 
 /// A logical write timestamp (version). Larger is newer.
@@ -199,12 +238,7 @@ impl InternalKey {
     /// The smallest key at or after every version of `row` — a scan seek
     /// target.
     pub fn row_start(row: RowKey) -> Self {
-        InternalKey::new(row, Qualifier::new(Bytes::new()), Timestamp(u64::MAX))
-    }
-
-    /// Approximate heap footprint in bytes, used for memstore accounting.
-    pub fn heap_size(&self) -> usize {
-        self.coord.row.len() + self.coord.qualifier.len() + 8
+        InternalKey::new(row, Qualifier::from(""), Timestamp(u64::MAX))
     }
 
     /// The borrowed view of this key.
@@ -362,13 +396,6 @@ impl fmt::Display for KeyRange {
 /// One scanned row: its key and live `(qualifier, value)` cells in column
 /// order.
 pub type RowCells = (RowKey, Vec<(Qualifier, Bytes)>);
-
-/// Convenience borrow so `BTreeMap<RowKey, _>` can be probed with `[u8]`.
-impl Borrow<[u8]> for RowKey {
-    fn borrow(&self) -> &[u8] {
-        &self.0
-    }
-}
 
 #[cfg(test)]
 mod tests {
